@@ -3,7 +3,6 @@ variants plus sparse mode recovery."""
 
 from .dmd import (
     DmdResult,
-    PipelinePath,
     SnapshotPair,
     advance_modes,
     compressed_dmd,
@@ -11,6 +10,7 @@ from .dmd import (
     mode_alignment,
     pair_eigenvalues,
     project_dmd_result,
+    time_dmd_stage,
 )
 from .errors import (
     BadDimensions,
@@ -20,7 +20,6 @@ from .errors import (
     DimensionError,
     NoProgress,
     RankCollapse,
-    RankZero,
     ZeroInput,
     ZeroMatrix,
 )
@@ -30,7 +29,6 @@ from .pipelines import (
     ExperimentReport,
     match_eigen,
     run_path,
-    time_dmd_stage,
     verify_invariance_suite,
 )
 from .recovery import (

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import io as io_mod
-from .dmd import SnapshotPair, compressed_dmd, exact_dmd, mode_alignment, pair_eigenvalues
+from .dmd import SnapshotPair, exact_dmd, mode_alignment, pair_eigenvalues
 from .errors import (
     BadDimensions,
     BadWavenumber,
@@ -24,14 +24,12 @@ from .errors import (
     DimensionError,
     NoProgress,
     RankCollapse,
-    RankZero,
     ZeroInput,
     ZeroMatrix,
 )
 from .linalg import DEFAULT_TRUNCATION_TOL
-from .pipelines import verify_invariance_suite
-from .recovery import RecoveryConfig, RecoveredMode, recover_modes
-from .sensing import SparseBasis, apply_measurement, make_measurement, mutual_coherence
+from .pipelines import run_1b, run_2a, run_2b, verify_invariance_suite
+from .sensing import MeasurementMatrix, SparseBasis, make_measurement, mutual_coherence
 from .systems import (
     DoubleGyreParams,
     add_fourier_noise,
@@ -50,7 +48,6 @@ CONFIG_ERRORS = (
 )
 NUMERICAL_ERRORS = (
     RankCollapse,
-    RankZero,
     ZeroMatrix,
     ZeroInput,
     NoProgress,
@@ -170,27 +167,12 @@ def _cmd_dmd(args):
 def _cmd_cdmd(args):
     pair = _read_pair(args.snapshots)
     C = make_measurement(args.measure, args.p, pair.n, args.seed)
-    if args.l1_modes:
-        from .pipelines import _l1_modes
-
-        result = compressed_dmd(pair, C, args.tol)
-        measured = SnapshotPair(
-            X=apply_measurement(C, pair.X),
-            Xp=apply_measurement(C, pair.Xp),
-            dt=pair.dt,
-        )
-        projected = exact_dmd(measured, args.tol)
-        psi = SparseBasis(pair.grid)
-        from dataclasses import replace
-
-        result = replace(result, Phi=_l1_modes(projected, C, psi))
-    else:
-        result = compressed_dmd(pair, C, args.tol)
+    result, measured = run_1b(pair, C, args.tol, l1_modes=args.l1_modes)
     _write_result(args.out, result, extra={"path": "1B", "measure": args.measure, "p": args.p})
     # persist the measured pair and the measurement description for the
     # sampling-only pipeline
-    io_mod.write_matrix(args.out, "Y", apply_measurement(C, pair.X), dt=pair.dt)
-    io_mod.write_matrix(args.out, "Yp", apply_measurement(C, pair.Xp), dt=pair.dt)
+    io_mod.write_matrix(args.out, "Y", measured.X, dt=pair.dt)
+    io_mod.write_matrix(args.out, "Yp", measured.Xp, dt=pair.dt)
     measure_meta = {
         "kind": C.kind,
         "p": C.p,
@@ -214,8 +196,6 @@ def _load_measurement(path):
         meta = json.load(fh)
     kind, p, n = meta["kind"], meta["p"], meta["n"]
     if kind == "pixel" and "indices" in meta:
-        from .sensing import MeasurementMatrix
-
         C = MeasurementMatrix(
             kind, p, n, meta.get("seed"), indices=np.asarray(meta["indices"])
         )
@@ -227,50 +207,24 @@ def _load_measurement(path):
 
 def _cmd_csdmd(args):
     C, grid, dt = _load_measurement(args.measure_file)
-    if grid is None:
-        raise DimensionError("measurement file lacks grid metadata")
     if args.basis != "dft":
         raise BadDimensions(f"unsupported basis {args.basis!r}")
-    psi = SparseBasis(grid)
     Y, side = io_mod.read_matrix(args.measured, "Y")
     Yp, _ = io_mod.read_matrix(args.measured, "Yp")
     measured = SnapshotPair(X=Y, Xp=Yp, dt=side.get("dt", dt))
-    rcfg = RecoveryConfig(sparsity_K=args.sparsity)
 
     if args.reconstruct_snapshots:
-        from .pipelines import PATH_2A_MAX_M, PATH_2A_MAX_N, _reconstruct_snapshots
-
-        if C.n > PATH_2A_MAX_N or measured.m > PATH_2A_MAX_M:
-            raise BadDimensions(
-                "snapshot reconstruction limited to "
-                f"n<={PATH_2A_MAX_N}, m<={PATH_2A_MAX_M}"
-            )
-        recon = _reconstruct_snapshots(measured, C, psi, rcfg)
-        result = exact_dmd(recon, args.tol)
-        _write_result(args.out, result, extra={"path": "2A"})
-        return 0
-
-    projected = exact_dmd(measured, args.tol)
-    recovered, diags = recover_modes(projected, C, psi, rcfg)
-    from dataclasses import replace
-
-    result = replace(projected, Phi=recovered)
-    residuals = []
-    for j, diag in enumerate(diags):
-        if isinstance(diag, RecoveredMode):
-            residuals.append({"mode": j, "residual": diag.residual, "iters": diag.iters})
-        else:
-            residuals.append({"mode": j, "error": str(diag)})
-    _write_result(
-        args.out,
-        result,
-        extra={
+        result = run_2a(measured, C, grid, args.sparsity, args.tol)
+        extra = {"path": "2A"}
+    else:
+        result, residuals = run_2b(measured, C, grid, args.sparsity, args.tol)
+        extra = {
             "path": "2B",
             "sparsity_K": args.sparsity,
-            "coherence": mutual_coherence(C, psi),
+            "coherence": mutual_coherence(C, SparseBasis(grid)),
             "recovery": residuals,
-        },
-    )
+        }
+    _write_result(args.out, result, extra)
     if args.images:
         _write_images(args.out, result, grid, args.images, args.imag)
     return 0

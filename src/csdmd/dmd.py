@@ -8,12 +8,13 @@ the decomposition on projected data Y = C X and lifts the modes back to
 full state space using the full shifted snapshots.
 """
 
+import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, RankCollapse, RankZero
+from .errors import DimensionError, RankCollapse
 from .linalg import DEFAULT_TRUNCATION_TOL, EconSvd, eig_dense, svd_econ
 from .sensing import MeasurementMatrix, apply_measurement
 
@@ -79,42 +80,69 @@ class DmdResult:
     dt: float
 
 
-@dataclass(frozen=True)
-class PipelinePath:
-    """Tag naming one of the four processing pathways."""
-
-    tag: str
-
-    VALID = ("1A", "1B", "2A", "2B")
-
-    def __post_init__(self):
-        if self.tag not in self.VALID:
-            raise DimensionError(f"unknown pipeline path {self.tag!r}")
+def measure_pair(C: MeasurementMatrix, pair: SnapshotPair) -> SnapshotPair:
+    """The measured pair Y = C X, Y' = C X'.  Rows are measurements, so the
+    result carries no grid."""
+    return SnapshotPair(
+        X=apply_measurement(C, pair.X),
+        Xp=apply_measurement(C, pair.Xp),
+        dt=pair.dt,
+    )
 
 
-def _modes_from_reduced(Xp, svd, W, lambdas):
-    """Spatial modes X' V sigma^-1 W, with the propagated-basis fallback
-    U W for eigenvalues that are numerically zero."""
-    Phi = (Xp @ (svd.V / svd.sigma)) @ W
+def _fit(X, Xp, truncation_tol, full_X=None, full_svd=None):
+    """The decomposition stage: economy SVD of X, least-squares reduced
+    propagator Atilde = U^H X' V sigma^-1, and its eigendecomposition.
+
+    When X is measured data, full_X (or its precomputed SVD full_svd)
+    enables the rank check, which runs before the eigensolve.
+    """
+    if X.shape[1] < 2:
+        raise DimensionError("need at least 2 snapshot columns")
+    svd = svd_econ(X, truncation_tol)
+    if full_svd is None and full_X is not None:
+        full_svd = svd_econ(full_X, truncation_tol)
+    if full_svd is not None and svd.rank < full_svd.rank:
+        # Only complain when the dropped direction is well above the
+        # truncation noise floor; tail wobble near the cutoff is benign.
+        lost = full_svd.sigma[svd.rank]
+        if lost > np.sqrt(truncation_tol) * full_svd.sigma[0]:
+            raise RankCollapse(
+                f"projected rank {svd.rank} < full rank {full_svd.rank}; "
+                f"dropped relative singular value {lost / full_svd.sigma[0]:.3e}"
+            )
+    Atilde = svd.U.conj().T @ (Xp @ (svd.V / svd.sigma))
+    lambdas, W = eig_dense(Atilde)
+    return svd, Atilde, lambdas, W
+
+
+def _lift(fit, data: SnapshotPair) -> DmdResult:
+    """Finish a fit with modes rebuilt from data.Xp as X' V sigma^-1 W,
+    continuous-time rates, and amplitudes against data.X[:, 0]."""
+    svd, Atilde, lambdas, W = fit
+    Phi = (data.Xp @ (svd.V / svd.sigma)) @ W
+    # eigenvalues that are numerically zero fall back to the propagated
+    # basis U W; <= so a fully zero spectrum (lam_max = 0) does too
     lam_max = np.max(np.abs(lambdas)) if len(lambdas) else 0.0
-    # <= so a fully zero spectrum (lam_max = 0) still takes the fallback
     dead = np.abs(lambdas) <= ZERO_EIG_REL * lam_max
     if np.any(dead):
         UW = svd.U @ W
         Phi[:, dead] = UW[:, dead]
-    return Phi
-
-
-def _continuous_rates(lambdas, dt):
-    """Principal-branch log of the discrete eigenvalues over dt; zero
-    eigenvalues map to -inf without warning noise."""
+    # principal-branch log; zero eigenvalues map to -inf without warning noise
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(lambdas.astype(complex)) / dt
-
-
-def _amplitudes(Phi, x0):
-    b, *_ = np.linalg.lstsq(Phi, x0.astype(complex), rcond=None)
-    return b
+        omegas = np.log(lambdas.astype(complex)) / data.dt
+    b, *_ = np.linalg.lstsq(Phi, data.X[:, 0].astype(complex), rcond=None)
+    return DmdResult(
+        lambdas=lambdas,
+        omegas=omegas,
+        W=W,
+        Phi=Phi,
+        Atilde=Atilde,
+        amplitudes=b,
+        svd_used=svd,
+        rank=svd.rank,
+        dt=data.dt,
+    )
 
 
 def exact_dmd(data: SnapshotPair, truncation_tol=DEFAULT_TRUNCATION_TOL) -> DmdResult:
@@ -129,33 +157,8 @@ def exact_dmd(data: SnapshotPair, truncation_tol=DEFAULT_TRUNCATION_TOL) -> DmdR
     data : SnapshotPair
     truncation_tol : float
         Relative SVD truncation threshold; controls the retained rank.
-
-    Raises
-    ------
-    RankZero
-        If every singular value fell below the threshold.
     """
-    if data.m < 2:
-        raise DimensionError("need at least 2 snapshot columns")
-    svd = svd_econ(data.X, truncation_tol)
-    if svd.rank == 0:
-        raise RankZero("all singular values truncated")
-    Atilde = svd.U.conj().T @ (data.Xp @ (svd.V / svd.sigma))
-    lambdas, W = eig_dense(Atilde)
-    Phi = _modes_from_reduced(data.Xp, svd, W, lambdas)
-    omegas = _continuous_rates(lambdas, data.dt)
-    b = _amplitudes(Phi, data.X[:, 0])
-    return DmdResult(
-        lambdas=lambdas,
-        omegas=omegas,
-        W=W,
-        Phi=Phi,
-        Atilde=Atilde,
-        amplitudes=b,
-        svd_used=svd,
-        rank=svd.rank,
-        dt=data.dt,
-    )
+    return _lift(_fit(data.X, data.Xp, truncation_tol), data)
 
 
 def compressed_dmd(
@@ -189,42 +192,31 @@ def compressed_dmd(
         a measurement operator whose null space intersects the mode
         subspace.
     """
-    if full.m < 2:
-        raise DimensionError("need at least 2 snapshot columns")
-    Y = apply_measurement(C, full.X)
-    Yp = apply_measurement(C, full.Xp)
-    svd_y = svd_econ(Y, truncation_tol)
-    if svd_y.rank == 0:
-        raise RankZero("all singular values truncated")
+    return lifted_dmd(measure_pair(C, full), full, truncation_tol, full_svd)
 
-    if full_svd is None:
-        full_svd = svd_econ(full.X, truncation_tol)
-    if svd_y.rank < full_svd.rank:
-        # Only complain when the dropped direction is well above the
-        # truncation noise floor; tail wobble near the cutoff is benign.
-        lost = full_svd.sigma[svd_y.rank]
-        if lost > np.sqrt(truncation_tol) * full_svd.sigma[0]:
-            raise RankCollapse(
-                f"projected rank {svd_y.rank} < full rank {full_svd.rank}; "
-                f"dropped relative singular value {lost / full_svd.sigma[0]:.3e}"
-            )
 
-    Atilde = svd_y.U.conj().T @ (Yp @ (svd_y.V / svd_y.sigma))
-    lambdas, W = eig_dense(Atilde)
-    Phi = _modes_from_reduced(full.Xp, svd_y, W, lambdas)
-    omegas = _continuous_rates(lambdas, full.dt)
-    b = _amplitudes(Phi, full.X[:, 0])
-    return DmdResult(
-        lambdas=lambdas,
-        omegas=omegas,
-        W=W,
-        Phi=Phi,
-        Atilde=Atilde,
-        amplitudes=b,
-        svd_used=svd_y,
-        rank=svd_y.rank,
-        dt=full.dt,
-    )
+def lifted_dmd(
+    measured: SnapshotPair,
+    full: SnapshotPair,
+    truncation_tol=DEFAULT_TRUNCATION_TOL,
+    full_svd: Optional[EconSvd] = None,
+) -> DmdResult:
+    """compressed_dmd for an already measured pair: fit (Y, Y'), check its
+    rank against the full X, and lift the modes through the full X'."""
+    fit = _fit(measured.X, measured.Xp, truncation_tol, full.X, full_svd)
+    return _lift(fit, full)
+
+
+def time_dmd_stage(X, Xp, truncation_tol, repeats=3):
+    """Median wall-clock seconds of the decomposition stage (SVD of X,
+    reduced operator, eigendecomposition) over ``repeats`` runs, and the
+    retained rank."""
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        svd, *_ = _fit(X, Xp, truncation_tol)
+        samples.append(time.perf_counter() - t0)
+    return float(np.median(samples)), svd.rank
 
 
 def advance_modes(result: DmdResult, t: float) -> np.ndarray:

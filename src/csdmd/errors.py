@@ -17,10 +17,6 @@ class ZeroMatrix(CsdmdError):
     """An all-zero matrix was passed where a nonzero one is required."""
 
 
-class RankZero(CsdmdError):
-    """Every singular value fell below the truncation threshold."""
-
-
 class RankCollapse(CsdmdError):
     """Measured data lost rank relative to the full data.
 

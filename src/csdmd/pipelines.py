@@ -8,13 +8,15 @@ decomposition runs:
   2A  reconstruct every snapshot from measurements, then decompose
   2B  decompose the measured pair, sparse-recover only the r modes
 
-run_path executes one pathway, auto-runs the reference when full data is
-available, and assembles a comparison report.
+run_1b, run_2a and run_2b each run one compressed pathway; the CLI calls
+them directly.  run_path executes one pathway, auto-runs the reference
+when full data is available, and assembles a comparison report.
 """
 
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -24,13 +26,15 @@ from . import io as io_mod
 from .dmd import (
     DmdResult,
     SnapshotPair,
-    compressed_dmd,
     exact_dmd,
+    lifted_dmd,
+    measure_pair,
     mode_alignment,
     pair_eigenvalues,
+    time_dmd_stage,  # noqa: F401  (re-exported; it times the dmd core)
 )
 from .errors import BadDimensions, DimensionError
-from .linalg import DEFAULT_TRUNCATION_TOL, eig_dense, pinv_from_svd, svd_econ
+from .linalg import DEFAULT_TRUNCATION_TOL, pinv_from_svd, svd_econ
 from .recovery import (
     RecoveryConfig,
     RecoveredMode,
@@ -42,7 +46,6 @@ from .recovery import (
 from .sensing import (
     SparseBasis,
     apply_basis,
-    apply_measurement,
     make_measurement,
     mutual_coherence,
 )
@@ -73,7 +76,6 @@ class ExperimentConfig:
     noise_seed: Optional[int] = None
     observable: str = "vorticity"
     l1_modes: bool = False
-    allow_large_2a: bool = False
     out_dir: Optional[str] = None
 
 
@@ -171,22 +173,91 @@ def _config_echo(cfg: ExperimentConfig, data: SnapshotPair):
     return echo
 
 
-def _l1_modes(projected: DmdResult, C, psi, tol=1e-8):
-    op = SensingOperator(C, psi)
-    cols = []
-    for j in range(projected.Phi.shape[1]):
-        coeffs = l1_reconstruct(op, projected.Phi[:, j], tol)
-        cols.append(apply_basis(psi, coeffs, "forward"))
-    return np.column_stack(cols)
+@contextmanager
+def _timed(timings, key):
+    """Record the wall time of the block under timings[key], if given."""
+    t0 = time.perf_counter()
+    yield
+    if timings is not None:
+        timings[key] = time.perf_counter() - t0
 
 
-def _reconstruct_snapshots(measured: SnapshotPair, C, psi, rcfg):
-    op = SensingOperator(C, psi)
-    outs = []
-    for M in (measured.X, measured.Xp):
-        cols = [cosamp(op, M[:, k], rcfg).spatial for k in range(M.shape[1])]
-        outs.append(np.column_stack(cols))
-    return SnapshotPair(X=outs[0], Xp=outs[1], dt=measured.dt, grid=None)
+def _sparse_basis(grid):
+    if grid is None:
+        raise DimensionError("sparse recovery needs grid metadata")
+    return SparseBasis(grid)
+
+
+def _residual_rows(diagnostics):
+    """One report row per mode: CoSaMP residual and iterations, or the error."""
+    rows = []
+    for j, diag in enumerate(diagnostics):
+        if isinstance(diag, RecoveredMode):
+            rows.append({"mode": j, "residual": diag.residual, "iters": diag.iters})
+        else:
+            rows.append({"mode": j, "error": str(diag)})
+    return rows
+
+
+def run_1b(data, C, truncation_tol, full_svd=None, l1_modes=False, timings=None):
+    """Pathway 1B: measure, decompose the measured pair, lift the modes
+    through the full X'.
+
+    With l1_modes the full modes are instead sparse-recovered (basis
+    pursuit) from the modes of the measured pair.  full_svd, the SVD of the
+    full X, is reused for the rank check when given.  Returns the result
+    and the measured pair.
+    """
+    psi = _sparse_basis(data.grid) if l1_modes else None
+    with _timed(timings, "compressed_dmd_s"):
+        measured = measure_pair(C, data)
+        result = lifted_dmd(measured, data, truncation_tol, full_svd)
+    if l1_modes:
+        projected = exact_dmd(measured, truncation_tol)
+        with _timed(timings, "l1_mode_recovery_s"):
+            op = SensingOperator(C, psi)
+            cols = [
+                apply_basis(psi, l1_reconstruct(op, phi, 1e-8), "forward")
+                for phi in projected.Phi.T
+            ]
+            result = replace(result, Phi=np.column_stack(cols))
+    return result, measured
+
+
+def run_2a(measured, C, grid, sparsity_K, truncation_tol, timings=None):
+    """Pathway 2A: CoSaMP-reconstruct every measured snapshot on the grid,
+    then decompose the reconstruction.  Limited to n <= PATH_2A_MAX_N and
+    m <= PATH_2A_MAX_M, since it runs 2m sparse solves."""
+    psi = _sparse_basis(grid)
+    if C.n > PATH_2A_MAX_N or measured.m > PATH_2A_MAX_M:
+        raise BadDimensions(
+            f"snapshot reconstruction limited to n<={PATH_2A_MAX_N}, "
+            f"m<={PATH_2A_MAX_M}; got n={C.n}, m={measured.m}"
+        )
+    rcfg = RecoveryConfig(sparsity_K=sparsity_K)
+    with _timed(timings, "snapshot_recovery_s"):
+        op = SensingOperator(C, psi)
+        X, Xp = [
+            np.column_stack([cosamp(op, y, rcfg).spatial for y in M.T])
+            for M in (measured.X, measured.Xp)
+        ]
+    with _timed(timings, "reconstructed_dmd_s"):
+        result = exact_dmd(SnapshotPair(X=X, Xp=Xp, dt=measured.dt), truncation_tol)
+    return result
+
+
+def run_2b(measured, C, grid, sparsity_K, truncation_tol, timings=None):
+    """Pathway 2B: decompose the measured pair, then CoSaMP-recover only its
+    r modes on the grid.  Returns the result and one residual row per mode;
+    a mode whose recovery failed is a zero column with an error row."""
+    psi = _sparse_basis(grid)
+    with _timed(timings, "projected_dmd_s"):
+        projected = exact_dmd(measured, truncation_tol)
+    with _timed(timings, "mode_recovery_s"):
+        recovered, diags = recover_modes(
+            projected, C, psi, RecoveryConfig(sparsity_K=sparsity_K)
+        )
+    return replace(projected, Phi=recovered), _residual_rows(diags)
 
 
 def run_path(cfg: ExperimentConfig) -> ExperimentReport:
@@ -198,11 +269,10 @@ def run_path(cfg: ExperimentConfig) -> ExperimentReport:
     provides one.
     """
     timings = {}
-    t0 = time.perf_counter()
-    data, truth = _materialize(cfg)
-    if cfg.noise_rms > 0:
-        data = add_fourier_noise(data, cfg.noise_rms, cfg.noise_seed)
-    timings["generate_s"] = time.perf_counter() - t0
+    with _timed(timings, "generate_s"):
+        data, truth = _materialize(cfg)
+        if cfg.noise_rms > 0:
+            data = add_fourier_noise(data, cfg.noise_rms, cfg.noise_seed)
 
     needs_measurement = cfg.path in ("1B", "2A", "2B")
     C = None
@@ -211,72 +281,27 @@ def run_path(cfg: ExperimentConfig) -> ExperimentReport:
             raise BadDimensions(f"path {cfg.path} requires a measurement config")
         C = make_measurement(cfg.measurement_kind, cfg.p, data.n, cfg.measurement_seed)
 
-    t0 = time.perf_counter()
-    reference = exact_dmd(data, cfg.truncation_tol)
-    timings["reference_dmd_s"] = time.perf_counter() - t0
+    with _timed(timings, "reference_dmd_s"):
+        reference = exact_dmd(data, cfg.truncation_tol)
 
     report = ExperimentReport(path=cfg.path, config=_config_echo(cfg, data))
     report.ranks["reference"] = reference.rank
 
-    psi = SparseBasis(data.grid) if data.grid else None
     result = reference
-    recovery_diags = []
-
-    if cfg.path == "1A":
-        pass
-    elif cfg.path == "1B":
-        t0 = time.perf_counter()
-        result = compressed_dmd(
-            data, C, cfg.truncation_tol, full_svd=reference.svd_used
+    if cfg.path == "1B":
+        result, _ = run_1b(
+            data, C, cfg.truncation_tol, reference.svd_used, cfg.l1_modes, timings
         )
-        timings["compressed_dmd_s"] = time.perf_counter() - t0
-        if cfg.l1_modes:
-            # alternative mode route: sparse-recover full modes from the
-            # projected modes instead of lifting through full X'
-            if psi is None:
-                raise DimensionError("sparse mode recovery needs grid metadata")
-            measured = SnapshotPair(
-                X=apply_measurement(C, data.X),
-                Xp=apply_measurement(C, data.Xp),
-                dt=data.dt,
-            )
-            projected = exact_dmd(measured, cfg.truncation_tol)
-            t0 = time.perf_counter()
-            result = replace(result, Phi=_l1_modes(projected, C, psi))
-            timings["l1_mode_recovery_s"] = time.perf_counter() - t0
     elif cfg.path in ("2A", "2B"):
-        if psi is None:
-            raise DimensionError("sparse recovery needs grid metadata")
-        measured = SnapshotPair(
-            X=apply_measurement(C, data.X),
-            Xp=apply_measurement(C, data.Xp),
-            dt=data.dt,
-        )
+        measured = measure_pair(C, data)
         K = _default_sparsity(cfg, truth)
-        rcfg = RecoveryConfig(sparsity_K=K)
         if cfg.path == "2A":
-            if not cfg.allow_large_2a and (
-                data.n > PATH_2A_MAX_N or data.m > PATH_2A_MAX_M
-            ):
-                raise BadDimensions(
-                    f"snapshot reconstruction limited to n<={PATH_2A_MAX_N}, "
-                    f"m<={PATH_2A_MAX_M}; got n={data.n}, m={data.m}"
-                )
-            t0 = time.perf_counter()
-            recon = _reconstruct_snapshots(measured, C, psi, rcfg)
-            timings["snapshot_recovery_s"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            result = exact_dmd(recon, cfg.truncation_tol)
-            timings["reconstructed_dmd_s"] = time.perf_counter() - t0
+            result = run_2a(measured, C, data.grid, K, cfg.truncation_tol, timings)
         else:
-            t0 = time.perf_counter()
-            projected = exact_dmd(measured, cfg.truncation_tol)
-            timings["projected_dmd_s"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            recovered, recovery_diags = recover_modes(projected, C, psi, rcfg)
-            timings["mode_recovery_s"] = time.perf_counter() - t0
-            result = replace(projected, Phi=recovered)
-    else:
+            result, report.recovery_residuals = run_2b(
+                measured, C, data.grid, K, cfg.truncation_tol, timings
+            )
+    elif cfg.path != "1A":
         raise BadDimensions(f"unknown path {cfg.path!r}")
 
     report.ranks["result"] = result.rank
@@ -315,16 +340,8 @@ def run_path(cfg: ExperimentConfig) -> ExperimentReport:
                 mode_alignment(truth.atoms[:, i], result.Phi[:, j])
             )
 
-    for j, diag in enumerate(recovery_diags):
-        if isinstance(diag, RecoveredMode):
-            report.recovery_residuals.append(
-                {"mode": j, "residual": diag.residual, "iters": diag.iters}
-            )
-        else:
-            report.recovery_residuals.append({"mode": j, "error": str(diag)})
-
-    if C is not None and psi is not None:
-        report.coherence = mutual_coherence(C, psi)
+    if C is not None and data.grid is not None:
+        report.coherence = mutual_coherence(C, SparseBasis(data.grid))
 
     report.timings = timings
     if cfg.out_dir:
@@ -334,21 +351,6 @@ def run_path(cfg: ExperimentConfig) -> ExperimentReport:
             io_mod.dumps_report(report.to_dict()),
         )
     return report
-
-
-def time_dmd_stage(X, Xp, truncation_tol, repeats=3):
-    """Median wall-clock seconds of the decomposition stage (SVD of X,
-    reduced operator, eigendecomposition) over ``repeats`` runs."""
-    samples = []
-    rank = 0
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        svd = svd_econ(X, truncation_tol)
-        Atilde = svd.U.conj().T @ (Xp @ (svd.V / svd.sigma))
-        eig_dense(Atilde)
-        samples.append(time.perf_counter() - t0)
-        rank = svd.rank
-    return float(np.median(samples)), rank
 
 
 def _phase_aligned_gap(a, b):

@@ -76,7 +76,13 @@ def test_compressed_and_recovery_chain(workspace):
     for entry in summary["recovery"]:
         assert entry["residual"] <= 1e-8
 
-    for other in (comp, sparse):
+    l1 = workspace / "l1"
+    assert main(
+        ["cdmd", "--snapshots", str(data), "--measure", "gaussian", "-p", "12",
+         "--seed", "5", "--tol", "1e-6", "--l1-modes", "--out", str(l1)]
+    ) == 0
+
+    for other in (comp, sparse, l1):
         out = workspace / f"cmp_{other.name}.json"
         assert main(
             ["compare", "--a", str(full), "--b", str(other), "--out", str(out)]
@@ -121,8 +127,10 @@ def test_pixel_measure_file_roundtrip(workspace):
     assert main(
         ["csdmd", "--measured", str(comp), "--measure-file",
          str(comp / "measure.json"), "--sparsity", "4", "--tol", "1e-6",
-         "--reconstruct-snapshots", "--out", str(recon)]
+         "--reconstruct-snapshots", "--out", str(recon), "--images", "2"]
     ) == 0
+    for name in ("mode00.pgm", "mode01.pgm"):
+        assert (recon / name).exists()
     out = workspace / "cmp_recon.json"
     assert main(
         ["compare", "--a", str(full), "--b", str(recon), "--out", str(out)]
@@ -173,6 +181,22 @@ def test_config_error_exit_codes(workspace, tmp_path, capsys):
     assert "configuration error in csdmd" in capsys.readouterr().err
 
 
+def test_l1_modes_need_grid(tmp_path, capsys):
+    # stacked velocity components carry no grid, so there is no basis to
+    # recover sparse modes in
+    data = tmp_path / "vel"
+    assert main(
+        ["gen", "gyre", "--nx", "12", "--ny", "6", "--t1", "1.0", "--dt", "0.1",
+         "--observable", "velocity", "--out", str(data)]
+    ) == 0
+    capsys.readouterr()
+    assert main(
+        ["cdmd", "--snapshots", str(data), "--measure", "gaussian", "-p", "20",
+         "--tol", "1e-6", "--l1-modes", "--out", str(tmp_path / "o")]
+    ) == 2
+    assert "configuration error in cdmd" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(workspace, tmp_path, capsys):
     # one measurement row cannot carry a rank-4 system
     code = main(
@@ -207,11 +231,32 @@ def test_gyre_generation(tmp_path):
     ) == 0
 
 
-def test_compressed_run_is_deterministic(workspace):
-    args = ["cdmd", "--snapshots", str(workspace / "data"), "--measure",
-            "gaussian", "-p", "12", "--seed", "5", "--tol", "1e-6"]
-    a, b = workspace / "det_a", workspace / "det_b"
+def _run_twice(workspace, name, args):
+    """Run one subcommand into two directories; the outputs must match."""
+    a, b = workspace / f"det_{name}_a", workspace / f"det_{name}_b"
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert (a / "lambdas.bin").read_bytes() == (b / "lambdas.bin").read_bytes()
     assert (a / "result.json").read_text() == (b / "result.json").read_text()
+    return a
+
+
+def test_compressed_run_is_deterministic(workspace):
+    data = str(workspace / "data")
+    measured = {}
+    for kind, p, seed in (("gaussian", "12", "5"), ("pixel", "24", "9")):
+        measured[kind] = _run_twice(
+            workspace, kind,
+            ["cdmd", "--snapshots", data, "--measure", kind, "-p", p,
+             "--seed", seed, "--tol", "1e-6"],
+        )
+    for name, kind, extra in (
+        ("2b", "gaussian", ["--sparsity", "2"]),
+        ("2a", "pixel", ["--sparsity", "4", "--reconstruct-snapshots"]),
+    ):
+        src = measured[kind]
+        _run_twice(
+            workspace, name,
+            ["csdmd", "--measured", str(src), "--measure-file",
+             str(src / "measure.json"), "--tol", "1e-6", *extra],
+        )

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from csdmd.dmd import PipelinePath, SnapshotPair, exact_dmd
+from csdmd.dmd import SnapshotPair, exact_dmd
 from csdmd.errors import BadDimensions, DimensionError
 from csdmd.pipelines import (
     ExperimentConfig,
@@ -37,12 +37,6 @@ def two_wave_system(amps, m=24, seed=0):
         mu=np.array([-0.05 + 3.1j, -0.2 + 7.4j]),
         init_amps=np.asarray(amps, dtype=complex), dt=0.05, m=m,
     )
-
-
-def test_path_tags():
-    assert PipelinePath("2B").tag == "2B"
-    with pytest.raises(DimensionError):
-        PipelinePath("9Z")
 
 
 def test_reference_path_report():
