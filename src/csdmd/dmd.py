@@ -121,13 +121,12 @@ def _lift(fit, data: SnapshotPair) -> DmdResult:
     continuous-time rates, and amplitudes against data.X[:, 0]."""
     svd, Atilde, lambdas, W = fit
     Phi = (data.Xp @ (svd.V / svd.sigma)) @ W
-    # eigenvalues that are numerically zero fall back to the propagated
-    # basis U W; <= so a fully zero spectrum (lam_max = 0) does too
+    # numerically zero eigenvalues fall back to X V sigma^-1 W (U W for 1A),
+    # the basis lifted through data.X; <= so lam_max = 0 does too
     lam_max = np.max(np.abs(lambdas)) if len(lambdas) else 0.0
     dead = np.abs(lambdas) <= ZERO_EIG_REL * lam_max
     if np.any(dead):
-        UW = svd.U @ W
-        Phi[:, dead] = UW[:, dead]
+        Phi[:, dead] = data.X @ (svd.V / svd.sigma) @ W[:, dead]
     # principal-branch log; zero eigenvalues map to -inf without warning noise
     with np.errstate(divide="ignore", invalid="ignore"):
         omegas = np.log(lambdas.astype(complex)) / data.dt

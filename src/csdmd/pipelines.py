@@ -31,7 +31,6 @@ from .dmd import (
     measure_pair,
     mode_alignment,
     pair_eigenvalues,
-    time_dmd_stage,  # noqa: F401  (re-exported; it times the dmd core)
 )
 from .errors import BadDimensions, DimensionError
 from .linalg import DEFAULT_TRUNCATION_TOL, pinv_from_svd, svd_econ
@@ -142,10 +141,12 @@ def _materialize(cfg: ExperimentConfig):
 
 
 def _default_sparsity(cfg, truth):
+    """K planted waves give K-sparse modes (2B) but 2K-sparse real
+    snapshots (2A), since each wave contributes a conjugate pair."""
     if cfg.sparsity_K is not None:
         return cfg.sparsity_K
     if truth is not None:
-        return len(truth.mu)
+        return (2 if cfg.path == "2A" else 1) * len(truth.mu)
     return max(1, math.ceil((cfg.p or 3) / 3))
 
 

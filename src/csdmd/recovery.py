@@ -7,9 +7,7 @@ An iterative-shrinkage basis-pursuit solver is provided as an optional
 cross-check for exactly sparse instances.
 """
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +19,7 @@ from .sensing import (
     adjoint_measurement,
     apply_basis,
     apply_measurement,
+    basis_atoms,
 )
 
 STALL_WINDOW = 3
@@ -75,8 +74,8 @@ class DenseOperator:
 class SensingOperator:
     """The composite operator (measure after basis synthesis).
 
-    Never materialized: applications go through the FFT, and dense columns
-    are extracted only on the small candidate supports CoSaMP works with.
+    Never materialized: applications go through the FFT, and closed-form
+    columns are built only on the small candidate supports CoSaMP uses.
     """
 
     def __init__(self, C: MeasurementMatrix, psi: SparseBasis):
@@ -93,11 +92,9 @@ class SensingOperator:
         return apply_basis(self.psi, adjoint_measurement(self.C, y), "inverse")
 
     def columns(self, idx):
-        idx = np.asarray(idx)
-        one_hots = np.zeros((self.C.n, len(idx)), dtype=complex)
-        one_hots[idx, np.arange(len(idx))] = 1.0
-        atoms = apply_basis(self.psi, one_hots, "forward")
-        return apply_measurement(self.C, atoms)
+        if self.C.kind == "pixel":
+            return basis_atoms(self.psi, idx, self.C.indices)
+        return apply_measurement(self.C, basis_atoms(self.psi, idx))
 
     def synthesize(self, coeffs):
         return apply_basis(self.psi, coeffs, "forward")
@@ -174,17 +171,6 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
     )
 
 
-def _worker_count(n_tasks):
-    raw = os.environ.get("CSDMD_THREADS", "0")
-    try:
-        requested = int(raw)
-    except ValueError:
-        requested = 0
-    if requested <= 0:
-        requested = os.cpu_count() or 1
-    return max(1, min(requested, n_tasks))
-
-
 def recover_modes(projected, C: MeasurementMatrix, psi: SparseBasis, cfg):
     """Recover full-state spatial modes from projected DMD modes.
 
@@ -195,26 +181,16 @@ def recover_modes(projected, C: MeasurementMatrix, psi: SparseBasis, cfg):
     list holding RecoveredMode instances or error strings.
     """
     op = SensingOperator(C, psi)
-    Phi_y = projected.Phi
-    r = Phi_y.shape[1]
-
-    def one(j):
+    full_modes = np.zeros((C.n, projected.Phi.shape[1]), dtype=complex)
+    diagnostics = []
+    for j, phi in enumerate(projected.Phi.T):
         try:
-            return cosamp(op, Phi_y[:, j], cfg)
+            diag = cosamp(op, phi, cfg)
         except (ZeroInput, NoProgress) as exc:
-            return f"mode {j}: {type(exc).__name__}: {exc}"
-
-    workers = _worker_count(r)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            diagnostics = list(pool.map(one, range(r)))
-    else:
-        diagnostics = [one(j) for j in range(r)]
-
-    full_modes = np.zeros((C.n, r), dtype=complex)
-    for j, diag in enumerate(diagnostics):
-        if isinstance(diag, RecoveredMode):
+            diag = f"mode {j}: {type(exc).__name__}: {exc}"
+        else:
             full_modes[:, j] = diag.spatial
+        diagnostics.append(diag)
     return full_modes, diagnostics
 
 

@@ -156,17 +156,39 @@ def apply_basis(psi: SparseBasis, s, direction="forward"):
     return out[:, 0] if single else out
 
 
+def basis_atoms(psi: SparseBasis, idx, rows=None):
+    """Basis columns idx, the atoms apply_basis synthesizes from one-hot
+    coefficients, at grid rows ``rows`` (all rows when omitted).
+
+    Atom k = ky*nx + kx at row iy*nx + ix is
+    exp(2 pi i (kx ix / nx + ky iy / ny)) / sqrt(n), taken from an nx x |S|
+    and an ny x |S| table of roots of unity.  The phases are reduced mod nx
+    (mod ny) as integers, so large grids keep full accuracy.
+    """
+    nx, ny = psi.grid
+    ky, kx = np.divmod(np.asarray(idx), nx)
+    iy, ix = np.divmod(np.arange(psi.n) if rows is None else np.asarray(rows), nx)
+
+    def table(k, size):
+        roots = np.exp(2j * np.pi * np.arange(size) / size)
+        return roots[np.outer(np.arange(size), k) % size]
+
+    return table(ky, ny)[iy] * (table(kx, nx)[ix] / np.sqrt(psi.n))
+
+
 def mutual_coherence(C: MeasurementMatrix, psi: SparseBasis) -> float:
     """Largest normalized inner product between measurement rows and basis
-    columns.
+    columns; low values favor sparse recovery.
 
-    Low values favor sparse recovery.  Computed without materializing the
-    basis: because the unitary DFT matrix is symmetric, the i-th row of
-    C Psi is the basis synthesis of the i-th (conjugated) measurement row.
+    Every entry of C Psi has magnitude 1/sqrt(n) for the pixel and identity
+    kinds.  Otherwise, as the DFT matrix is symmetric, the i-th row of C Psi
+    is the basis synthesis of the i-th (conjugated) measurement row.
     """
     if C.n != psi.n:
         raise DimensionError(f"measurement n={C.n} does not match basis n={psi.n}")
-    rows = C.as_dense()
+    if C.kind in ("pixel", "identity"):
+        return 1.0 / math.sqrt(C.n)
+    rows = C.payload
     # products[:, i] = Psi @ conj(row_i); entry j equals <row_i, psi_j>
     products = apply_basis(psi, rows.conj().T, "forward")
     row_norms = np.linalg.norm(rows, axis=1)

@@ -16,10 +16,11 @@ from csdmd.dmd import (
     exact_dmd,
     mode_alignment,
     pair_eigenvalues,
+    time_dmd_stage,
 )
 from csdmd.errors import NoProgress
 from csdmd.linalg import pinv_from_svd, svd_econ
-from csdmd.pipelines import time_dmd_stage, verify_invariance_suite
+from csdmd.pipelines import verify_invariance_suite
 from csdmd.recovery import RecoveryConfig, SensingOperator, cosamp, recover_modes
 from csdmd.sensing import (
     SparseBasis,

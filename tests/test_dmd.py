@@ -91,6 +91,22 @@ def test_nilpotent_direction_uses_projected_modes():
     np.testing.assert_allclose(np.linalg.norm(result.Phi, axis=0), 1.0, atol=1e-10)
 
 
+def test_compressed_zero_eigenvalue_lifts_to_full_state():
+    # the zero-eigenvalue fallback must produce n-row modes from p-row data
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((64, 6))
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    Xp = X @ Q @ np.diag([0.0, 0.9, 0.8, 0.7, 0.6, 0.5]) @ Q.T
+    data = SnapshotPair(X=X, Xp=Xp, dt=1.0)
+    ref = exact_dmd(data)
+    result = compressed_dmd(data, make_measurement("gaussian", 32, 64, seed=4))
+    pairs, un_a, un_b = pair_eigenvalues(ref.lambdas, result.lambdas)
+    assert not un_a and not un_b
+    for i, j, dist in pairs:
+        assert dist < 1e-10
+        assert mode_alignment(ref.Phi[:, i], result.Phi[:, j]) > 1 - 1e-10
+
+
 def test_fourier_system_truth_recovery():
     system = make_fourier_lti(nx=32, ny=32, K=3, dt=0.02, m=40, seed=6)
     data, truth = generate_fourier_lti(system)

@@ -11,16 +11,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from csdmd.dmd import SnapshotPair, exact_dmd
+from csdmd.dmd import SnapshotPair, exact_dmd, time_dmd_stage
 from csdmd.errors import BadDimensions, DimensionError
 from csdmd.pipelines import (
     ExperimentConfig,
     match_eigen,
     run_path,
-    time_dmd_stage,
     verify_invariance_suite,
 )
-from csdmd.systems import FourierLtiSystem, generate_fourier_lti, make_fourier_lti
+from csdmd.systems import (
+    DoubleGyreParams,
+    FourierLtiSystem,
+    generate_fourier_lti,
+    make_fourier_lti,
+)
 
 
 def random_consistent_pair(n, m, seed, dt=0.1, grid=None):
@@ -178,6 +182,34 @@ def test_snapshot_reconstruction_path_matches_reference():
         assert row["abs_delta"] <= 1e-6
     assert min(report.mode_alignments) >= 1.0 - 1e-6
     assert "snapshot_recovery_s" in report.timings
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_snapshot_reconstruction_default_sparsity(seed):
+    # no sparsity_K: a real snapshot of K planted waves is 2K-sparse
+    cfg = ExperimentConfig(
+        system=make_fourier_lti(nx=64, ny=64, K=5, m=40, seed=seed),
+        path="2A", measurement_kind="pixel", p=200, measurement_seed=seed,
+        truncation_tol=1e-6,
+    )
+    report = run_path(cfg)
+    assert report.unmatched_reference == []
+    assert len(report.truth_table) == 10
+    assert max(row["abs_delta"] for row in report.truth_table) <= 1e-6
+
+
+def test_paper_scale_gyre_mode_recovery():
+    # 512 x 256 grid, 2500 pixels: no step may hold a p x n dense matrix
+    report = run_path(
+        ExperimentConfig(
+            system=DoubleGyreParams(), path="2B", measurement_kind="pixel",
+            p=2500, measurement_seed=0, sparsity_K=30, truncation_tol=1e-4,
+        )
+    )
+    assert report.coherence == 1.0 / np.sqrt(512 * 256)
+    assert report.unmatched_reference == [] and report.unmatched_result == []
+    assert max(row["abs_delta"] for row in report.eigen_table) <= 1e-3
+    assert min(report.mode_alignments) >= 0.95
 
 
 def test_snapshot_reconstruction_size_guard():

@@ -144,6 +144,16 @@ def test_single_pixel_coherence_is_flat():
         assert abs(mutual_coherence(C, psi) - 1.0 / 16.0) < 1e-12
 
 
+def test_pixel_coherence_at_paper_scale_stays_matrix_free(monkeypatch):
+    # a dense 2500 x 131072 pixel matrix would need gigabytes
+    def refuse(self):
+        raise MemoryError("as_dense called")
+
+    monkeypatch.setattr(MeasurementMatrix, "as_dense", refuse)
+    C = make_measurement("pixel", 2500, 131072, seed=0)
+    assert mutual_coherence(C, SparseBasis((512, 256))) == 1.0 / np.sqrt(131072)
+
+
 def test_coherence_of_basis_itself_is_one():
     # measuring directly in the sparse basis is maximally coherent
     psi = SparseBasis((4, 4))
