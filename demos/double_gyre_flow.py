@@ -49,7 +49,7 @@ print(f"reference rank at tol 1e-4: {reference.rank}")
 # Compressed pathway with single-pixel measurements at 2% of the grid.
 p = int(round(0.02 * data.n))
 C = make_measurement("pixel", p, data.n, seed=11)
-lifted = compressed_dmd(data, C, truncation_tol=1e-4, full_svd=reference.svd_used)
+lifted = compressed_dmd(data, C, truncation_tol=1e-4)
 
 pairs, un_a, un_b = pair_eigenvalues(
     reference.lambdas, lifted.lambdas, reference.amplitudes

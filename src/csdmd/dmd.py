@@ -90,26 +90,31 @@ def measure_pair(C: MeasurementMatrix, pair: SnapshotPair) -> SnapshotPair:
     )
 
 
-def _fit(X, Xp, truncation_tol, full_X=None, full_svd=None):
+def _fit(X, Xp, truncation_tol, full_X=None):
     """The decomposition stage: economy SVD of X, least-squares reduced
     propagator Atilde = U^H X' V sigma^-1, and its eigendecomposition.
 
-    When X is measured data, full_X (or its precomputed SVD full_svd)
-    enables the rank check, which runs before the eigensolve.
+    When X is measured data, the rank check runs before the eigensolve: it
+    raises if full_X keeps more than truncation_tol times its leading
+    energy outside the measured row space span(V).
     """
     if X.shape[1] < 2:
         raise DimensionError("need at least 2 snapshot columns")
     svd = svd_econ(X, truncation_tol)
-    if full_svd is None and full_X is not None:
-        full_svd = svd_econ(full_X, truncation_tol)
-    if full_svd is not None and svd.rank < full_svd.rank:
-        # Only complain when the dropped direction is well above the
-        # truncation noise floor; tail wobble near the cutoff is benign.
-        lost = full_svd.sigma[svd.rank]
-        if lost > np.sqrt(truncation_tol) * full_svd.sigma[0]:
+    if full_X is not None:
+        # with G = (X V)^H (X V): lost = |X|_F^2 - tr G >= sigma_r(X)^2 and
+        # lambda_max(G) <= sigma_0(X)^2, so a dropped sigma_r(X) above
+        # sqrt(tol) sigma_0(X) always raises
+        XV = full_X @ svd.V
+        G = XV.conj().T @ XV
+        top = np.linalg.eigvalsh(G)[-1]
+        # einsum over real views: norm() would copy a strided full_X whole
+        parts = (full_X.real, full_X.imag) if np.iscomplexobj(full_X) else (full_X,)
+        lost = sum(np.einsum("ij,ij->", P, P) for P in parts) - np.trace(G).real
+        if lost > truncation_tol * top:
             raise RankCollapse(
-                f"projected rank {svd.rank} < full rank {full_svd.rank}; "
-                f"dropped relative singular value {lost / full_svd.sigma[0]:.3e}"
+                f"measured rank {svd.rank} leaves relative energy "
+                f"{lost / top:.3e} of the full data outside its row space"
             )
     Atilde = svd.U.conj().T @ (Xp @ (svd.V / svd.sigma))
     lambdas, W = eig_dense(Atilde)
@@ -161,17 +166,15 @@ def exact_dmd(data: SnapshotPair, truncation_tol=DEFAULT_TRUNCATION_TOL) -> DmdR
 
 
 def compressed_dmd(
-    full: SnapshotPair,
-    C: MeasurementMatrix,
-    truncation_tol=DEFAULT_TRUNCATION_TOL,
-    full_svd: Optional[EconSvd] = None,
+    full: SnapshotPair, C: MeasurementMatrix, truncation_tol=DEFAULT_TRUNCATION_TOL
 ) -> DmdResult:
     """DMD through a measurement operator, with full-state modes.
 
     Projects the snapshots to Y = C X, Y' = C X', decomposes the projected
     pair, and rebuilds spatial modes from the full shifted snapshots as
     X' V_Y sigma_Y^-1 W_Y.  Eigenvalues come entirely from the projected
-    data, so the expensive eigenproblem is p x p instead of n x n.
+    data, so the expensive eigenproblem is p x p instead of n x n, and the
+    full X is never decomposed.
 
     Parameters
     ----------
@@ -179,30 +182,23 @@ def compressed_dmd(
         Full-state data (needed for the mode reconstruction).
     C : MeasurementMatrix
     truncation_tol : float
-    full_svd : EconSvd, optional
-        Precomputed decomposition of X, reused for the rank check.  When
-        omitted it is computed here.
 
     Raises
     ------
     RankCollapse
-        If the projected data has lower rank than the full data and the
-        lost direction carries a significant singular value.  This signals
-        a measurement operator whose null space intersects the mode
-        subspace.
+        If the energy of X outside the measured row space,
+        |X|_F^2 - |X V_Y|_F^2, exceeds truncation_tol |X V_Y|_2^2: the
+        measurement's null space meets the mode subspace.
     """
-    return lifted_dmd(measure_pair(C, full), full, truncation_tol, full_svd)
+    return lifted_dmd(measure_pair(C, full), full, truncation_tol)
 
 
 def lifted_dmd(
-    measured: SnapshotPair,
-    full: SnapshotPair,
-    truncation_tol=DEFAULT_TRUNCATION_TOL,
-    full_svd: Optional[EconSvd] = None,
+    measured: SnapshotPair, full: SnapshotPair, truncation_tol=DEFAULT_TRUNCATION_TOL
 ) -> DmdResult:
     """compressed_dmd for an already measured pair: fit (Y, Y'), check its
     rank against the full X, and lift the modes through the full X'."""
-    fit = _fit(measured.X, measured.Xp, truncation_tol, full.X, full_svd)
+    fit = _fit(measured.X, measured.Xp, truncation_tol, full.X)
     return _lift(fit, full)
 
 

@@ -12,7 +12,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionError, ZeroMatrix
 
-DEFAULT_TRUNCATION_TOL = 1e-10
+# The Gram route resolves singular values only down to ~sqrt(eps) sigma_0
+# (1.5e-8); a lower default keeps rounding noise as spurious rank.
+DEFAULT_TRUNCATION_TOL = 1e-7
 EIG_MAX_DIM = 512
 
 
@@ -135,8 +137,9 @@ def eig_dense(A, max_dim=EIG_MAX_DIM):
     """Eigendecomposition of a small dense square matrix.
 
     Eigenvectors are returned unit-norm with canonical phase, ordered by
-    descending eigenvalue magnitude.  The per-column residual
-    ``|A w - lambda w|`` is verified against ``1e-8 |A|_F``.
+    descending eigenvalue magnitude, then by descending imaginary part.
+    The per-column residual ``|A w - lambda w|`` is verified against
+    ``1e-8 |A|_F``.
 
     Parameters
     ----------
@@ -163,7 +166,8 @@ def eig_dense(A, max_dim=EIG_MAX_DIM):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from None
 
-    order = np.argsort(-np.abs(lambdas))
+    # the two members of a conjugate pair tie on |lambda|: +imag goes first
+    order = np.lexsort((-lambdas.imag, -np.abs(lambdas)))
     lambdas = lambdas[order]
     W = W[:, order]
     W = W / np.linalg.norm(W, axis=0)

@@ -81,7 +81,7 @@ def test_criterion_2_planted_waves_recovered(large_scale, kind):
     data, truth, reference = large_scale
     C = make_measurement(kind, 15, data.n, seed=3)
 
-    lifted = compressed_dmd(data, C, 1e-6, full_svd=reference.svd_used)
+    lifted = compressed_dmd(data, C, 1e-6)
     measured = SnapshotPair(
         X=apply_measurement(C, data.X),
         Xp=apply_measurement(C, data.Xp),
@@ -209,7 +209,7 @@ def test_criterion_6_double_gyre_desk_scale():
     p = int(2500 * data.n / (512 * 256))
     reference = exact_dmd(data, 1e-4)
     C = make_measurement("pixel", p, data.n, seed=11)
-    lifted = compressed_dmd(data, C, 1e-4, full_svd=reference.svd_used)
+    lifted = compressed_dmd(data, C, 1e-4)
     pairs, un_a, un_b = pair_eigenvalues(
         reference.lambdas, lifted.lambdas, reference.amplitudes
     )
@@ -242,7 +242,7 @@ def test_criterion_7_noise_tolerance(large_scale):
     p = recommended_measurements(5, data.n)
     C = make_measurement("gaussian", p, data.n, seed=3)
 
-    lifted = compressed_dmd(noisy, C, tol, full_svd=noisy_ref.svd_used)
+    lifted = compressed_dmd(noisy, C, tol)
     measured = SnapshotPair(
         X=apply_measurement(C, noisy.X),
         Xp=apply_measurement(C, noisy.Xp),

@@ -11,6 +11,7 @@ import pytest
 
 from csdmd.cli import main
 from csdmd.io import read_matrix, read_pgm, write_matrix
+from csdmd.linalg import svd_econ
 
 
 @pytest.fixture(scope="module")
@@ -260,3 +261,20 @@ def test_compressed_run_is_deterministic(workspace):
             ["csdmd", "--measured", str(src), "--measure-file",
              str(src / "measure.json"), "--tol", "1e-6", *extra],
         )
+
+
+@pytest.mark.parametrize("extra", [[], ["--l1-modes"]])
+def test_cdmd_decomposes_only_the_measured_pair(workspace, tmp_path, monkeypatch, extra):
+    shapes = []
+
+    def recording_svd(A, tol):
+        shapes.append(np.shape(A))
+        return svd_econ(A, tol)
+
+    monkeypatch.setattr("csdmd.dmd.svd_econ", recording_svd)
+    assert main(
+        ["cdmd", "--snapshots", str(workspace / "data"), "--measure", "gaussian",
+         "-p", "12", "--seed", "5", "--tol", "1e-6", *extra,
+         "--out", str(tmp_path / "comp")]
+    ) == 0
+    assert shapes == [(12, 20)]

@@ -19,7 +19,7 @@ from csdmd.dmd import (
 )
 from csdmd.errors import DimensionError, RankCollapse
 from csdmd.linalg import pinv_from_svd, svd_econ
-from csdmd.sensing import make_measurement
+from csdmd.sensing import apply_measurement, make_measurement
 from csdmd.systems import generate_fourier_lti, make_fourier_lti
 
 
@@ -218,6 +218,66 @@ def test_rank_collapse_detected():
     C = make_measurement("gaussian", 1, 2, seed=0)
     with pytest.raises(RankCollapse):
         compressed_dmd(data, C)
+
+
+def test_default_tolerance_keeps_only_the_planted_rank():
+    # K = 3 real waves span 2K = 6 directions; below the Gram route's
+    # sqrt(eps) resolution, rounding noise would count as rank too
+    system = make_fourier_lti(nx=32, ny=32, K=3, dt=0.02, m=40, seed=6)
+    data, _ = generate_fourier_lti(system)
+    assert exact_dmd(data).rank == 6
+
+
+def test_compressed_dmd_decomposes_only_the_measured_pair(monkeypatch):
+    shapes = []
+
+    def recording_svd(A, tol):
+        shapes.append(np.shape(A))
+        return svd_econ(A, tol)
+
+    monkeypatch.setattr("csdmd.dmd.svd_econ", recording_svd)
+    system = make_fourier_lti(nx=32, ny=32, K=3, dt=0.02, m=40, seed=6)
+    data, _ = generate_fourier_lti(system)
+    C = make_measurement("gaussian", 8, data.n, seed=3)
+    compressed_dmd(data, C, truncation_tol=1e-6)
+    assert shapes == [(8, 40)]
+
+
+def _sigma_rule_raises(X, Y, tol):
+    """The rank check that decomposed the full X: raise when the measured
+    rank r is below the full rank and sigma_r(X) > sqrt(tol) sigma_0(X)."""
+    full, measured = svd_econ(X, tol), svd_econ(Y, tol)
+    return (
+        measured.rank < full.rank
+        and full.sigma[measured.rank] > np.sqrt(tol) * full.sigma[0]
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, kind", enumerate(["gaussian", "bernoulli", "pixel", "unitary"])
+)
+def test_rank_collapse_raised_wherever_the_sigma_rule_raises(seed, kind):
+    # random low-rank data with decaying spectra, compressed to around its
+    # rank: the energy check must raise at least wherever a dropped
+    # singular value of X exceeds sqrt(tol) sigma_0(X)
+    rng = np.random.default_rng(seed)
+    raised = 0
+    for trial in range(150):
+        n, m = int(rng.integers(8, 49)), int(rng.integers(6, 31))
+        k = int(rng.integers(1, min(n, m) + 1))
+        s = 10.0 ** (-rng.uniform(0, 8) * np.arange(k) / k)
+        L = np.linalg.qr(rng.standard_normal((n, k)))[0]
+        R = np.linalg.qr(rng.standard_normal((m, k)))[0]
+        X = (L * s) @ R.T
+        A = rng.standard_normal((n, n)) / np.sqrt(n)
+        p = int(np.clip(k + rng.integers(-3, 4), 1, n))
+        tol = 10.0 ** rng.uniform(-10, -2)
+        C = make_measurement(kind, p, n, seed=trial)
+        if _sigma_rule_raises(X, apply_measurement(C, X), tol):
+            raised += 1
+            with pytest.raises(RankCollapse):
+                compressed_dmd(SnapshotPair(X=X, Xp=A @ X, dt=0.1), C, tol)
+    assert raised >= 20
 
 
 def test_projection_commutes_with_propagator():

@@ -238,3 +238,16 @@ def test_pinv_left_inverse():
     np.testing.assert_allclose(pinv @ X, np.eye(4), atol=1e-9)
     # defining property X X+ X = X
     assert np.linalg.norm(X @ pinv @ X - X) <= 1e-8 * np.linalg.norm(X)
+
+
+def test_eig_conjugate_pairs_put_positive_imag_first():
+    # the members of a conjugate pair tie on |lambda|; the order between
+    # them must not be left to the sort's handling of ties
+    rng = np.random.default_rng(0)
+    pairs = 0
+    for _ in range(300):
+        lambdas, _ = eig_dense(rng.standard_normal((12, 12)))
+        for k in np.flatnonzero(lambdas.imag < 0):
+            assert k > 0 and lambdas[k - 1] == np.conj(lambdas[k])
+            pairs += 1
+    assert pairs > 1000
