@@ -5,6 +5,7 @@ from .dmd import (
     DmdResult,
     SnapshotPair,
     advance_modes,
+    compare_spectra,
     compressed_dmd,
     exact_dmd,
     mode_alignment,
@@ -21,13 +22,11 @@ from .errors import (
     NoProgress,
     RankCollapse,
     ZeroInput,
-    ZeroMatrix,
 )
 from .linalg import EconSvd, eig_dense, pinv_from_svd, svd_econ
 from .pipelines import (
     ExperimentConfig,
     ExperimentReport,
-    match_eigen,
     run_path,
     verify_invariance_suite,
 )

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import io as io_mod
-from .dmd import SnapshotPair, exact_dmd, mode_alignment, pair_eigenvalues
+from .dmd import SnapshotPair, compare_spectra, exact_dmd
 from .errors import (
     BadDimensions,
     BadWavenumber,
@@ -25,7 +25,6 @@ from .errors import (
     NoProgress,
     RankCollapse,
     ZeroInput,
-    ZeroMatrix,
 )
 from .linalg import DEFAULT_TRUNCATION_TOL
 from .pipelines import run_1b, run_2a, run_2b, verify_invariance_suite
@@ -48,7 +47,6 @@ CONFIG_ERRORS = (
 )
 NUMERICAL_ERRORS = (
     RankCollapse,
-    ZeroMatrix,
     ZeroInput,
     NoProgress,
     ConvergenceError,
@@ -236,25 +234,16 @@ def _cmd_compare(args):
     amps_a, _ = io_mod.read_matrix(args.a, "amplitudes")
     Ma, _ = io_mod.read_matrix(args.a, "modes")
     Mb, _ = io_mod.read_matrix(args.b, "modes")
-    pairs, un_a, un_b = pair_eigenvalues(la[:, 0], lb[:, 0], amps_a[:, 0])
-    rows = []
-    aligns = []
-    for i, j, dist in pairs:
-        rows.append(
-            {
-                "lambda_a": complex(la[i, 0]),
-                "lambda_b": complex(lb[j, 0]),
-                "abs_delta": dist,
-            }
-        )
-        aligns.append(mode_alignment(Ma[:, i], Mb[:, j]))
+    rows, aligns, un_a, un_b = compare_spectra(la[:, 0], Ma, lb[:, 0], Mb, amps_a[:, 0])
     report = {
         "schema": io_mod.REPORT_SCHEMA,
-        "eigen_table": rows,
+        "eigen_table": [
+            {"lambda_a": a, "lambda_b": b, "abs_delta": d} for a, b, d in rows
+        ],
         "mode_alignments": aligns,
-        "unmatched_a": [complex(la[i, 0]) for i in un_a],
-        "unmatched_b": [complex(lb[j, 0]) for j in un_b],
-        "max_abs_delta": max((r["abs_delta"] for r in rows), default=0.0),
+        "unmatched_a": un_a,
+        "unmatched_b": un_b,
+        "max_abs_delta": max((d for _, _, d in rows), default=0.0),
     }
     io_mod.atomic_write_text(args.out, io_mod.dumps_report(report))
     return 0

@@ -96,7 +96,9 @@ def _fit(X, Xp, truncation_tol, full_X=None):
 
     When X is measured data, the rank check runs before the eigensolve: it
     raises if full_X keeps more than truncation_tol times its leading
-    energy outside the measured row space span(V).
+    energy outside the measured row space span(V).  The check compares
+    energies, resolved down to about eps, so it takes the requested
+    tolerance, not the SVD's applied one (floored on singular values).
     """
     if X.shape[1] < 2:
         raise DimensionError("need at least 2 snapshot columns")
@@ -271,3 +273,22 @@ def pair_eigenvalues(lambdas_a, lambdas_b, amplitudes_a=None):
     unmatched_b = [j for j in range(len(lambdas_b)) if j not in taken]
     pairs.sort(key=lambda p: p[0])
     return pairs, unmatched_a, unmatched_b
+
+
+def compare_spectra(lambdas_a, modes_a, lambdas_b, modes_b, amplitudes_a=None):
+    """Pair spectrum b with spectrum a (pair_eigenvalues) and align the
+    paired modes.
+
+    Returns one (lambda_a, lambda_b, |delta lambda|) row per matched pair
+    in a's order, the mode_alignment of each pair, and the unmatched
+    eigenvalues of a and of b.
+    """
+    pairs, un_a, un_b = pair_eigenvalues(lambdas_a, lambdas_b, amplitudes_a)
+    rows = [(complex(lambdas_a[i]), complex(lambdas_b[j]), d) for i, j, d in pairs]
+    aligns = [mode_alignment(modes_a[:, i], modes_b[:, j]) for i, j, _ in pairs]
+    return (
+        rows,
+        aligns,
+        [complex(lambdas_a[i]) for i in un_a],
+        [complex(lambdas_b[j]) for j in un_b],
+    )

@@ -13,10 +13,6 @@ class BadDimensions(CsdmdError):
     """A size parameter is out of its allowed range."""
 
 
-class ZeroMatrix(CsdmdError):
-    """An all-zero matrix was passed where a nonzero one is required."""
-
-
 class RankCollapse(CsdmdError):
     """Measured data lost rank relative to the full data.
 
@@ -39,4 +35,5 @@ class NoProgress(CsdmdError):
 
 
 class ZeroInput(CsdmdError):
-    """Sparse recovery was asked to explain a numerically zero vector."""
+    """A numerically zero matrix or vector was given where a nonzero one is
+    required (an SVD input, or a vector for sparse recovery to explain)."""

@@ -10,11 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, ZeroMatrix
+from .errors import ConvergenceError, DimensionError, ZeroInput
 
 # The Gram route resolves singular values only down to ~sqrt(eps) sigma_0
-# (1.5e-8); a lower default keeps rounding noise as spurious rank.
+# (1.5e-8); a lower tolerance would keep rounding noise as spurious rank,
+# so svd_econ raises any requested tolerance to GRAM_TOL_FLOOR.
 DEFAULT_TRUNCATION_TOL = 1e-7
+GRAM_TOL_FLOOR = float(2.0 * np.sqrt(np.finfo(float).eps))
 EIG_MAX_DIM = 512
 
 
@@ -33,7 +35,8 @@ class EconSvd:
     rank : int
         Retained rank r.
     truncation_tol : float
-        Relative threshold used to discard trailing singular values.
+        Relative threshold applied to discard trailing singular values:
+        the requested one, raised to at least GRAM_TOL_FLOOR.
     """
 
     U: np.ndarray
@@ -54,14 +57,16 @@ def svd_econ(X, truncation_tol=DEFAULT_TRUNCATION_TOL):
     Forms the Gram matrix X^H X (or X X^H when the input is wide), solves
     the symmetric eigenproblem, and maps eigenpairs back to singular
     triplets.  Singular values below ``truncation_tol`` times the largest
-    are discarded.
+    are discarded.  A tolerance below GRAM_TOL_FLOOR (2 sqrt(eps), about
+    3e-8), where the Gram route no longer resolves singular values, is
+    raised to the floor.
 
     Parameters
     ----------
     X : ndarray, shape (n, m)
         Input matrix, real or complex.
     truncation_tol : float
-        Relative cutoff for rank truncation.
+        Relative cutoff for rank truncation; raised to GRAM_TOL_FLOOR if lower.
 
     Returns
     -------
@@ -69,7 +74,7 @@ def svd_econ(X, truncation_tol=DEFAULT_TRUNCATION_TOL):
 
     Raises
     ------
-    ZeroMatrix
+    ZeroInput
         If the input has zero Frobenius norm.
     DimensionError
         If the input is not a 2-d matrix of finite values.
@@ -79,8 +84,9 @@ def svd_econ(X, truncation_tol=DEFAULT_TRUNCATION_TOL):
         raise DimensionError(f"expected a nonempty 2-d matrix, got shape {X.shape}")
     _check_finite(X)
     if not np.any(X):
-        raise ZeroMatrix("cannot decompose an all-zero matrix")
+        raise ZeroInput("cannot decompose an all-zero matrix")
 
+    truncation_tol = max(truncation_tol, GRAM_TOL_FLOOR)
     n, m = X.shape
     if m > n:
         # Wide input: decompose the conjugate transpose and swap factors.

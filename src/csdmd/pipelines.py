@@ -17,19 +17,18 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from . import io as io_mod
 from .dmd import (
-    DmdResult,
     SnapshotPair,
+    compare_spectra,
     exact_dmd,
     lifted_dmd,
     measure_pair,
-    mode_alignment,
     pair_eigenvalues,
 )
 from .errors import BadDimensions, DimensionError
@@ -98,35 +97,7 @@ class ExperimentReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "schema": io_mod.REPORT_SCHEMA,
-            "path": self.path,
-            "config": self.config,
-            "ranks": self.ranks,
-            "eigen_table": self.eigen_table,
-            "unmatched_reference": self.unmatched_reference,
-            "unmatched_result": self.unmatched_result,
-            "mode_alignments": self.mode_alignments,
-            "truth_table": self.truth_table,
-            "truth_alignments": self.truth_alignments,
-            "recovery_residuals": self.recovery_residuals,
-            "coherence": self.coherence,
-            "timings": self.timings,
-            "notes": self.notes,
-        }
-
-
-def match_eigen(result_a: DmdResult, result_b: DmdResult):
-    """Pair the eigenvalues of two decompositions.
-
-    Returns a dict with matched (i, j, distance) triples and the indices
-    left unmatched on either side.  Cardinality mismatch is reported, not
-    raised.
-    """
-    pairs, unmatched_a, unmatched_b = pair_eigenvalues(
-        result_a.lambdas, result_b.lambdas, result_a.amplitudes
-    )
-    return {"pairs": pairs, "unmatched_a": unmatched_a, "unmatched_b": unmatched_b}
+        return {"schema": io_mod.REPORT_SCHEMA, **asdict(self)}
 
 
 def _materialize(cfg: ExperimentConfig):
@@ -305,38 +276,24 @@ def run_path(cfg: ExperimentConfig) -> ExperimentReport:
     report.ranks["result"] = result.rank
 
     if result is not reference:
-        matching = match_eigen(reference, result)
-        for i, j, dist in matching["pairs"]:
-            report.eigen_table.append(
-                {
-                    "lambda_full": complex(reference.lambdas[i]),
-                    "lambda_projected": complex(result.lambdas[j]),
-                    "abs_delta": dist,
-                }
-            )
-            report.mode_alignments.append(
-                mode_alignment(reference.Phi[:, i], result.Phi[:, j])
-            )
-        report.unmatched_reference = [
-            complex(reference.lambdas[i]) for i in matching["unmatched_a"]
+        rows, report.mode_alignments, un_ref, un_res = compare_spectra(
+            reference.lambdas, reference.Phi, result.lambdas, result.Phi,
+            reference.amplitudes,
+        )
+        report.eigen_table = [
+            {"lambda_full": a, "lambda_projected": b, "abs_delta": d}
+            for a, b, d in rows
         ]
-        report.unmatched_result = [
-            complex(result.lambdas[j]) for j in matching["unmatched_b"]
-        ]
+        report.unmatched_reference, report.unmatched_result = un_ref, un_res
 
     if truth is not None:
-        pairs, _, _ = pair_eigenvalues(truth.lambdas, result.lambdas)
-        for i, j, dist in pairs:
-            report.truth_table.append(
-                {
-                    "lambda_true": complex(truth.lambdas[i]),
-                    "lambda_recovered": complex(result.lambdas[j]),
-                    "abs_delta": dist,
-                }
-            )
-            report.truth_alignments.append(
-                mode_alignment(truth.atoms[:, i], result.Phi[:, j])
-            )
+        rows, report.truth_alignments, _, _ = compare_spectra(
+            truth.lambdas, truth.atoms, result.lambdas, result.Phi
+        )
+        report.truth_table = [
+            {"lambda_true": a, "lambda_recovered": b, "abs_delta": d}
+            for a, b, d in rows
+        ]
 
     if C is not None and data.grid is not None:
         report.coherence = mutual_coherence(C, SparseBasis(data.grid))

@@ -12,6 +12,7 @@ import numpy as np
 
 from .dmd import SnapshotPair
 from .errors import BadWavenumber, DimensionError
+from .sensing import SparseBasis, basis_atoms
 
 FREQ_RANGE = (2.0 * np.pi * 0.5, 2.0 * np.pi * 5.0)
 DAMP_RANGE = (-0.2, 0.0)
@@ -102,44 +103,29 @@ def make_fourier_lti(nx=128, ny=128, K=5, dt=0.01, m=200, seed=0) -> FourierLtiS
     )
 
 
-def _atom(nx, ny, kx, ky):
-    coef = np.zeros((ny, nx), dtype=complex)
-    coef[ky, kx] = 1.0
-    return np.fft.ifft2(coef, norm="ortho").reshape(-1)
-
-
 def generate_fourier_lti(sys: FourierLtiSystem):
     """Generate the snapshot pair and ground truth of a planted system.
 
-    Coefficients evolve as init_amps * exp(mu t); the spatial field is the
-    unitary inverse DFT of the coefficient grid with conjugate-symmetric
-    placement, so every snapshot is real.
+    Wave j carries the coefficient init_amps[j] * exp(mu[j] t) on the basis
+    atom of its wavenumber k_j and the conjugate coefficient on the atom of
+    -k_j, which is the conjugate atom, so every snapshot is the real field
+    2 Re(sum_j coefficient_j * atom_{k_j}).
 
     Returns
     -------
     (SnapshotPair, FourierTruth)
     """
     nx, ny = sys.grid
-    n = nx * ny
     t = np.arange(sys.m + 1) * sys.dt
     values = sys.init_amps[:, None] * np.exp(sys.mu[:, None] * t[None, :])
 
-    snaps = np.empty((n, sys.m + 1))
-    coef = np.zeros((ny, nx), dtype=complex)
-    for k in range(sys.m + 1):
-        coef[:] = 0.0
-        for j, (kx, ky) in enumerate(sys.wavenumbers):
-            coef[ky, kx] = values[j, k]
-            coef[(-ky) % ny, (-kx) % nx] = np.conj(values[j, k])
-        snaps[:, k] = np.fft.ifft2(coef, norm="ortho").real.reshape(-1)
-
-    lambdas = np.empty(2 * sys.K, dtype=complex)
-    atoms = np.empty((n, 2 * sys.K), dtype=complex)
-    for j, (kx, ky) in enumerate(sys.wavenumbers):
-        lambdas[2 * j] = np.exp(sys.mu[j] * sys.dt)
-        lambdas[2 * j + 1] = np.exp(np.conj(sys.mu[j]) * sys.dt)
-        atoms[:, 2 * j] = _atom(nx, ny, kx, ky)
-        atoms[:, 2 * j + 1] = _atom(nx, ny, (-kx) % nx, (-ky) % ny)
+    # columns 2j, 2j+1: the atoms of k_j and -k_j, index ky * nx + kx
+    idx = []
+    for kx, ky in sys.wavenumbers:
+        idx += [ky * nx + kx, ((-ky) % ny) * nx + (-kx) % nx]
+    atoms = basis_atoms(SparseBasis(sys.grid), idx)
+    snaps = 2.0 * (atoms[:, ::2] @ values).real
+    lambdas = np.exp(np.column_stack([sys.mu, sys.mu.conj()]).reshape(-1) * sys.dt)
 
     pair = SnapshotPair(X=snaps[:, :-1], Xp=snaps[:, 1:], dt=sys.dt, grid=sys.grid)
     truth = FourierTruth(

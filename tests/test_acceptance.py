@@ -238,7 +238,6 @@ def test_criterion_7_noise_tolerance(large_scale):
     data, truth, _ = large_scale
     noisy = add_fourier_noise(data, 0.02, 1)
     tol = 0.02  # truncate at the injected noise floor
-    noisy_ref = exact_dmd(noisy, tol)
     p = recommended_measurements(5, data.n)
     C = make_measurement("gaussian", p, data.n, seed=3)
 

@@ -1,0 +1,31 @@
+"""The benchmark under bench/ imports package names directly; a change to
+src/ that deletes or renames one of them must fail here, not in a bench run.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_bench_modules_import(monkeypatch):
+    # every bench run imports tracing, traced or not
+    monkeypatch.syspath_prepend(str(BENCH))
+    for name in ("tracing", "workloads"):
+        importlib.import_module(name)
+
+
+def test_names_the_bench_imports_from_the_package_exist():
+    # workloads and worker import most package names inside functions
+    missing = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("csdmd"):
+                module = importlib.import_module(node.module)
+                missing += [
+                    f"{path.name}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if not hasattr(module, alias.name)
+                ]
+    assert not missing

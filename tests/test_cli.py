@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from csdmd.cli import main
+from csdmd.dmd import SnapshotPair
 from csdmd.io import read_matrix, read_pgm, write_matrix
 from csdmd.linalg import svd_econ
+from csdmd.pipelines import ExperimentConfig, run_path
 
 
 @pytest.fixture(scope="module")
@@ -278,3 +280,47 @@ def test_cdmd_decomposes_only_the_measured_pair(workspace, tmp_path, monkeypatch
          "--out", str(tmp_path / "comp")]
     ) == 0
     assert shapes == [(12, 20)]
+
+
+def test_compare_agrees_with_run_path(tmp_path):
+    # the CLI compare report and run_path's 1B tables come from one routine;
+    # on this noisy draw the reference keeps 40 directions and the measured
+    # fit 20, so the pairing order and the unmatched lists are compared too
+    data, full, comp = (str(tmp_path / d) for d in ("data", "full", "comp"))
+    assert main(
+        ["gen", "example1", "--nx", "32", "--ny", "32", "--k", "3", "--dt", "0.02",
+         "--t1", "0.8", "--seed", "6", "--noise", "0.01", "--noise-seed", "1",
+         "--out", data]
+    ) == 0
+    assert main(["dmd", "--snapshots", data, "--tol", "1e-3", "--out", full]) == 0
+    assert main(
+        ["cdmd", "--snapshots", data, "--measure", "gaussian", "-p", "20",
+         "--seed", "0", "--tol", "1e-3", "--out", comp]
+    ) == 0
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--a", full, "--b", comp, "--out", str(out)]) == 0
+    cmp = json.loads(out.read_text())
+
+    X, side = read_matrix(data, "X")
+    Xp, _ = read_matrix(data, "Xp")
+    report = run_path(
+        ExperimentConfig(
+            system=SnapshotPair(X=X, Xp=Xp, dt=side["dt"], grid=tuple(side["grid"])),
+            path="1B", measurement_kind="gaussian", p=20, measurement_seed=0,
+            truncation_tol=1e-3,
+        )
+    )
+
+    def z(entry):
+        return complex(entry["re"], entry["im"])
+
+    assert len(cmp["eigen_table"]) == len(report.eigen_table) == 20
+    for got, want in zip(cmp["eigen_table"], report.eigen_table):
+        assert abs(z(got["lambda_a"]) - want["lambda_full"]) <= 1e-12
+        assert abs(z(got["lambda_b"]) - want["lambda_projected"]) <= 1e-12
+        assert abs(got["abs_delta"] - want["abs_delta"]) <= 1e-12
+    np.testing.assert_allclose(cmp["mode_alignments"], report.mode_alignments, atol=1e-12)
+    assert len(cmp["unmatched_a"]) == 20 and len(cmp["unmatched_b"]) == 0
+    for key, unmatched in (("unmatched_a", report.unmatched_reference),
+                           ("unmatched_b", report.unmatched_result)):
+        np.testing.assert_allclose([z(e) for e in cmp[key]], unmatched, atol=1e-12)

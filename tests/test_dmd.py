@@ -11,6 +11,7 @@ import pytest
 from csdmd.dmd import (
     SnapshotPair,
     advance_modes,
+    compare_spectra,
     compressed_dmd,
     exact_dmd,
     mode_alignment,
@@ -18,7 +19,7 @@ from csdmd.dmd import (
     project_dmd_result,
 )
 from csdmd.errors import DimensionError, RankCollapse
-from csdmd.linalg import pinv_from_svd, svd_econ
+from csdmd.linalg import GRAM_TOL_FLOOR, pinv_from_svd, svd_econ
 from csdmd.sensing import apply_measurement, make_measurement
 from csdmd.systems import generate_fourier_lti, make_fourier_lti
 
@@ -228,6 +229,16 @@ def test_default_tolerance_keeps_only_the_planted_rank():
     assert exact_dmd(data).rank == 6
 
 
+def test_tolerance_below_the_floor_keeps_only_the_planted_rank():
+    # an explicit tolerance below the Gram route's resolution is raised to
+    # GRAM_TOL_FLOOR, and the result records the tolerance it applied
+    system = make_fourier_lti(nx=32, ny=32, K=3, dt=0.02, m=40, seed=6)
+    data, _ = generate_fourier_lti(system)
+    result = exact_dmd(data, truncation_tol=1e-10)
+    assert result.rank == 6
+    assert result.svd_used.truncation_tol == GRAM_TOL_FLOOR
+
+
 def test_compressed_dmd_decomposes_only_the_measured_pair(monkeypatch):
     shapes = []
 
@@ -317,6 +328,16 @@ def test_pair_eigenvalues_reports_unmatched():
     assert len(pairs) == 2
     assert list(un_a) == [2]
     assert not un_b
+
+
+def test_compare_spectra_rows_alignments_and_unmatched():
+    lam_a = np.array([1.0 + 0j, 0.5, 0.25])
+    lam_b = np.array([0.5 + 1e-3, 1.0])
+    modes_b = np.array([[0.0, 1.0], [2j, 0.0], [0.0, 1.0]])
+    rows, aligns, un_a, un_b = compare_spectra(lam_a, np.eye(3), lam_b, modes_b)
+    assert rows == [(1.0, 1.0, 0.0), (0.5, 0.5 + 1e-3, pytest.approx(1e-3))]
+    assert aligns == [pytest.approx(1 / np.sqrt(2)), pytest.approx(1.0)]
+    assert un_a == [0.25] and un_b == []
 
 
 def test_mode_alignment_scale_and_phase_invariant():

@@ -10,7 +10,7 @@ returned eigenvalues, plus a companion-roots comparison.
 import numpy as np
 import pytest
 
-from csdmd.errors import ConvergenceError, DimensionError, ZeroMatrix
+from csdmd.errors import ConvergenceError, DimensionError, ZeroInput
 from csdmd.linalg import eig_dense, pinv_from_svd, svd_econ
 
 
@@ -156,7 +156,7 @@ def test_right_unitary_preserves_sigma_and_subspace():
 
 
 def test_zero_matrix_rejected():
-    with pytest.raises(ZeroMatrix):
+    with pytest.raises(ZeroInput):
         svd_econ(np.zeros((4, 3)))
 
 

@@ -6,16 +6,14 @@ is the oracle for the measurement plumbing itself.
 """
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from csdmd.dmd import SnapshotPair, exact_dmd, time_dmd_stage
+from csdmd.dmd import SnapshotPair, exact_dmd, pair_eigenvalues, time_dmd_stage
 from csdmd.errors import BadDimensions, DimensionError
 from csdmd.pipelines import (
     ExperimentConfig,
-    match_eigen,
     run_path,
     verify_invariance_suite,
 )
@@ -98,34 +96,32 @@ def test_planted_truth_tables():
     assert min(report.truth_alignments) >= 1.0 - 1e-8
 
 
-def test_match_eigen_identical_results():
+def test_pair_eigenvalues_identical_results():
     data = random_consistent_pair(12, 20, seed=3)
     res = exact_dmd(data, 1e-6)
-    matching = match_eigen(res, res)
-    assert matching["unmatched_a"] == [] and matching["unmatched_b"] == []
-    assert len(matching["pairs"]) == len(res.lambdas)
+    pairs, un_a, un_b = pair_eigenvalues(res.lambdas, res.lambdas, res.amplitudes)
+    assert un_a == [] and un_b == []
+    assert len(pairs) == len(res.lambdas)
     # pairing is a bijection at zero distance
-    assert sorted(j for _, j, _ in matching["pairs"]) == list(range(len(res.lambdas)))
-    assert max(d for _, _, d in matching["pairs"]) == 0.0
+    assert sorted(j for _, j, _ in pairs) == list(range(len(res.lambdas)))
+    assert max(d for _, _, d in pairs) == 0.0
 
 
-def test_match_eigen_permuted_results():
+def test_pair_eigenvalues_permuted_results():
     data = random_consistent_pair(12, 20, seed=4)
     res = exact_dmd(data, 1e-6)
     rng = np.random.default_rng(7)
     perm = rng.permutation(len(res.lambdas))
-    shuffled = replace(
-        res, lambdas=res.lambdas[perm], omegas=res.omegas[perm],
-        Phi=res.Phi[:, perm], amplitudes=res.amplitudes[perm],
+    pairs, un_a, un_b = pair_eigenvalues(
+        res.lambdas, res.lambdas[perm], res.amplitudes
     )
-    matching = match_eigen(res, shuffled)
-    assert matching["unmatched_a"] == [] and matching["unmatched_b"] == []
-    for i, j, dist in matching["pairs"]:
+    assert un_a == [] and un_b == []
+    for i, j, dist in pairs:
         assert perm[j] == i
         assert dist <= 1e-14
 
 
-def test_match_eigen_lists_lost_modes():
+def test_pair_eigenvalues_lists_lost_modes():
     # a measurement that annihilates one planted wave leaves its conjugate
     # eigenvalue pair unmatched; the dominant surviving wave still pairs up
     sys = two_wave_system(amps=(0.05 + 0.02j, 2.0 - 1.0j))
@@ -138,10 +134,12 @@ def test_match_eigen_lists_lost_modes():
     C = G - (G @ Q) @ Q.T
     measured = exact_dmd(SnapshotPair(X=C @ data.X, Xp=C @ data.Xp, dt=data.dt), 1e-6)
     assert measured.rank == 2
-    matching = match_eigen(reference, measured)
-    assert len(matching["pairs"]) == 2
-    assert max(d for _, _, d in matching["pairs"]) <= 1e-8
-    lost = np.sort_complex(reference.lambdas[matching["unmatched_a"]])
+    pairs, un_a, _ = pair_eigenvalues(
+        reference.lambdas, measured.lambdas, reference.amplitudes
+    )
+    assert len(pairs) == 2
+    assert max(d for _, _, d in pairs) <= 1e-8
+    lost = np.sort_complex(reference.lambdas[un_a])
     np.testing.assert_allclose(
         lost, np.sort_complex(truth.lambdas[:2]), atol=1e-8
     )
