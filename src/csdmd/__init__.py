@@ -1,6 +1,8 @@
 """Modal decomposition of snapshot data, with compressed and subsampled
 variants plus sparse mode recovery."""
 
+from types import ModuleType as _ModuleType
+
 from .dmd import (
     DmdResult,
     SnapshotPair,
@@ -36,7 +38,6 @@ from .recovery import (
     RecoveryConfig,
     SensingOperator,
     cosamp,
-    l1_reconstruct,
     recover_modes,
 )
 from .sensing import (
@@ -61,4 +62,8 @@ from .systems import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import zlib
 
 import numpy as np
 
@@ -58,9 +59,9 @@ def _write_pair(out_dir, pair: SnapshotPair):
     io_mod.write_matrix(out_dir, "Xp", pair.Xp, grid=pair.grid, dt=pair.dt)
 
 
-def _read_pair(directory, names=("X", "Xp")):
-    X, side = io_mod.read_matrix(directory, names[0])
-    Xp, _ = io_mod.read_matrix(directory, names[1])
+def _read_pair(directory):
+    X, side = io_mod.read_matrix(directory, "X")
+    Xp, _ = io_mod.read_matrix(directory, "Xp")
     grid = tuple(side["grid"]) if side.get("grid") else None
     dt = side.get("dt", 1.0)
     return SnapshotPair(X=X, Xp=Xp, dt=dt, grid=grid)
@@ -165,7 +166,7 @@ def _cmd_dmd(args):
 def _cmd_cdmd(args):
     pair = _read_pair(args.snapshots)
     C = make_measurement(args.measure, args.p, pair.n, args.seed)
-    result, measured = run_1b(pair, C, args.tol, l1_modes=args.l1_modes)
+    result, measured = run_1b(pair, C, args.tol)
     _write_result(args.out, result, extra={"path": "1B", "measure": args.measure, "p": args.p})
     # persist the measured pair and the measurement description for the
     # sampling-only pipeline
@@ -181,6 +182,8 @@ def _cmd_cdmd(args):
     }
     if C.kind == "pixel":
         measure_meta["indices"] = [int(i) for i in C.indices]
+    else:
+        measure_meta["payload_crc32"] = zlib.crc32(C.payload)
     io_mod.atomic_write_text(
         os.path.join(args.out, "measure.json"), io_mod.dumps_report(measure_meta)
     )
@@ -199,6 +202,12 @@ def _load_measurement(path):
         )
     else:
         C = make_measurement(kind, p, n, meta.get("seed"))
+        crc = meta.get("payload_crc32")  # absent in files of older runs
+        if crc is not None and crc != zlib.crc32(C.payload):
+            raise DimensionError(
+                f"{kind} matrix rebuilt from seed {meta.get('seed')} does not "
+                f"match the payload checksum in {path}"
+            )
     grid = tuple(meta["grid"]) if meta.get("grid") else None
     return C, grid, meta.get("dt", 1.0)
 
@@ -311,7 +320,6 @@ def build_parser():
     p_cdmd.add_argument("-p", type=int, required=True)
     p_cdmd.add_argument("--seed", type=int, default=0)
     p_cdmd.add_argument("--tol", type=float, default=DEFAULT_TRUNCATION_TOL)
-    p_cdmd.add_argument("--l1-modes", action="store_true")
     p_cdmd.add_argument("--out", required=True)
     p_cdmd.add_argument("--images", type=int, default=0)
     p_cdmd.add_argument("--imag", action="store_true")

@@ -6,7 +6,8 @@ class CsdmdError(Exception):
 
 
 class DimensionError(CsdmdError):
-    """Shapes of the operands do not agree, or a limit was exceeded."""
+    """Shapes of the operands do not agree, a limit was exceeded, or a
+    saved operator does not rebuild as recorded."""
 
 
 class BadDimensions(CsdmdError):

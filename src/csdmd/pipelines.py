@@ -38,16 +38,9 @@ from .recovery import (
     RecoveredMode,
     SensingOperator,
     cosamp,
-    l1_reconstruct,
     recover_modes,
 )
-from .sensing import (
-    SparseBasis,
-    apply_basis,
-    apply_measurement,
-    make_measurement,
-    mutual_coherence,
-)
+from .sensing import SparseBasis, apply_basis, make_measurement, mutual_coherence
 from .systems import (
     DoubleGyreParams,
     FourierLtiSystem,
@@ -74,7 +67,6 @@ class ExperimentConfig:
     noise_rms: float = 0.0
     noise_seed: Optional[int] = None
     observable: str = "vorticity"
-    l1_modes: bool = False
     out_dir: Optional[str] = None
 
 
@@ -172,26 +164,12 @@ def _residual_rows(diagnostics):
     return rows
 
 
-def run_1b(data, C, truncation_tol, l1_modes=False, timings=None):
+def run_1b(data, C, truncation_tol, timings=None):
     """Pathway 1B: measure, decompose the measured pair, lift the modes
-    through the full X'.
-
-    With l1_modes the full modes are instead sparse-recovered (basis
-    pursuit) from the modes of the measured pair, C applied to the lifted
-    ones.  Returns the result and the measured pair.
-    """
-    psi = _sparse_basis(data.grid) if l1_modes else None
+    through the full X'.  Returns the result and the measured pair."""
     with _timed(timings, "compressed_dmd_s"):
         measured = measure_pair(C, data)
         result = lifted_dmd(measured, data, truncation_tol)
-    if l1_modes:
-        with _timed(timings, "l1_mode_recovery_s"):
-            op = SensingOperator(C, psi)
-            cols = [
-                apply_basis(psi, l1_reconstruct(op, phi, 1e-8), "forward")
-                for phi in apply_measurement(C, result.Phi).T
-            ]
-            result = replace(result, Phi=np.column_stack(cols))
     return result, measured
 
 
@@ -260,7 +238,7 @@ def run_path(cfg: ExperimentConfig) -> ExperimentReport:
 
     result = reference
     if cfg.path == "1B":
-        result, _ = run_1b(data, C, cfg.truncation_tol, cfg.l1_modes, timings)
+        result, _ = run_1b(data, C, cfg.truncation_tol, timings)
     elif cfg.path in ("2A", "2B"):
         measured = measure_pair(C, data)
         K = _default_sparsity(cfg, truth)

@@ -3,8 +3,6 @@
 The workhorse is a complex-valued CoSaMP: identify candidate support from
 the adjoint proxy, solve least squares on the merged support, prune to the
 K largest coefficients, repeat until the residual is small or stalls.
-An iterative-shrinkage basis-pursuit solver is provided as an optional
-cross-check for exactly sparse instances.
 """
 
 import warnings
@@ -12,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, NoProgress, ZeroInput
+from .errors import DimensionError, NoProgress, ZeroInput
 from .sensing import (
     MeasurementMatrix,
     SparseBasis,
@@ -193,69 +191,3 @@ def recover_modes(projected, C: MeasurementMatrix, psi: SparseBasis, cfg):
         diagnostics.append(diag)
     return full_modes, diagnostics
 
-
-def l1_reconstruct(A_apply, y, tol=1e-8, max_iters=4000):
-    """Basis-pursuit style solve by iterative shrinkage with continuation.
-
-    Minimizes the l1 norm subject to A s ~ y by running FISTA on a
-    sequence of shrinking penalty weights, then debiasing with a least
-    squares solve on the detected support.  Agrees with cosamp on
-    noiseless exactly sparse instances.
-    """
-    p, n = A_apply.shape
-    y = np.asarray(y, dtype=complex)
-    ynorm = np.linalg.norm(y)
-    if ynorm < 1e-150:
-        raise ZeroInput("measurement vector is numerically zero")
-
-    # power iteration for the step size
-    rng = np.random.default_rng(0)
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    z /= np.linalg.norm(z)
-    for _ in range(30):
-        z = A_apply.adjoint(A_apply.apply(z))
-        z /= np.linalg.norm(z)
-    L = np.linalg.norm(A_apply.adjoint(A_apply.apply(z)))
-    step = 1.0 / max(L, 1e-12)
-
-    def shrink(v, thresh):
-        mag = np.abs(v)
-        scale = np.maximum(mag - thresh, 0.0) / np.maximum(mag, 1e-300)
-        return v * scale
-
-    x = np.zeros(n, dtype=complex)
-    lam = 0.1 * np.max(np.abs(A_apply.adjoint(y)))
-    lam_min = 1e-10 * lam
-    spent = 0
-    while lam > lam_min and spent < max_iters:
-        zv = x.copy()
-        t = 1.0
-        x_prev = x.copy()
-        for _ in range(60):
-            spent += 1
-            grad = A_apply.adjoint(A_apply.apply(zv) - y)
-            x_new = shrink(zv - step * grad, step * lam)
-            t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            zv = x_new + ((t - 1.0) / t_new) * (x_new - x_prev)
-            x_prev, x, t = x_new, x_new, t_new
-        lam *= 0.3
-        rel = np.linalg.norm(y - A_apply.apply(x)) / ynorm
-        if rel <= tol:
-            break
-
-    # debias: least squares on the surviving support
-    mags = np.abs(x)
-    if mags.max() > 0:
-        keep = np.flatnonzero(mags > 1e-4 * mags.max())
-        AT = A_apply.columns(keep)
-        G = AT.conj().T @ AT + TIKHONOV_FLOOR * np.eye(len(keep))
-        coef = np.linalg.solve(G, AT.conj().T @ y)
-        x = np.zeros(n, dtype=complex)
-        x[keep] = coef
-
-    rel = np.linalg.norm(y - A_apply.apply(x)) / ynorm
-    if rel > np.sqrt(tol):
-        raise ConvergenceError(
-            f"basis pursuit stalled at relative residual {rel:.3e}"
-        )
-    return x

@@ -1,5 +1,6 @@
-"""The benchmark under bench/ imports package names directly; a change to
-src/ that deletes or renames one of them must fail here, not in a bench run.
+"""The benchmark under bench/ imports package names directly and runs CLI
+argument lists; a change to src/ that deletes or renames one of them must
+fail here, not in a bench run.
 """
 
 import ast
@@ -29,3 +30,22 @@ def test_names_the_bench_imports_from_the_package_exist():
                     if not hasattr(module, alias.name)
                 ]
     assert not missing
+
+
+def test_every_argv_the_bench_builds_parses(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from csdmd.cli import build_parser
+    from workloads import WORKLOADS, Paths, gen_argv, op_argv
+
+    parser = build_parser()
+    paths = Paths("work")
+    argvs = []
+    for wl in WORKLOADS.values():
+        argvs.append(gen_argv(wl, 0, "out"))
+        argvs += [
+            op_argv(wl, tag, 0, paths, variant, 0)
+            for tag in wl.pathways
+            for variant in ("cli", "traced")
+        ]
+    for argv in argvs:
+        parser.parse_args(argv)  # exits on an unknown or missing argument

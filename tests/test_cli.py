@@ -14,6 +14,7 @@ from csdmd.dmd import SnapshotPair
 from csdmd.io import read_matrix, read_pgm, write_matrix
 from csdmd.linalg import svd_econ
 from csdmd.pipelines import ExperimentConfig, run_path
+from csdmd.sensing import make_measurement
 
 
 @pytest.fixture(scope="module")
@@ -79,13 +80,7 @@ def test_compressed_and_recovery_chain(workspace):
     for entry in summary["recovery"]:
         assert entry["residual"] <= 1e-8
 
-    l1 = workspace / "l1"
-    assert main(
-        ["cdmd", "--snapshots", str(data), "--measure", "gaussian", "-p", "12",
-         "--seed", "5", "--tol", "1e-6", "--l1-modes", "--out", str(l1)]
-    ) == 0
-
-    for other in (comp, sparse, l1):
+    for other in (comp, sparse):
         out = workspace / f"cmp_{other.name}.json"
         assert main(
             ["compare", "--a", str(full), "--b", str(other), "--out", str(out)]
@@ -184,20 +179,63 @@ def test_config_error_exit_codes(workspace, tmp_path, capsys):
     assert "configuration error in csdmd" in capsys.readouterr().err
 
 
-def test_l1_modes_need_grid(tmp_path, capsys):
-    # stacked velocity components carry no grid, so there is no basis to
-    # recover sparse modes in
-    data = tmp_path / "vel"
+def test_gridless_data_runs_1b_but_not_sparse_recovery(tmp_path, capsys):
+    # stacked velocity components carry no grid: 1B needs none, but there
+    # is no basis to recover sparse modes in
+    data, comp = tmp_path / "vel", tmp_path / "comp"
     assert main(
         ["gen", "gyre", "--nx", "12", "--ny", "6", "--t1", "1.0", "--dt", "0.1",
          "--observable", "velocity", "--out", str(data)]
     ) == 0
-    capsys.readouterr()
     assert main(
         ["cdmd", "--snapshots", str(data), "--measure", "gaussian", "-p", "20",
-         "--tol", "1e-6", "--l1-modes", "--out", str(tmp_path / "o")]
+         "--tol", "1e-6", "--out", str(comp)]
+    ) == 0
+    capsys.readouterr()
+    assert main(
+        ["csdmd", "--measured", str(comp), "--measure-file",
+         str(comp / "measure.json"), "--sparsity", "2", "--out", str(tmp_path / "o")]
     ) == 2
-    assert "configuration error in cdmd" in capsys.readouterr().err
+    assert "configuration error in csdmd" in capsys.readouterr().err
+
+
+def _dense_cdmd(workspace, comp, kind="gaussian"):
+    assert main(
+        ["cdmd", "--snapshots", str(workspace / "data"), "--measure", kind,
+         "-p", "12", "--seed", "5", "--tol", "1e-6", "--out", str(comp)]
+    ) == 0
+    return json.loads((comp / "measure.json").read_text())
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
+def test_csdmd_rejects_a_measurement_that_rebuilds_differently(workspace, tmp_path,
+                                                              monkeypatch, capsys, kind):
+    # the saved checksum catches a seed that no longer draws the same matrix
+    comp = tmp_path / "comp"
+    assert "payload_crc32" in _dense_cdmd(workspace, comp, kind)
+    drawn = make_measurement
+    monkeypatch.setattr(
+        "csdmd.cli.make_measurement",
+        lambda kind, p, n, seed: drawn(kind, p, n, seed + 1),
+    )
+    assert main(
+        ["csdmd", "--measured", str(comp), "--measure-file",
+         str(comp / "measure.json"), "--sparsity", "2", "--out", str(tmp_path / "o")]
+    ) == 2
+    assert "configuration error in csdmd" in capsys.readouterr().err
+
+
+def test_measure_file_without_checksum_loads(workspace, tmp_path):
+    # files written before the checksum existed still load
+    comp = tmp_path / "comp"
+    meta = _dense_cdmd(workspace, comp)
+    del meta["payload_crc32"]
+    old = tmp_path / "measure.json"
+    old.write_text(json.dumps(meta))
+    assert main(
+        ["csdmd", "--measured", str(comp), "--measure-file", str(old),
+         "--sparsity", "2", "--tol", "1e-6", "--out", str(tmp_path / "o")]
+    ) == 0
 
 
 def test_numerical_failure_exit_code(workspace, tmp_path, capsys):
@@ -265,8 +303,7 @@ def test_compressed_run_is_deterministic(workspace):
         )
 
 
-@pytest.mark.parametrize("extra", [[], ["--l1-modes"]])
-def test_cdmd_decomposes_only_the_measured_pair(workspace, tmp_path, monkeypatch, extra):
+def test_cdmd_decomposes_only_the_measured_pair(workspace, tmp_path, monkeypatch):
     shapes = []
 
     def recording_svd(A, tol):
@@ -276,8 +313,7 @@ def test_cdmd_decomposes_only_the_measured_pair(workspace, tmp_path, monkeypatch
     monkeypatch.setattr("csdmd.dmd.svd_econ", recording_svd)
     assert main(
         ["cdmd", "--snapshots", str(workspace / "data"), "--measure", "gaussian",
-         "-p", "12", "--seed", "5", "--tol", "1e-6", *extra,
-         "--out", str(tmp_path / "comp")]
+         "-p", "12", "--seed", "5", "--tol", "1e-6", "--out", str(tmp_path / "comp")]
     ) == 0
     assert shapes == [(12, 20)]
 

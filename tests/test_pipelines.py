@@ -249,17 +249,6 @@ def test_mode_recovery_diagnostics_and_coherence():
     assert min(report.truth_alignments) >= 1.0 - 1e-8
 
 
-def test_l1_mode_route():
-    cfg = ExperimentConfig(
-        system=two_wave_system(amps=(1.0 + 0.5j, 0.8 - 0.3j)),
-        path="1B", measurement_kind="gaussian", p=12, measurement_seed=5,
-        truncation_tol=1e-6, l1_modes=True,
-    )
-    report = run_path(cfg)
-    assert "l1_mode_recovery_s" in report.timings
-    assert min(report.truth_alignments) >= 1.0 - 1e-6
-
-
 def test_report_file_and_determinism(tmp_path):
     def once(out):
         return run_path(

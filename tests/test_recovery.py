@@ -1,4 +1,4 @@
-"""Greedy sparse recovery and the optional l1 cross-check.
+"""Greedy sparse recovery (CoSaMP) of mode coefficients.
 
 Planted-support instances are the main oracle: draw a known K-sparse
 coefficient vector, push it through the measurement operator, and demand
@@ -16,7 +16,6 @@ from csdmd.recovery import (
     RecoveryConfig,
     SensingOperator,
     cosamp,
-    l1_reconstruct,
     recover_modes,
 )
 from csdmd.sensing import SparseBasis, apply_basis, apply_measurement, make_measurement
@@ -176,29 +175,3 @@ def test_recover_modes_records_failures_without_aborting():
     assert np.all(modes[:, 1] == 0)
     assert np.any(modes[:, 0] != 0)
 
-
-def test_l1_agrees_with_greedy_on_exact_sparse():
-    op, y, truth = planted_instance(256, 32, 2, seed=9)
-    greedy = cosamp(op, y, RecoveryConfig(sparsity_K=2))
-    coeffs = l1_reconstruct(op, y, tol=1e-8)
-    np.testing.assert_allclose(coeffs, greedy.coeffs, atol=1e-6)
-    np.testing.assert_allclose(coeffs, truth, atol=1e-6)
-
-
-def test_l1_identity_spike():
-    op = DenseOperator(np.eye(8))
-    y = np.zeros(8)
-    y[2] = 3.0
-    coeffs = l1_reconstruct(op, y, tol=1e-8)
-    np.testing.assert_allclose(coeffs[2], 3.0, atol=1e-6)
-
-
-def test_l1_dense_target_feasible_no_sparsity_claim():
-    # underdetermined full-row-rank system: some x fits any y, and the
-    # solver only promises a small residual
-    rng = np.random.default_rng(33)
-    A = rng.standard_normal((12, 40))
-    op = DenseOperator(A)
-    y = rng.standard_normal(12)
-    coeffs = l1_reconstruct(op, y, tol=1e-6)
-    assert np.linalg.norm(A @ coeffs - y) <= 1e-3 * np.linalg.norm(y)
