@@ -214,8 +214,6 @@ def _load_measurement(path):
 
 def _cmd_csdmd(args):
     C, grid, dt = _load_measurement(args.measure_file)
-    if args.basis != "dft":
-        raise BadDimensions(f"unsupported basis {args.basis!r}")
     Y, side = io_mod.read_matrix(args.measured, "Y")
     Yp, _ = io_mod.read_matrix(args.measured, "Yp")
     measured = SnapshotPair(X=Y, Xp=Yp, dt=side.get("dt", dt))
@@ -295,15 +293,16 @@ def build_parser():
     g1.add_argument("--noise-seed", type=int, default=None)
     g1.add_argument("--out", required=True)
 
+    gyre = DoubleGyreParams()
     g2 = gen_sub.add_parser("gyre", help="double gyre flow snapshots")
-    g2.add_argument("--nx", type=int, default=512)
-    g2.add_argument("--ny", type=int, default=256)
-    g2.add_argument("--amp", type=float, default=0.1)
-    g2.add_argument("--omega", type=float, default=0.6283185307)
-    g2.add_argument("--eps", type=float, default=0.25)
-    g2.add_argument("--dt", type=float, default=0.1)
-    g2.add_argument("--t0", type=float, default=0.0)
-    g2.add_argument("--t1", type=float, default=15.0)
+    g2.add_argument("--nx", type=int, default=gyre.grid[0])
+    g2.add_argument("--ny", type=int, default=gyre.grid[1])
+    g2.add_argument("--amp", type=float, default=gyre.A)
+    g2.add_argument("--omega", type=float, default=gyre.omega)
+    g2.add_argument("--eps", type=float, default=gyre.eps)
+    g2.add_argument("--dt", type=float, default=gyre.dt)
+    g2.add_argument("--t0", type=float, default=gyre.t0)
+    g2.add_argument("--t1", type=float, default=gyre.t1)
     g2.add_argument("--observable", choices=("vorticity", "velocity"), default="vorticity")
     g2.add_argument("--out", required=True)
 
@@ -327,7 +326,6 @@ def build_parser():
     p_cs = sub.add_parser("csdmd", help="decompose measurements, recover sparse modes")
     p_cs.add_argument("--measured", required=True)
     p_cs.add_argument("--measure-file", required=True)
-    p_cs.add_argument("--basis", default="dft")
     p_cs.add_argument("--sparsity", type=int, required=True)
     p_cs.add_argument("--tol", type=float, default=DEFAULT_TRUNCATION_TOL)
     p_cs.add_argument("--reconstruct-snapshots", action="store_true")

@@ -139,7 +139,7 @@ def canonical_phase(M):
     return M
 
 
-def eig_dense(A, max_dim=EIG_MAX_DIM):
+def eig_dense(A):
     """Eigendecomposition of a small dense square matrix.
 
     Eigenvectors are returned unit-norm with canonical phase, ordered by
@@ -150,9 +150,8 @@ def eig_dense(A, max_dim=EIG_MAX_DIM):
     Parameters
     ----------
     A : ndarray, shape (d, d)
-        Square matrix with d <= max_dim.
-    max_dim : int
-        Safety bound on the problem size.
+        Square matrix with d <= EIG_MAX_DIM, a safety bound on the
+        problem size.
 
     Returns
     -------
@@ -163,8 +162,8 @@ def eig_dense(A, max_dim=EIG_MAX_DIM):
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {A.shape}")
-    if A.shape[0] > max_dim:
-        raise DimensionError(f"matrix dimension {A.shape[0]} exceeds max_dim={max_dim}")
+    if A.shape[0] > EIG_MAX_DIM:
+        raise DimensionError(f"matrix dimension {A.shape[0]} exceeds {EIG_MAX_DIM}")
     _check_finite(A)
 
     try:

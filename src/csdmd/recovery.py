@@ -20,6 +20,8 @@ from .sensing import (
     basis_atoms,
 )
 
+MAX_ITERS = 50
+RESIDUAL_TOL = 1e-6
 STALL_WINDOW = 3
 STALL_REL_DECREASE = 1e-4
 TIKHONOV_FLOOR = 1e-12
@@ -29,14 +31,10 @@ FAILURE_RESIDUAL = 0.5
 @dataclass(frozen=True)
 class RecoveryConfig:
     sparsity_K: int
-    max_iters: int = 50
-    residual_tol: float = 1e-6
 
     def __post_init__(self):
         if self.sparsity_K < 1:
             raise DimensionError("sparsity_K must be >= 1")
-        if self.max_iters < 1:
-            raise DimensionError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -56,9 +54,6 @@ class DenseOperator:
         self.A = np.asarray(A)
         self.shape = self.A.shape
 
-    def apply(self, s):
-        return self.A @ s
-
     def adjoint(self, y):
         return self.A.conj().T @ y
 
@@ -72,7 +67,7 @@ class DenseOperator:
 class SensingOperator:
     """The composite operator (measure after basis synthesis).
 
-    Never materialized: applications go through the FFT, and closed-form
+    Never materialized: the adjoint goes through the FFT, and closed-form
     columns are built only on the small candidate supports CoSaMP uses.
     """
 
@@ -82,9 +77,6 @@ class SensingOperator:
         self.C = C
         self.psi = psi
         self.shape = (C.p, C.n)
-
-    def apply(self, s):
-        return apply_measurement(self.C, apply_basis(self.psi, s, "forward"))
 
     def adjoint(self, y):
         return apply_basis(self.psi, adjoint_measurement(self.C, y), "inverse")
@@ -101,10 +93,11 @@ class SensingOperator:
 def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
     """Recover a K-sparse coefficient vector from y ~ A s.
 
-    Keeps the best iterate seen so far, so the reported residual is
-    non-increasing over accepted iterations.  Halts at ``residual_tol``,
-    on stall (relative residual decrease below 1e-4 across 3 iterations),
-    or at the iteration cap.
+    A is read only through ``adjoint`` and ``columns`` on the merged
+    support, once each per iteration.  Keeps the best iterate seen so far,
+    so the reported residual is non-increasing over accepted iterations.
+    Halts at ``RESIDUAL_TOL``, on stall (relative residual decrease below
+    1e-4 across 3 iterations), or after ``MAX_ITERS``.
 
     Raises
     ------
@@ -126,13 +119,13 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
             stacklevel=2,
         )
 
-    support = np.array([], dtype=int)
+    support = best_support = np.array([], dtype=int)
+    best_coef = np.array([], dtype=complex)
     best_res = np.inf
-    best_x = np.zeros(n, dtype=complex)
     history = []
     residual = y.copy()
     iters = 0
-    for iters in range(1, cfg.max_iters + 1):
+    for iters in range(1, MAX_ITERS + 1):
         proxy = A_apply.adjoint(residual)
         candidates = np.argsort(np.abs(proxy))[-2 * K:]
         merged = np.union1d(support, candidates)
@@ -141,15 +134,12 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
         coef = np.linalg.solve(G, AT.conj().T @ y)
         keep = np.argsort(np.abs(coef))[-K:]
         support = merged[keep]
-        x = np.zeros(n, dtype=complex)
-        x[support] = coef[keep]
-        residual = y - A_apply.apply(x)
+        residual = y - AT[:, keep] @ coef[keep]
         rel = np.linalg.norm(residual) / ynorm
         if rel < best_res:
-            best_res = rel
-            best_x = x
+            best_res, best_support, best_coef = rel, support, coef[keep]
         history.append(best_res)
-        if best_res <= cfg.residual_tol:
+        if best_res <= RESIDUAL_TOL:
             break
         if len(history) > STALL_WINDOW:
             prev = history[-1 - STALL_WINDOW]
@@ -161,9 +151,11 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
             f"residual {best_res:.3f} after {iters} iterations; "
             "too few measurements or target not sparse"
         )
+    coeffs = np.zeros(n, dtype=complex)
+    coeffs[best_support] = best_coef
     return RecoveredMode(
-        coeffs=best_x,
-        spatial=A_apply.synthesize(best_x),
+        coeffs=coeffs,
+        spatial=A_apply.synthesize(coeffs),
         residual=float(best_res),
         iters=iters,
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BadDimensions, DimensionError
 
-KINDS = ("gaussian", "bernoulli", "pixel", "identity", "unitary")
+KINDS = ("gaussian", "bernoulli", "pixel", "unitary")
 
 
 @dataclass(frozen=True)
@@ -40,15 +40,13 @@ class MeasurementMatrix:
             C = np.zeros((self.p, self.n))
             C[np.arange(self.p), self.indices] = 1.0
             return C
-        if self.kind == "identity":
-            return np.eye(self.n)
         return self.payload
 
 
 def make_measurement(kind, p, n, seed=None, payload=None) -> MeasurementMatrix:
     """Construct a measurement operator, deterministic per (kind, p, n, seed).
 
-    kind is one of gaussian, bernoulli, pixel, identity, unitary.  The
+    kind is one of gaussian, bernoulli, pixel, unitary.  The
     unitary kind accepts an explicit (possibly complex) payload with
     orthonormal rows; without a payload a random co-isometry is drawn.
     """
@@ -56,10 +54,6 @@ def make_measurement(kind, p, n, seed=None, payload=None) -> MeasurementMatrix:
         raise BadDimensions(f"unknown measurement kind {kind!r}")
     if not (1 <= p <= n):
         raise BadDimensions(f"need 1 <= p <= n, got p={p}, n={n}")
-    if kind == "identity":
-        if p != n:
-            raise BadDimensions("identity measurement requires p == n")
-        return MeasurementMatrix(kind, p, n, seed)
     if kind == "unitary":
         if payload is not None:
             payload = np.asarray(payload)
@@ -92,8 +86,6 @@ def apply_measurement(C: MeasurementMatrix, X):
         raise DimensionError(f"operand has {rows} rows, measurement expects {C.n}")
     if C.kind == "pixel":
         return X[C.indices]
-    if C.kind == "identity":
-        return X.copy()
     return C.payload @ X
 
 
@@ -107,8 +99,6 @@ def adjoint_measurement(C: MeasurementMatrix, Y):
         out = np.zeros(out_shape, dtype=Y.dtype)
         out[C.indices] = Y
         return out
-    if C.kind == "identity":
-        return Y.copy()
     return C.payload.conj().T @ Y
 
 
@@ -180,20 +170,22 @@ def mutual_coherence(C: MeasurementMatrix, psi: SparseBasis) -> float:
     """Largest normalized inner product between measurement rows and basis
     columns; low values favor sparse recovery.
 
-    Every entry of C Psi has magnitude 1/sqrt(n) for the pixel and identity
-    kinds.  Otherwise, as the DFT matrix is symmetric, the i-th row of C Psi
-    is the basis synthesis of the i-th (conjugated) measurement row.
+    Every entry of C Psi has magnitude 1/sqrt(n) for the pixel kind.
+    Otherwise, as the DFT matrix is symmetric, the i-th row of C Psi is the
+    basis synthesis of the i-th (conjugated) measurement row.  The rows go
+    through the FFT 16 at a time, so no p x n complex array is formed.
     """
     if C.n != psi.n:
         raise DimensionError(f"measurement n={C.n} does not match basis n={psi.n}")
-    if C.kind in ("pixel", "identity"):
+    if C.kind == "pixel":
         return 1.0 / math.sqrt(C.n)
-    rows = C.payload
-    # products[:, i] = Psi @ conj(row_i); entry j equals <row_i, psi_j>
-    products = apply_basis(psi, rows.conj().T, "forward")
-    row_norms = np.linalg.norm(rows, axis=1)
-    peak = np.max(np.abs(products), axis=0) / row_norms
-    return float(np.max(peak))
+    peak = 0.0
+    for rows in np.array_split(C.payload, -(-C.p // 16)):
+        # products[:, i] = Psi @ conj(row_i); entry j equals <row_i, psi_j>
+        products = apply_basis(psi, rows.conj().T, "forward")
+        row_peak = np.max(np.abs(products), axis=0) / np.linalg.norm(rows, axis=1)
+        peak = max(peak, float(np.max(row_peak)))
+    return peak
 
 
 def recommended_measurements(K, n, safety=1.5) -> int:

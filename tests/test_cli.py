@@ -15,6 +15,7 @@ from csdmd.io import read_matrix, read_pgm, write_matrix
 from csdmd.linalg import svd_econ
 from csdmd.pipelines import ExperimentConfig, run_path
 from csdmd.sensing import make_measurement
+from csdmd.systems import DoubleGyreParams, generate_gyre_snapshots
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +177,7 @@ def test_config_error_exit_codes(workspace, tmp_path, capsys):
          str(comp / "measure.json"), "--sparsity", "2", "--basis", "wavelet",
          "--out", str(tmp_path / "w")]
     ) == 2
-    assert "configuration error in csdmd" in capsys.readouterr().err
+    assert "unrecognized arguments: --basis" in capsys.readouterr().err
 
 
 def test_gridless_data_runs_1b_but_not_sparse_recovery(tmp_path, capsys):
@@ -270,6 +271,15 @@ def test_gyre_generation(tmp_path):
         ["dmd", "--snapshots", str(out), "--tol", "1e-4", "--out",
          str(tmp_path / "res")]
     ) == 0
+
+
+def test_gen_gyre_defaults_are_the_library_defaults(tmp_path):
+    # the command line and DoubleGyreParams must draw the same flow
+    out = tmp_path / "gyre"
+    assert main(["gen", "gyre", "--nx", "32", "--ny", "16", "--out", str(out)]) == 0
+    pair = generate_gyre_snapshots(DoubleGyreParams(grid=(32, 16)))
+    np.testing.assert_array_equal(read_matrix(str(out), "X")[0], pair.X)
+    np.testing.assert_array_equal(read_matrix(str(out), "Xp")[0], pair.Xp)
 
 
 def _run_twice(workspace, name, args):

@@ -174,7 +174,7 @@ def test_left_unitary_covariance():
 
 def test_compressed_identity_matches_exact():
     data, _ = random_consistent_pair(16, 30, seed=12)
-    C = make_measurement("identity", 16, 16, seed=0)
+    C = make_measurement("pixel", 16, 16, seed=0)  # p = n: the identity
     ref = exact_dmd(data, truncation_tol=1e-8)
     got = compressed_dmd(data, C, truncation_tol=1e-8)
     pairs, un_a, un_b = pair_eigenvalues(ref.lambdas, got.lambdas, ref.amplitudes)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from csdmd.errors import ConvergenceError, DimensionError, ZeroInput
-from csdmd.linalg import eig_dense, pinv_from_svd, svd_econ
+from csdmd.linalg import EIG_MAX_DIM, eig_dense, pinv_from_svd, svd_econ
 
 
 def char_poly_coeffs(A):
@@ -219,7 +219,7 @@ def test_eig_dimension_guards():
     with pytest.raises(DimensionError):
         eig_dense(np.ones((3, 4)))
     with pytest.raises(DimensionError):
-        eig_dense(np.eye(20), max_dim=10)
+        eig_dense(np.eye(EIG_MAX_DIM + 1))
 
 
 def test_pinv_identity():

@@ -2,7 +2,7 @@
 
 The reference pathway (full data, full decomposition) is the oracle for
 every compressed or reconstructed variant, and an identity measurement
-is the oracle for the measurement plumbing itself.
+(every pixel sampled) is the oracle for the measurement plumbing itself.
 """
 
 import json
@@ -58,7 +58,7 @@ def test_identity_measurement_reproduces_reference():
     data = random_consistent_pair(24, 30, seed=1)
     report = run_path(
         ExperimentConfig(
-            system=data, path="1B", measurement_kind="identity", p=24,
+            system=data, path="1B", measurement_kind="pixel", p=24,
             measurement_seed=0, truncation_tol=1e-6,
         )
     )

@@ -116,11 +116,14 @@ def test_apply_matches_dense_multiply():
 
 
 def test_identity_kind():
+    # sampling every pixel is the identity measurement; there is no
+    # separate kind for it
     X = np.arange(12.0).reshape(4, 3)
-    C = make_measurement("identity", 4, 4, seed=0)
+    C = make_measurement("pixel", 4, 4, seed=0)
     np.testing.assert_array_equal(apply_measurement(C, X), X)
+    np.testing.assert_array_equal(C.as_dense(), np.eye(4))
     with pytest.raises(BadDimensions):
-        make_measurement("identity", 3, 4, seed=0)
+        make_measurement("identity", 4, 4, seed=0)
 
 
 def test_unitary_payload_round_trip():
