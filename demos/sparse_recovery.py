@@ -76,7 +76,7 @@ measured = SnapshotPair(
 )
 projected = exact_dmd(measured, truncation_tol=1e-4)
 recovered, diags = recover_modes(
-    projected, C, SparseBasis(params.grid), RecoveryConfig(sparsity_K=30)
+    projected.Phi, C, SparseBasis(params.grid), RecoveryConfig(sparsity_K=30)
 )
 
 pairs, _, _ = pair_eigenvalues(

@@ -12,7 +12,6 @@ from .dmd import (
     exact_dmd,
     mode_alignment,
     pair_eigenvalues,
-    project_dmd_result,
     time_dmd_stage,
 )
 from .errors import (

@@ -18,8 +18,6 @@ import numpy as np
 from . import io as io_mod
 from .dmd import SnapshotPair, compare_spectra, exact_dmd
 from .errors import (
-    BadDimensions,
-    BadWavenumber,
     ConvergenceError,
     CsdmdError,
     DimensionError,
@@ -38,20 +36,14 @@ from .systems import (
     make_fourier_lti,
 )
 
-CONFIG_ERRORS = (
-    BadDimensions,
-    BadWavenumber,
-    DimensionError,
-    FileNotFoundError,
-    json.JSONDecodeError,
-    KeyError,
-)
 NUMERICAL_ERRORS = (
     RankCollapse,
     ZeroInput,
     NoProgress,
     ConvergenceError,
 )
+# caught after NUMERICAL_ERRORS: every other package error is a configuration one
+CONFIG_ERRORS = (CsdmdError, FileNotFoundError, json.JSONDecodeError, KeyError)
 
 
 def _write_pair(out_dir, pair: SnapshotPair):
@@ -370,9 +362,6 @@ def main(argv=None) -> int:
         return 3
     except CONFIG_ERRORS as exc:
         print(f"configuration error in {stage}: {exc}", file=sys.stderr)
-        return 2
-    except CsdmdError as exc:
-        print(f"error in {stage}: {exc}", file=sys.stderr)
         return 2
 
 

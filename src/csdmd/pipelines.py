@@ -33,18 +33,11 @@ from .dmd import (
 )
 from .errors import BadDimensions, DimensionError
 from .linalg import DEFAULT_TRUNCATION_TOL, pinv_from_svd, svd_econ
-from .recovery import (
-    RecoveryConfig,
-    RecoveredMode,
-    SensingOperator,
-    cosamp,
-    recover_modes,
-)
+from .recovery import RecoveryConfig, RecoveredMode, recover_modes
 from .sensing import SparseBasis, apply_basis, make_measurement, mutual_coherence
 from .systems import (
     DoubleGyreParams,
     FourierLtiSystem,
-    add_fourier_noise,
     generate_fourier_lti,
     generate_gyre_snapshots,
 )
@@ -64,9 +57,6 @@ class ExperimentConfig:
     measurement_seed: Optional[int] = None
     sparsity_K: Optional[int] = None
     truncation_tol: float = DEFAULT_TRUNCATION_TOL
-    noise_rms: float = 0.0
-    noise_seed: Optional[int] = None
-    observable: str = "vorticity"
     out_dir: Optional[str] = None
 
 
@@ -100,7 +90,7 @@ def _materialize(cfg: ExperimentConfig):
         pair, truth = generate_fourier_lti(sys)
         return pair, truth
     if isinstance(sys, DoubleGyreParams):
-        return generate_gyre_snapshots(sys, cfg.observable), None
+        return generate_gyre_snapshots(sys), None
     raise DimensionError(f"unsupported system type {type(sys).__name__}")
 
 
@@ -124,8 +114,6 @@ def _config_echo(cfg: ExperimentConfig, data: SnapshotPair):
         "grid": list(data.grid) if data.grid else None,
         "path": cfg.path,
         "truncation_tol": cfg.truncation_tol,
-        "noise_rms": cfg.noise_rms,
-        "noise_seed": cfg.noise_seed,
     }
     if cfg.measurement_kind is not None:
         echo["measurement"] = {
@@ -160,7 +148,8 @@ def _residual_rows(diagnostics):
         if isinstance(diag, RecoveredMode):
             rows.append({"mode": j, "residual": diag.residual, "iters": diag.iters})
         else:
-            rows.append({"mode": j, "error": str(diag)})
+            error = f"mode {j}: {type(diag).__name__}: {diag}"
+            rows.append({"mode": j, "error": error})
     return rows
 
 
@@ -174,9 +163,11 @@ def run_1b(data, C, truncation_tol, timings=None):
 
 
 def run_2a(measured, C, grid, sparsity_K, truncation_tol, timings=None):
-    """Pathway 2A: CoSaMP-reconstruct every measured snapshot on the grid,
-    then decompose the reconstruction.  Limited to n <= PATH_2A_MAX_N and
-    m <= PATH_2A_MAX_M, since it runs 2m sparse solves."""
+    """Pathway 2A: CoSaMP-reconstruct every distinct measured snapshot on
+    the grid, then decompose the reconstruction.  Raises the first failed
+    column's ZeroInput or NoProgress.  Limited to n <= PATH_2A_MAX_N and
+    m <= PATH_2A_MAX_M, since it runs one sparse solve per snapshot, m+1
+    for a time series."""
     psi = _sparse_basis(grid)
     if C.n > PATH_2A_MAX_N or measured.m > PATH_2A_MAX_M:
         raise BadDimensions(
@@ -184,14 +175,18 @@ def run_2a(measured, C, grid, sparsity_K, truncation_tol, timings=None):
             f"m<={PATH_2A_MAX_M}; got n={C.n}, m={measured.m}"
         )
     rcfg = RecoveryConfig(sparsity_K=sparsity_K)
+
+    def reconstruct(Y):
+        fields, diags = recover_modes(Y, C, psi, rcfg)
+        failed = [d for d in diags if not isinstance(d, RecoveredMode)]
+        if failed:
+            raise failed[0]
+        return fields
+
     with _timed(timings, "snapshot_recovery_s"):
-        op = SensingOperator(C, psi)
-        X, Xp = [
-            np.column_stack([cosamp(op, y, rcfg).spatial for y in M.T])
-            for M in (measured.X, measured.Xp)
-        ]
+        reconstructed = measured.map_snapshots(reconstruct)
     with _timed(timings, "reconstructed_dmd_s"):
-        result = exact_dmd(SnapshotPair(X=X, Xp=Xp, dt=measured.dt), truncation_tol)
+        result = exact_dmd(reconstructed, truncation_tol)
     return result
 
 
@@ -204,7 +199,7 @@ def run_2b(measured, C, grid, sparsity_K, truncation_tol, timings=None):
         projected = exact_dmd(measured, truncation_tol)
     with _timed(timings, "mode_recovery_s"):
         recovered, diags = recover_modes(
-            projected, C, psi, RecoveryConfig(sparsity_K=sparsity_K)
+            projected.Phi, C, psi, RecoveryConfig(sparsity_K=sparsity_K)
         )
     return replace(projected, Phi=recovered), _residual_rows(diags)
 
@@ -220,8 +215,6 @@ def run_path(cfg: ExperimentConfig) -> ExperimentReport:
     timings = {}
     with _timed(timings, "generate_s"):
         data, truth = _materialize(cfg)
-        if cfg.noise_rms > 0:
-            data = add_fourier_noise(data, cfg.noise_rms, cfg.noise_seed)
 
     needs_measurement = cfg.path in ("1B", "2A", "2B")
     C = None
@@ -374,21 +367,14 @@ def verify_invariance_suite(data: SnapshotPair, seed=0, truncation_tol=1e-6):
         fwd = lambda M: apply_basis(psi, M, "inverse")
     else:
         fwd = lambda M: np.fft.fft(M, axis=0, norm="ortho")
-    spectral = SnapshotPair(
-        X=fwd(data.X), Xp=fwd(data.Xp), dt=data.dt, grid=data.grid
-    )
+    spectral = data.map_snapshots(fwd, data.grid)
     compare("left_dft", exact_dmd(spectral, truncation_tol), mode_map=fwd)
 
     # projection onto the data's own orthonormal (POD) basis
     U = ref.svd_used.U
-    pod = SnapshotPair(
-        X=U.conj().T @ data.X, Xp=U.conj().T @ data.Xp, dt=data.dt
-    )
-    compare(
-        "left_pod",
-        exact_dmd(pod, truncation_tol),
-        mode_map=lambda M: U.conj().T @ M,
-    )
+    to_pod = lambda M: U.conj().T @ M
+    pod = data.map_snapshots(to_pod)
+    compare("left_pod", exact_dmd(pod, truncation_tol), mode_map=to_pod)
 
     # operator identity C A_full = A_measured C on a small projected copy
     d = min(32, ref.rank)

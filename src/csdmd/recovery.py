@@ -161,25 +161,24 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
     )
 
 
-def recover_modes(projected, C: MeasurementMatrix, psi: SparseBasis, cfg):
-    """Recover full-state spatial modes from projected DMD modes.
+def recover_modes(Y, C: MeasurementMatrix, psi: SparseBasis, cfg):
+    """Recover full-state fields from a p x k block Y of measured columns.
 
-    Each column of the projected mode matrix is an independent sparse
-    recovery problem; failures are recorded per mode and do not abort the
-    remaining columns.  Returns the n x r matrix of recovered spatial
-    modes (zero columns where recovery failed) and a per-mode diagnostics
-    list holding RecoveredMode instances or error strings.
+    Each column (a measured DMD mode in 2B, a measured snapshot in 2A) is
+    an independent CoSaMP problem; a failed column does not abort the
+    rest.  Returns the n x k recovered fields, zero where recovery failed,
+    and one diagnostic per column: its RecoveredMode, or the ZeroInput or
+    NoProgress exception it raised.
     """
     op = SensingOperator(C, psi)
-    full_modes = np.zeros((C.n, projected.Phi.shape[1]), dtype=complex)
+    fields = np.zeros((C.n, Y.shape[1]), dtype=complex)
     diagnostics = []
-    for j, phi in enumerate(projected.Phi.T):
+    for j, y in enumerate(Y.T):
         try:
-            diag = cosamp(op, phi, cfg)
+            diag = cosamp(op, y, cfg)
         except (ZeroInput, NoProgress) as exc:
-            diag = f"mode {j}: {type(exc).__name__}: {exc}"
+            diag = exc
         else:
-            full_modes[:, j] = diag.spatial
+            fields[:, j] = diag.spatial
         diagnostics.append(diag)
-    return full_modes, diagnostics
-
+    return fields, diagnostics

@@ -34,14 +34,6 @@ class MeasurementMatrix:
     payload: Optional[np.ndarray] = None
     indices: Optional[np.ndarray] = None
 
-    def as_dense(self) -> np.ndarray:
-        """Materialize the operator as a dense array (testing helper)."""
-        if self.kind == "pixel":
-            C = np.zeros((self.p, self.n))
-            C[np.arange(self.p), self.indices] = 1.0
-            return C
-        return self.payload
-
 
 def make_measurement(kind, p, n, seed=None, payload=None) -> MeasurementMatrix:
     """Construct a measurement operator, deterministic per (kind, p, n, seed).

@@ -153,38 +153,27 @@ def add_fourier_noise(data: SnapshotPair, rms_fraction, seed=None) -> SnapshotPa
     nx, ny = data.grid
     rng = np.random.default_rng(seed)
 
-    shifted = data.m > 1 and np.array_equal(data.X[:, 1:], data.Xp[:, :-1])
-    if shifted:
-        snaps = np.column_stack([data.X, data.Xp[:, -1]])
-    else:
-        snaps = np.column_stack([data.X, data.Xp])
+    def noised(snaps):
+        power = np.zeros((ny, nx))
+        for k in range(snaps.shape[1]):
+            power += np.abs(np.fft.fft2(snaps[:, k].reshape(ny, nx), norm="ortho")) ** 2
+        power /= snaps.shape[1]
+        active = power > 1e-8 * power.max()
 
-    power = np.zeros((ny, nx))
-    for k in range(snaps.shape[1]):
-        power += np.abs(np.fft.fft2(snaps[:, k].reshape(ny, nx), norm="ortho")) ** 2
-    power /= snaps.shape[1]
-    active = power > 1e-8 * power.max()
+        out = np.empty_like(snaps)
+        for k in range(snaps.shape[1]):
+            field = rng.standard_normal((ny, nx))
+            spectrum = np.fft.fft2(field, norm="ortho")
+            spectrum[active] = 0.0
+            level = np.linalg.norm(spectrum)
+            target = rms_fraction * np.linalg.norm(snaps[:, k])
+            if level > 0:
+                spectrum *= target / level
+            noise = np.fft.ifft2(spectrum, norm="ortho").real.reshape(-1)
+            out[:, k] = snaps[:, k] + noise
+        return out
 
-    noised = np.empty_like(snaps)
-    for k in range(snaps.shape[1]):
-        field = rng.standard_normal((ny, nx))
-        spectrum = np.fft.fft2(field, norm="ortho")
-        spectrum[active] = 0.0
-        level = np.linalg.norm(spectrum)
-        target = rms_fraction * np.linalg.norm(snaps[:, k])
-        if level > 0:
-            spectrum *= target / level
-        noise = np.fft.ifft2(spectrum, norm="ortho").real.reshape(-1)
-        noised[:, k] = snaps[:, k] + noise
-
-    if shifted:
-        return SnapshotPair(
-            X=noised[:, :-1], Xp=noised[:, 1:], dt=data.dt, grid=data.grid
-        )
-    m = data.m
-    return SnapshotPair(
-        X=noised[:, :m], Xp=noised[:, m:], dt=data.dt, grid=data.grid
-    )
+    return data.map_snapshots(noised, data.grid)
 
 
 @dataclass(frozen=True)

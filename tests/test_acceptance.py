@@ -21,7 +21,13 @@ from csdmd.dmd import (
 from csdmd.errors import NoProgress
 from csdmd.linalg import pinv_from_svd, svd_econ
 from csdmd.pipelines import verify_invariance_suite
-from csdmd.recovery import RecoveryConfig, SensingOperator, cosamp, recover_modes
+from csdmd.recovery import (
+    RecoveredMode,
+    RecoveryConfig,
+    SensingOperator,
+    cosamp,
+    recover_modes,
+)
 from csdmd.sensing import (
     SparseBasis,
     apply_basis,
@@ -89,9 +95,9 @@ def test_criterion_2_planted_waves_recovered(large_scale, kind):
     )
     projected = exact_dmd(measured, 1e-6)
     recovered, diags = recover_modes(
-        projected, C, SparseBasis(data.grid), RecoveryConfig(sparsity_K=5)
+        projected.Phi, C, SparseBasis(data.grid), RecoveryConfig(sparsity_K=5)
     )
-    assert all(not isinstance(d, str) for d in diags)
+    assert all(isinstance(d, RecoveredMode) for d in diags)
 
     worst_eig = 0.0
     worst_align = 1.0
@@ -249,7 +255,7 @@ def test_criterion_7_noise_tolerance(large_scale):
     )
     projected = exact_dmd(measured, tol)
     recovered, _ = recover_modes(
-        projected, C, SparseBasis(data.grid), RecoveryConfig(sparsity_K=5)
+        projected.Phi, C, SparseBasis(data.grid), RecoveryConfig(sparsity_K=5)
     )
 
     worst_align = 1.0

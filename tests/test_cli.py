@@ -9,8 +9,15 @@ import json
 import numpy as np
 import pytest
 
-from csdmd.cli import main
+from csdmd.cli import HANDLERS, main
 from csdmd.dmd import SnapshotPair
+from csdmd.errors import (
+    ConvergenceError,
+    CsdmdError,
+    NoProgress,
+    RankCollapse,
+    ZeroInput,
+)
 from csdmd.io import read_matrix, read_pgm, write_matrix
 from csdmd.linalg import svd_econ
 from csdmd.pipelines import ExperimentConfig, run_path
@@ -247,6 +254,50 @@ def test_numerical_failure_exit_code(workspace, tmp_path, capsys):
     )
     assert code == 3
     assert "numerical failure in cdmd" in capsys.readouterr().err
+
+
+def test_failing_snapshot_reconstruction_exit_code(tmp_path, capsys):
+    # 24 pixels cannot pin down 10-sparse snapshots: the first snapshot
+    # CoSaMP gives up on names the failure
+    data, comp = tmp_path / "data", tmp_path / "comp"
+    assert main(
+        ["gen", "example1", "--nx", "64", "--ny", "64", "--k", "5", "--t1", "0.64",
+         "--out", str(data)]
+    ) == 0
+    assert main(
+        ["cdmd", "--snapshots", str(data), "--measure", "pixel", "-p", "24",
+         "--seed", "1", "--out", str(comp)]
+    ) == 0
+    capsys.readouterr()
+    assert main(
+        ["csdmd", "--measured", str(comp), "--measure-file",
+         str(comp / "measure.json"), "--sparsity", "10", "--reconstruct-snapshots",
+         "--out", str(tmp_path / "o")]
+    ) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure in csdmd: residual 0.507 after 5 iterations; "
+        "too few measurements or target not sparse\n"
+    )
+
+
+def _error_classes(base=CsdmdError):
+    return [base] + [c for sub in base.__subclasses__() for c in _error_classes(sub)]
+
+
+@pytest.mark.parametrize("error", _error_classes(), ids=lambda c: c.__name__)
+def test_every_package_error_maps_to_an_exit_code(error, monkeypatch, capsys):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setitem(HANDLERS, "compare", fail)
+    code = main(["compare", "--a", "a", "--b", "b", "--out", "c"])
+    numerical = (RankCollapse, ZeroInput, NoProgress, ConvergenceError)
+    if error in numerical:
+        assert code == 3
+        assert capsys.readouterr().err == "numerical failure in compare: boom\n"
+    else:
+        assert code == 2
+        assert capsys.readouterr().err == "configuration error in compare: boom\n"
 
 
 def test_verify_size_guard(tmp_path, capsys):

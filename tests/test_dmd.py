@@ -16,7 +16,6 @@ from csdmd.dmd import (
     exact_dmd,
     mode_alignment,
     pair_eigenvalues,
-    project_dmd_result,
 )
 from csdmd.errors import DimensionError, RankCollapse
 from csdmd.linalg import GRAM_TOL_FLOOR, pinv_from_svd, svd_econ
@@ -46,6 +45,37 @@ def random_consistent_pair(n, m, seed, dt=0.1):
     A *= 0.95 / np.max(np.abs(np.linalg.eigvals(A)))
     X = rng.standard_normal((n, m))
     return SnapshotPair(X=X, Xp=A @ X, dt=dt), A
+
+
+def test_map_snapshots_sees_each_snapshot_of_a_series_once():
+    # X' is X shifted, so f gets the m+1 distinct snapshots in one call
+    data = rotation_pair(m=6, dt=0.5)
+    blocks = []
+
+    def double(S):
+        blocks.append(S.shape)
+        return 2.0 * S
+
+    got = data.map_snapshots(double, grid=(2, 1))
+    assert blocks == [(2, 7)]
+    np.testing.assert_array_equal(got.X, 2.0 * data.X)
+    np.testing.assert_array_equal(got.Xp, 2.0 * data.Xp)
+    np.testing.assert_array_equal(got.X[:, 1:], got.Xp[:, :-1])
+    assert got.dt == 0.5 and got.grid == (2, 1)
+
+
+def test_map_snapshots_sees_both_matrices_of_an_unshifted_pair():
+    data, _ = random_consistent_pair(5, 8, seed=3)
+    blocks = []
+
+    def negate(S):
+        blocks.append(S.shape)
+        return -S
+
+    got = data.map_snapshots(negate)
+    assert blocks == [(5, 16)]
+    np.testing.assert_array_equal(got.X, -data.X)
+    np.testing.assert_array_equal(got.Xp, -data.Xp)
 
 
 def test_rotation_eigenvalues():
@@ -166,10 +196,10 @@ def test_left_unitary_covariance():
     rotated = SnapshotPair(X=Q @ data.X, Xp=Q @ data.Xp, dt=data.dt)
     got = exact_dmd(rotated, truncation_tol=1e-8)
     pairs, _, _ = pair_eigenvalues(ref.lambdas, got.lambdas, ref.amplitudes)
-    expected = project_dmd_result(ref, C)
+    expected = apply_measurement(C, ref.Phi)
     for i, j, _ in pairs:
         assert abs(ref.lambdas[i] - got.lambdas[j]) < 1e-10
-        assert mode_alignment(expected.Phi[:, i], got.Phi[:, j]) > 1 - 1e-8
+        assert mode_alignment(expected[:, i], got.Phi[:, j]) > 1 - 1e-8
 
 
 def test_compressed_identity_matches_exact():

@@ -10,13 +10,22 @@ import json
 import numpy as np
 import pytest
 
-from csdmd.dmd import SnapshotPair, exact_dmd, pair_eigenvalues, time_dmd_stage
+from csdmd import recovery
+from csdmd.dmd import (
+    SnapshotPair,
+    exact_dmd,
+    measure_pair,
+    pair_eigenvalues,
+    time_dmd_stage,
+)
 from csdmd.errors import BadDimensions, DimensionError
 from csdmd.pipelines import (
     ExperimentConfig,
+    run_2a,
     run_path,
     verify_invariance_suite,
 )
+from csdmd.sensing import make_measurement
 from csdmd.systems import (
     DoubleGyreParams,
     FourierLtiSystem,
@@ -194,6 +203,34 @@ def test_snapshot_reconstruction_default_sparsity(seed):
     assert report.unmatched_reference == []
     assert len(report.truth_table) == 10
     assert max(row["abs_delta"] for row in report.truth_table) <= 1e-6
+
+
+def test_snapshot_reconstruction_solves_each_distinct_snapshot_once(monkeypatch):
+    # a time series has m+1 distinct snapshots; permuting the columns of
+    # the pair breaks the shift, leaving 2m of them.  Pixel rows keep the
+    # shift bit for bit (a dense product need not).
+    data, _ = generate_fourier_lti(make_fourier_lti(nx=32, ny=32, K=2, m=20, seed=11))
+    C = make_measurement("pixel", 100, data.n, seed=2)
+    measured = measure_pair(C, data)
+    reverse = np.arange(data.m)[::-1]
+    permuted = SnapshotPair(
+        X=measured.X[:, reverse], Xp=measured.Xp[:, reverse], dt=data.dt
+    )
+    solves = []
+    cosamp = recovery.cosamp
+
+    def counted(op, y, cfg):
+        solves.append(1)
+        return cosamp(op, y, cfg)
+
+    monkeypatch.setattr(recovery, "cosamp", counted)
+    spectra = []
+    for pair, expected in ((measured, data.m + 1), (permuted, 2 * data.m)):
+        solves.clear()
+        spectra.append(run_2a(pair, C, data.grid, 4, 1e-6).lambdas)
+        assert len(solves) == expected
+    pairs, un_a, un_b = pair_eigenvalues(*spectra)
+    assert not un_a and not un_b and max(d for _, _, d in pairs) <= 1e-6
 
 
 def test_paper_scale_gyre_mode_recovery():

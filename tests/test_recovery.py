@@ -5,8 +5,6 @@ coefficient vector, push it through the measurement operator, and demand
 the solver return exactly that support and those values.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -14,6 +12,7 @@ from csdmd import recovery
 from csdmd.errors import NoProgress, ZeroInput
 from csdmd.recovery import (
     DenseOperator,
+    RecoveredMode,
     RecoveryConfig,
     SensingOperator,
     cosamp,
@@ -183,7 +182,7 @@ def test_recover_modes_matches_columnwise_calls():
         cols.append(apply_measurement(C, apply_basis(psi, truth, "forward")))
     Y = np.column_stack(cols)
     cfg = RecoveryConfig(sparsity_K=3)
-    modes, diags = recover_modes(SimpleNamespace(Phi=Y), C, psi, cfg)
+    modes, diags = recover_modes(Y, C, psi, cfg)
     assert modes.shape == (256, 3)
     for j in range(3):
         single = cosamp(op, Y[:, j], cfg)
@@ -198,8 +197,9 @@ def test_recover_modes_records_failures_without_aborting():
     bad = rng.standard_normal(16)
     Y = np.column_stack([y, bad, y])
     cfg = RecoveryConfig(sparsity_K=1)
-    modes, diags = recover_modes(SimpleNamespace(Phi=Y), op.C, op.psi, cfg)
-    assert isinstance(diags[1], str)
+    modes, diags = recover_modes(Y, op.C, op.psi, cfg)
+    assert isinstance(diags[1], NoProgress)
+    assert isinstance(diags[0], RecoveredMode) and isinstance(diags[2], RecoveredMode)
     np.testing.assert_allclose(diags[0].coeffs, truth, atol=1e-8)
     np.testing.assert_allclose(diags[2].coeffs, truth, atol=1e-8)
     assert np.all(modes[:, 1] == 0)
