@@ -58,6 +58,11 @@ class SnapshotPair:
     def m(self):
         return self.X.shape[1]
 
+    @property
+    def shifted(self):
+        """True when X' is X shifted by one step, bit for bit."""
+        return np.array_equal(self.X[:, 1:], self.Xp[:, :-1])
+
     def map_snapshots(self, f, grid=None):
         """The pair of f(S), where S holds every distinct snapshot once:
         [X, X'[:, -1]] when X' is X shifted by one step, else [X, X'].
@@ -66,7 +71,7 @@ class SnapshotPair:
         the snapshots of a time series runs m+1 times, not 2m.  grid labels
         the rows of the result.
         """
-        if np.array_equal(self.X[:, 1:], self.Xp[:, :-1]):
+        if self.shifted:
             F = f(np.column_stack([self.X, self.Xp[:, -1]]))
             return SnapshotPair(X=F[:, :-1], Xp=F[:, 1:], dt=self.dt, grid=grid)
         F = f(np.column_stack([self.X, self.Xp]))
@@ -97,14 +102,24 @@ class DmdResult:
 
 def measure_pair(C: MeasurementMatrix, pair: SnapshotPair) -> SnapshotPair:
     """The measured pair Y = C X, Y' = C X'.  Rows are measurements, so the
-    result carries no grid."""
-    # not map_snapshots: its shift check reads all of X and X' (~39 ms at
-    # 131072 x 150), while a pixel gather of both takes ~1 ms
-    return SnapshotPair(
-        X=apply_measurement(C, pair.X),
-        Xp=apply_measurement(C, pair.Xp),
-        dt=pair.dt,
-    )
+    result carries no grid.
+
+    For a dense C and a shifted pair, Y' is [Y[:, 1:], C x_m]: measuring
+    the m+1 distinct snapshots once keeps the shift bit for bit (a separate
+    C X' can differ from C X by ~1e-15 in the shared columns), so 2A's
+    map_snapshots runs m+1 solves, not 2m.
+    """
+    Y = apply_measurement(C, pair.X)
+    # a pixel gather keeps the shift anyway, and gathering X' (~1 ms at
+    # 131072 x 150) is cheaper than the shift check, which reads X and X'
+    if C.kind != "pixel" and pair.shifted:
+        # x_m is measured as one of two columns: that product runs the same
+        # GEMM kernel as C X, while a matrix-vector product sums in another order
+        last = apply_measurement(C, pair.Xp[:, -2:])[:, -1:]
+        Yp = np.concatenate([Y[:, 1:], last], axis=1)
+    else:
+        Yp = apply_measurement(C, pair.Xp)
+    return SnapshotPair(X=Y, Xp=Yp, dt=pair.dt)
 
 
 def _fit(X, Xp, truncation_tol, full_X=None):

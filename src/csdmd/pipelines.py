@@ -304,10 +304,12 @@ def verify_invariance_suite(data: SnapshotPair, seed=0, truncation_tol=1e-6):
                           as an explicit operator identity on a small projected
                           copy of the data
 
-    The default rank cutoff (1e-6) sits above the Gram-eigenvalue noise
-    floor of the snapshot-method SVD, so every retained direction is well
-    conditioned; pushing it lower admits junk directions whose eigenvalues
-    are not reproducible under transformation.
+    The rank cutoff must sit above the Gram-eigenvalue noise floor of the
+    snapshot-method SVD, or junk directions whose eigenvalues are not
+    reproducible under transformation are retained.  The default (1e-6)
+    does so on planted waves but not on the double gyre: on a 64 x 32 gyre
+    all five checks fail at 1e-6 (eig_dev 2e-9 to 1e-7 against 1e-10 and
+    1e-8) and pass at 1e-4.
 
     Returns a list of check dicts; each has name, measured deviations,
     thresholds, and a passed flag.
@@ -385,7 +387,9 @@ def verify_invariance_suite(data: SnapshotPair, seed=0, truncation_tol=1e-6):
     worst = 0.0
     for _ in range(3):
         p = int(rng.integers(d, 2 * d + 1))
-        Cg = rng.standard_normal((p, d))
+        # orthonormal columns: Ys keeps Xs's singular values, so svd_econ
+        # retains the same rank and the identity holds to rounding
+        Cg, _ = np.linalg.qr(rng.standard_normal((p, d)))
         Ys = Cg @ Xs
         Ysp = Cg @ Xsp
         A_meas = Ysp @ pinv_from_svd(svd_econ(Ys, truncation_tol))

@@ -119,6 +119,7 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
             stacklevel=2,
         )
 
+    top = min(2 * K, n)
     support = best_support = np.array([], dtype=int)
     best_coef = np.array([], dtype=complex)
     best_res = np.inf
@@ -126,8 +127,9 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
     residual = y.copy()
     iters = 0
     for iters in range(1, MAX_ITERS + 1):
-        proxy = A_apply.adjoint(residual)
-        candidates = np.argsort(np.abs(proxy))[-2 * K:]
+        proxy = np.abs(A_apply.adjoint(residual))
+        # union1d sorts, so the 2K largest need no order among themselves
+        candidates = np.argpartition(proxy, -top)[-top:]
         merged = np.union1d(support, candidates)
         AT = A_apply.columns(merged)
         G = AT.conj().T @ AT + TIKHONOV_FLOOR * np.eye(len(merged))

@@ -78,6 +78,11 @@ def apply_measurement(C: MeasurementMatrix, X):
         raise DimensionError(f"operand has {rows} rows, measurement expects {C.n}")
     if C.kind == "pixel":
         return X[C.indices]
+    if _split_product(C, X):
+        # interleaved (re, im) pairs: column 2j is Re x_j, column 2j+1 is Im x_j
+        flat = np.ascontiguousarray(X).reshape(rows, -1)
+        Y = C.payload @ flat.view(flat.real.dtype)
+        return Y.view(flat.dtype).reshape((C.p,) + X.shape[1:])
     return C.payload @ X
 
 
@@ -91,7 +96,20 @@ def adjoint_measurement(C: MeasurementMatrix, Y):
         out = np.zeros(out_shape, dtype=Y.dtype)
         out[C.indices] = Y
         return out
+    if _split_product(C, Y):
+        # (Y^T C)^T: a (2k, p) by (p, n) product reads C row by row, ~2x
+        # faster than C^T Y for the few columns CoSaMP passes
+        flat = np.ascontiguousarray(Y).reshape(C.p, -1)
+        X = np.ascontiguousarray((flat.view(flat.real.dtype).T @ C.payload).T)
+        return X.view(flat.dtype).reshape((C.n,) + Y.shape[1:])
     return C.payload.conj().T @ Y
+
+
+def _split_product(C: MeasurementMatrix, operand):
+    """True when a real payload meets a complex operand.  The product then
+    runs as one real GEMM on the operand's real and imaginary parts, so the
+    p x n payload is never cast to complex (a 2x larger copy per call)."""
+    return not np.iscomplexobj(C.payload) and np.iscomplexobj(operand)
 
 
 @dataclass(frozen=True)
@@ -164,18 +182,26 @@ def mutual_coherence(C: MeasurementMatrix, psi: SparseBasis) -> float:
 
     Every entry of C Psi has magnitude 1/sqrt(n) for the pixel kind.
     Otherwise, as the DFT matrix is symmetric, the i-th row of C Psi is the
-    basis synthesis of the i-th (conjugated) measurement row.  The rows go
-    through the FFT 16 at a time, so no p x n complex array is formed.
+    basis synthesis of the i-th (conjugated) measurement row.  For a real
+    row that synthesis is the conjugate of the forward transform, whose
+    Hermitian half (rfft2) holds every magnitude.  The rows go through the
+    FFT 16 at a time, so no p x n complex array is formed.
     """
     if C.n != psi.n:
         raise DimensionError(f"measurement n={C.n} does not match basis n={psi.n}")
     if C.kind == "pixel":
         return 1.0 / math.sqrt(C.n)
+    nx, ny = psi.grid
+    real = not np.iscomplexobj(C.payload)
     peak = 0.0
     for rows in np.array_split(C.payload, -(-C.p // 16)):
-        # products[:, i] = Psi @ conj(row_i); entry j equals <row_i, psi_j>
-        products = apply_basis(psi, rows.conj().T, "forward")
-        row_peak = np.max(np.abs(products), axis=0) / np.linalg.norm(rows, axis=1)
+        if real:
+            spectra = np.fft.rfft2(rows.reshape(-1, ny, nx), norm="ortho")
+            entries = np.abs(spectra).reshape(len(rows), -1)
+        else:
+            # products[:, i] = Psi @ conj(row_i); entry j equals <row_i, psi_j>
+            entries = np.abs(apply_basis(psi, rows.conj().T, "forward")).T
+        row_peak = np.max(entries, axis=1) / np.linalg.norm(rows, axis=1)
         peak = max(peak, float(np.max(row_peak)))
     return peak
 

@@ -168,6 +168,18 @@ def test_verify_reports_all_checks(workspace, capsys):
     assert all(ln.startswith("pass") for ln in lines)
 
 
+def test_verify_passes_on_the_double_gyre(tmp_path, capsys):
+    # a Gaussian p x d projection re-truncated the projected gyre data
+    # (projection_commutes read 0.30); the default tol 1e-6 still fails here
+    out = tmp_path / "gyre"
+    assert main(["gen", "gyre", "--nx", "64", "--ny", "32", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--snapshots", str(out), "--tol", "1e-4"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
+    assert len(lines) == 5
+    assert all(ln.startswith("pass") for ln in lines)
+
+
 def test_config_error_exit_codes(workspace, tmp_path, capsys):
     assert main(["bogus"]) == 2
     assert main(["dmd", "--wat"]) == 2

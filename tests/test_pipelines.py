@@ -205,10 +205,32 @@ def test_snapshot_reconstruction_default_sparsity(seed):
     assert max(row["abs_delta"] for row in report.truth_table) <= 1e-6
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
+def test_dense_measurement_keeps_the_shift(kind, monkeypatch):
+    # a separate C X' differs from C X by ~1e-15 in the shared columns at
+    # this small p, which made 2A solve 2m problems
+    data, _ = generate_fourier_lti(make_fourier_lti(nx=32, ny=32, K=2, m=20, seed=11))
+    C = make_measurement(kind, 32, data.n, seed=2)
+    measured = measure_pair(C, data)
+    np.testing.assert_array_equal(measured.X[:, 1:], measured.Xp[:, :-1])
+    np.testing.assert_array_equal(measured.X, C.payload @ data.X)
+    np.testing.assert_allclose(measured.Xp, C.payload @ data.Xp, rtol=1e-13, atol=0)
+    solves = []
+    cosamp = recovery.cosamp
+
+    def counted(op, y, cfg):
+        solves.append(1)
+        return cosamp(op, y, cfg)
+
+    monkeypatch.setattr(recovery, "cosamp", counted)
+    run_2a(measured, C, data.grid, 4, 1e-6)
+    assert len(solves) == data.m + 1
+
+
 def test_snapshot_reconstruction_solves_each_distinct_snapshot_once(monkeypatch):
     # a time series has m+1 distinct snapshots; permuting the columns of
-    # the pair breaks the shift, leaving 2m of them.  Pixel rows keep the
-    # shift bit for bit (a dense product need not).
+    # the pair breaks the shift, leaving 2m of them.  measure_pair keeps
+    # the shift bit for bit.
     data, _ = generate_fourier_lti(make_fourier_lti(nx=32, ny=32, K=2, m=20, seed=11))
     C = make_measurement("pixel", 100, data.n, seed=2)
     measured = measure_pair(C, data)

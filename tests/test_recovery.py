@@ -128,6 +128,51 @@ def test_cosamp_reads_only_adjoint_and_support_columns():
     assert op.calls == {"adjoint": mode.iters, "columns": mode.iters}
 
 
+class SpyOperator(DenseOperator):
+    """Records each proxy magnitude and each merged support cosamp asks for."""
+
+    def __init__(self, A):
+        super().__init__(A)
+        self.proxies, self.merged = [], []
+
+    def adjoint(self, y):
+        proxy = super().adjoint(y)
+        self.proxies.append(np.abs(proxy))
+        return proxy
+
+    def columns(self, idx):
+        self.merged.append(set(idx.tolist()))
+        return super().columns(idx)
+
+
+def test_candidates_are_the_2k_largest_proxy_entries():
+    # reference: a full argsort of the proxy; complex Gaussian entries make
+    # it tie-free, and a target that is not sparse runs several iterations
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((30, 200)) + 1j * rng.standard_normal((30, 200))
+    op = SpyOperator(A / np.sqrt(60))
+    y = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    K = 4
+    with pytest.raises(NoProgress):
+        cosamp(op, y, RecoveryConfig(sparsity_K=K))
+    assert len(op.proxies) > 2
+    previous = set()
+    for proxy, merged in zip(op.proxies, op.merged):
+        assert len(np.unique(proxy)) == len(proxy)
+        top = set(np.argsort(proxy)[-2 * K:].tolist())
+        # the rest of the merged support is the previous kept support
+        assert top <= merged and merged - top <= previous
+        previous = merged
+
+
+def test_candidates_cover_a_basis_smaller_than_2k():
+    op = SpyOperator(np.eye(5))
+    with pytest.warns(RuntimeWarning):
+        mode = cosamp(op, np.array([0, 0, 3.0, 0, 0]), RecoveryConfig(sparsity_K=3))
+    assert op.merged[0] == set(range(5))
+    np.testing.assert_allclose(mode.coeffs, [0, 0, 3.0, 0, 0], atol=1e-10)
+
+
 def test_zero_input_rejected():
     op = DenseOperator(np.eye(4))
     with pytest.raises(ZeroInput):

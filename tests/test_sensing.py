@@ -5,13 +5,17 @@ oracle, and measurement application is checked against dense
 matrix-vector products assembled entry by entry.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from csdmd.errors import BadDimensions
+from csdmd.recovery import SensingOperator
 from csdmd.sensing import (
     MeasurementMatrix,
     SparseBasis,
+    adjoint_measurement,
     apply_basis,
     apply_measurement,
     make_measurement,
@@ -120,6 +124,49 @@ def test_apply_matches_dense_multiply():
         )
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "unitary"])
+@pytest.mark.parametrize("shape", [(40,), (40, 5)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_products_match_the_dense_complex_product(kind, shape, dtype):
+    # reference: the payload cast to complex, as numpy casts it unasked; the
+    # block operands are also passed in column-major order
+    rng = np.random.default_rng(12)
+    C = make_measurement(kind, 9, 40, seed=4)
+    D = C.payload.astype(complex)
+
+    def draw(rows):
+        size = (rows,) + shape[1:]
+        part = lambda: rng.standard_normal(size)
+        return part() + 1j * part() if dtype is complex else part()
+
+    X, Y = draw(40), draw(9)
+    cases = [(apply_measurement, D, X), (adjoint_measurement, D.conj().T, Y)]
+    if len(shape) == 2:
+        cases += [(f, M, np.asfortranarray(V)) for f, M, V in cases]
+    for f, M, V in cases:
+        got, want = f(C, V), M @ V
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_dense_products_never_cast_the_real_payload():
+    # a complex copy of the 112 x 16384 payload alone would be 29 MB
+    C = make_measurement("gaussian", 112, 16384, seed=0)
+    op = SensingOperator(C, SparseBasis((128, 128)))
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal(112) + 1j * rng.standard_normal(112)
+    idx = np.arange(15) * 1000
+    for product in (lambda: adjoint_measurement(C, y), lambda: op.columns(idx)):
+        product()
+        tracemalloc.start()
+        try:
+            product()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < C.payload.nbytes
+
+
 def test_identity_kind():
     # sampling every pixel is the identity measurement; there is no
     # separate kind for it
@@ -164,6 +211,23 @@ def test_coherence_of_basis_itself_is_one():
     atoms = basis_matrix((4, 4))
     C = make_measurement("unitary", 5, 16, seed=0, payload=atoms.T[:5])
     assert abs(mutual_coherence(C, psi) - 1.0) < 1e-12
+
+
+def synthesis_coherence(C, psi):
+    """The complex route: synthesize every conjugated row with ifft2."""
+    products = apply_basis(psi, C.payload.conj().T, "forward")
+    row_peaks = np.max(np.abs(products), axis=0) / np.linalg.norm(C.payload, axis=1)
+    return float(np.max(row_peaks))
+
+
+@pytest.mark.parametrize("grid", [(8, 6), (7, 5), (9, 4), (5, 9)])
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
+def test_real_payload_coherence_matches_complex_synthesis(grid, kind):
+    # odd and even grid sides; 20 rows span two blocks of 16
+    n = grid[0] * grid[1]
+    C = make_measurement(kind, 20, n, seed=n)
+    psi = SparseBasis(grid)
+    assert abs(mutual_coherence(C, psi) - synthesis_coherence(C, psi)) <= 1e-15
 
 
 def test_gaussian_coherence_regression():
