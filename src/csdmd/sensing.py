@@ -109,7 +109,7 @@ def _split_product(C: MeasurementMatrix, operand):
     """True when a real payload meets a complex operand.  The product then
     runs as one real GEMM on the operand's real and imaginary parts, so the
     p x n payload is never cast to complex (a 2x larger copy per call)."""
-    return not np.iscomplexobj(C.payload) and np.iscomplexobj(operand)
+    return np.isrealobj(C.payload) and np.iscomplexobj(operand)
 
 
 @dataclass(frozen=True)
@@ -192,10 +192,9 @@ def mutual_coherence(C: MeasurementMatrix, psi: SparseBasis) -> float:
     if C.kind == "pixel":
         return 1.0 / math.sqrt(C.n)
     nx, ny = psi.grid
-    real = not np.iscomplexobj(C.payload)
     peak = 0.0
     for rows in np.array_split(C.payload, -(-C.p // 16)):
-        if real:
+        if np.isrealobj(rows):
             spectra = np.fft.rfft2(rows.reshape(-1, ny, nx), norm="ortho")
             entries = np.abs(spectra).reshape(len(rows), -1)
         else:
