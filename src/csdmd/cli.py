@@ -46,17 +46,28 @@ NUMERICAL_ERRORS = (
 CONFIG_ERRORS = (CsdmdError, FileNotFoundError, json.JSONDecodeError, KeyError)
 
 
-def _write_pair(out_dir, pair: SnapshotPair):
-    io_mod.write_matrix(out_dir, "X", pair.X, grid=pair.grid, dt=pair.dt)
-    io_mod.write_matrix(out_dir, "Xp", pair.Xp, grid=pair.grid, dt=pair.dt)
-
-
-def _read_pair(directory):
-    X, side = io_mod.read_matrix(directory, "X")
-    Xp, _ = io_mod.read_matrix(directory, "Xp")
+def _read_pair(directory, x="X", xp="Xp", dt=1.0, chunk=1 << 21):
+    """The pair stored as x.bin and xp.bin (dt from x's sidecar, if there).
+    x goes into an n x (m+1) block and xp is checked against its shift in
+    chunks of about chunk entries: if xp matches, bit for bit, the block
+    takes its last column and holds the pair; else both are copied."""
+    S, side = io_mod.read_matrix(directory, x, spare_cols=1)
+    n, m = S.shape[0], S.shape[1] - 1
     grid = tuple(side["grid"]) if side.get("grid") else None
-    dt = side.get("dt", 1.0)
-    return SnapshotPair(X=X, Xp=Xp, dt=dt, grid=grid)
+    dt = side.get("dt", dt)
+    step = max(1, chunk // max(n, 1))
+    for k in range(0, m, step):
+        part, xp_side = io_mod.read_matrix(directory, xp, range(k, min(k + step, m)))
+        if (xp_side["rows"], xp_side["cols"], part.dtype) != (n, m, S.dtype):
+            break
+        if k + step >= m:  # the last chunk: the block takes x_m
+            S[:, m] = part[:, -1]
+        if not np.array_equal(part, S[:, k + 1 : k + 1 + part.shape[1]]):
+            break
+    else:
+        return SnapshotPair.series(S, dt, grid)
+    Xp, _ = io_mod.read_matrix(directory, xp)
+    return SnapshotPair(X=S[:, :-1], Xp=Xp, dt=dt, grid=grid)
 
 
 def _write_result(out_dir, result, extra=None):
@@ -98,7 +109,6 @@ def _cmd_gen(args):
         pair, truth = generate_fourier_lti(sys_cfg)
         if args.noise > 0:
             pair = add_fourier_noise(pair, args.noise, args.noise_seed)
-        _write_pair(args.out, pair)
         io_mod.write_matrix(args.out, "truth_lambdas", truth.lambdas)
         io_mod.write_matrix(args.out, "truth_atoms", truth.atoms, grid=sys_cfg.grid)
         meta = {
@@ -113,9 +123,6 @@ def _cmd_gen(args):
             "wavenumbers": [list(w) for w in sys_cfg.wavenumbers],
             "mu": [complex(z) for z in sys_cfg.mu],
         }
-        io_mod.atomic_write_text(
-            os.path.join(args.out, "system.json"), io_mod.dumps_report(meta)
-        )
     else:
         params = DoubleGyreParams(
             A=args.amp,
@@ -127,7 +134,6 @@ def _cmd_gen(args):
             dt=args.dt,
         )
         pair = generate_gyre_snapshots(params, args.observable)
-        _write_pair(args.out, pair)
         meta = {
             "system": "double_gyre",
             "nx": args.nx,
@@ -140,9 +146,11 @@ def _cmd_gen(args):
             "dt": args.dt,
             "observable": args.observable,
         }
-        io_mod.atomic_write_text(
-            os.path.join(args.out, "system.json"), io_mod.dumps_report(meta)
-        )
+    io_mod.write_matrix(args.out, "X", pair.X, grid=pair.grid, dt=pair.dt)
+    io_mod.write_matrix(args.out, "Xp", pair.Xp, grid=pair.grid, dt=pair.dt)
+    io_mod.atomic_write_text(
+        os.path.join(args.out, "system.json"), io_mod.dumps_report(meta)
+    )
     return 0
 
 
@@ -206,9 +214,7 @@ def _load_measurement(path):
 
 def _cmd_csdmd(args):
     C, grid, dt = _load_measurement(args.measure_file)
-    Y, side = io_mod.read_matrix(args.measured, "Y")
-    Yp, _ = io_mod.read_matrix(args.measured, "Yp")
-    measured = SnapshotPair(X=Y, Xp=Yp, dt=side.get("dt", dt))
+    measured = _read_pair(args.measured, "Y", "Yp", dt)
 
     if args.reconstruct_snapshots:
         result = run_2a(measured, C, grid, args.sparsity, args.tol)

@@ -10,7 +10,6 @@ full state space using the full shifted snapshots.
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,62 +20,56 @@ from .sensing import MeasurementMatrix, apply_measurement
 ZERO_EIG_REL = 1e-12
 
 
-@dataclass(frozen=True)
 class SnapshotPair:
-    """Snapshot matrix X and its one-step-shifted counterpart X'.
+    """Snapshot matrix X and its one-step-shifted counterpart X', held in
+    one block S that stores each distinct snapshot once: X = S[:, :m] and
+    X' = S[:, lag:].  A time series [x_0 ... x_m] has lag 1 and m+1
+    columns; any other pair has lag m and S = [X, X'].
 
     Columns are state vectors at successive, evenly spaced times.  The
     optional grid records the 2-d spatial shape (nx, ny) with nx*ny rows.
     """
 
-    X: np.ndarray
-    Xp: np.ndarray
-    dt: float
-    grid: Optional[tuple] = None
-
-    def __post_init__(self):
-        X = np.asarray(self.X)
-        Xp = np.asarray(self.Xp)
+    def __init__(self, X, Xp, dt, grid=None):
+        """The pair (X, X'), copied into S, with lag 1 when X' is X shifted
+        by one step, bit for bit."""
+        X, Xp = np.asarray(X), np.asarray(Xp)
         if X.ndim != 2 or X.shape != Xp.shape:
             raise DimensionError(
                 f"snapshot matrices must share shape, got {X.shape} and {Xp.shape}"
             )
-        if self.grid is not None:
-            nx, ny = self.grid
-            if nx * ny != X.shape[0]:
-                raise DimensionError(
-                    f"grid {self.grid} does not match row count {X.shape[0]}"
-                )
-        if self.dt <= 0:
+        lag = 1 if np.array_equal(X[:, 1:], Xp[:, :-1]) else X.shape[1]
+        # the columns of X' that X lacks: the last one, or all of them
+        self._wrap(np.column_stack([X, Xp[:, X.shape[1] - lag :]]), lag, dt, grid)
+
+    @classmethod
+    def series(cls, S, dt, grid=None):
+        """The pair of the time series S = [x_0 ... x_m], as views of S."""
+        return cls._block(S, 1, dt, grid)
+
+    @classmethod
+    def _block(cls, S, lag, dt, grid):
+        """The pair X = S[:, :m], X' = S[:, lag:] over S itself."""
+        pair = cls.__new__(cls)
+        pair._wrap(np.asarray(S), lag, dt, grid)
+        return pair
+
+    def _wrap(self, S, lag, dt, grid):
+        if S.ndim != 2 or S.shape[1] <= lag:
+            raise DimensionError(f"a block of shape {S.shape} holds no pair at lag {lag}")
+        if grid is not None and grid[0] * grid[1] != S.shape[0]:
+            raise DimensionError(f"grid {grid} does not match row count {S.shape[0]}")
+        if dt <= 0:
             raise DimensionError("dt must be positive")
-
-    @property
-    def n(self):
-        return self.X.shape[0]
-
-    @property
-    def m(self):
-        return self.X.shape[1]
-
-    @property
-    def shifted(self):
-        """True when X' is X shifted by one step, bit for bit."""
-        return np.array_equal(self.X[:, 1:], self.Xp[:, :-1])
+        self.S, self.lag, self.dt, self.grid = S, lag, dt, grid
+        self.n, self.m = S.shape[0], S.shape[1] - lag
+        self.X, self.Xp = S[:, : self.m], S[:, lag:]
 
     def map_snapshots(self, f, grid=None):
-        """The pair of f(S), where S holds every distinct snapshot once:
-        [X, X'[:, -1]] when X' is X shifted by one step, else [X, X'].
-
-        f maps the n x k block S to an n' x k block in one call, so work on
-        the snapshots of a time series runs m+1 times, not 2m.  grid labels
-        the rows of the result.
-        """
-        if self.shifted:
-            F = f(np.column_stack([self.X, self.Xp[:, -1]]))
-            return SnapshotPair(X=F[:, :-1], Xp=F[:, 1:], dt=self.dt, grid=grid)
-        F = f(np.column_stack([self.X, self.Xp]))
-        m = self.m
-        return SnapshotPair(X=F[:, :m], Xp=F[:, m:], dt=self.dt, grid=grid)
+        """The pair of f(S) at the same lag.  f maps the n x k block S to an
+        n' x k block in one call, so work on the snapshots of a time series
+        runs m+1 times, not 2m.  grid labels the rows of the result."""
+        return SnapshotPair._block(f(self.S), self.lag, self.dt, grid)
 
 
 @dataclass(frozen=True)
@@ -101,25 +94,10 @@ class DmdResult:
 
 
 def measure_pair(C: MeasurementMatrix, pair: SnapshotPair) -> SnapshotPair:
-    """The measured pair Y = C X, Y' = C X'.  Rows are measurements, so the
-    result carries no grid.
-
-    For a dense C and a shifted pair, Y' is [Y[:, 1:], C x_m]: measuring
-    the m+1 distinct snapshots once keeps the shift bit for bit (a separate
-    C X' can differ from C X by ~1e-15 in the shared columns), so 2A's
-    map_snapshots runs m+1 solves, not 2m.
-    """
-    Y = apply_measurement(C, pair.X)
-    # a pixel gather keeps the shift anyway, and gathering X' (~1 ms at
-    # 131072 x 150) is cheaper than the shift check, which reads X and X'
-    if C.kind != "pixel" and pair.shifted:
-        # x_m is measured as one of two columns: that product runs the same
-        # GEMM kernel as C X, while a matrix-vector product sums in another order
-        last = apply_measurement(C, pair.Xp[:, -2:])[:, -1:]
-        Yp = np.concatenate([Y[:, 1:], last], axis=1)
-    else:
-        Yp = apply_measurement(C, pair.Xp)
-    return SnapshotPair(X=Y, Xp=Yp, dt=pair.dt)
+    """The measured pair Y = C X, Y' = C X', as C S at the pair's lag, so a
+    time series is measured once per distinct snapshot and stays a series.
+    Rows are measurements, so the result carries no grid."""
+    return pair.map_snapshots(lambda S: apply_measurement(C, S))
 
 
 def _fit(X, Xp, truncation_tol, full_X=None):

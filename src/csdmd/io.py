@@ -86,20 +86,28 @@ def write_matrix(directory, name, M, grid=None, dt=None):
     )
 
 
-def read_matrix(directory, name):
-    """Read a matrix written by write_matrix; returns (array, sidecar)."""
+def read_matrix(directory, name, columns=None, spare_cols=0):
+    """Read a matrix written by write_matrix; returns (array, sidecar).
+    The array is column-major: the columns in the range columns (all by
+    default), then spare_cols unset columns for the caller to fill."""
     with open(os.path.join(directory, f"{name}.json"), "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
     rows, cols, dtype = sidecar["rows"], sidecar["cols"], sidecar["dtype"]
     np_dtype = {"f64": "<f8", "c128": "<c16"}.get(dtype)
     if np_dtype is None:
         raise DimensionError(f"unknown dtype {dtype!r} in {name}.json")
-    raw = np.fromfile(os.path.join(directory, f"{name}.bin"), dtype=np_dtype)
-    if raw.size != rows * cols:
-        raise DimensionError(
-            f"{name}.bin holds {raw.size} entries, sidecar says {rows}x{cols}"
-        )
-    M = raw.reshape((rows, cols), order="F")
+    columns = range(cols) if columns is None else columns
+    M = np.empty((rows, len(columns) + spare_cols), np_dtype, order="F")
+    with open(os.path.join(directory, f"{name}.bin"), "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != rows * cols * M.itemsize or columns.stop > cols:
+            raise DimensionError(
+                f"{name}.bin holds {size} bytes, sidecar says {rows}x{cols} {dtype}; "
+                f"columns up to {columns.stop} asked for"
+            )
+        fh.seek(columns.start * rows * M.itemsize)
+        # the transpose of a column-major block is C-contiguous
+        fh.readinto(M[:, : len(columns)].T)
     return M, sidecar
 
 

@@ -59,7 +59,9 @@ def svd_econ(X, truncation_tol=DEFAULT_TRUNCATION_TOL):
     triplets.  Singular values below ``truncation_tol`` times the largest
     are discarded.  A tolerance below GRAM_TOL_FLOOR (2 sqrt(eps), about
     3e-8), where the Gram route no longer resolves singular values, is
-    raised to the floor.
+    raised to the floor.  This is a limit: singular values below the floor
+    times the largest are dropped even when the data truly has them, so
+    no requested tolerance keeps a spectrum below about 3e-8.
 
     Parameters
     ----------

@@ -164,8 +164,9 @@ def run_1b(data, C, truncation_tol, timings=None):
 
 def run_2a(measured, C, grid, sparsity_K, truncation_tol, timings=None):
     """Pathway 2A: CoSaMP-reconstruct every distinct measured snapshot on
-    the grid, then decompose the reconstruction.  Raises the first failed
-    column's ZeroInput or NoProgress.  Limited to n <= PATH_2A_MAX_N and
+    the grid, then decompose the reconstruction (its real part when C and
+    the measured pair are real).  Raises the first failed column's
+    ZeroInput or NoProgress.  Limited to n <= PATH_2A_MAX_N and
     m <= PATH_2A_MAX_M, since it runs one sparse solve per snapshot, m+1
     for a time series."""
     psi = _sparse_basis(grid)
@@ -175,13 +176,16 @@ def run_2a(measured, C, grid, sparsity_K, truncation_tol, timings=None):
             f"m<={PATH_2A_MAX_M}; got n={C.n}, m={measured.m}"
         )
     rcfg = RecoveryConfig(sparsity_K=sparsity_K)
+    # the true snapshot of real data measured by a real C (pixel has no
+    # payload) is real: its real part is no worse, and Atilde stays real
+    real = not (np.iscomplexobj(measured.S) or np.iscomplexobj(C.payload))
 
     def reconstruct(Y):
         fields, diags = recover_modes(Y, C, psi, rcfg)
         failed = [d for d in diags if not isinstance(d, RecoveredMode)]
         if failed:
             raise failed[0]
-        return fields
+        return fields.real if real else fields
 
     with _timed(timings, "snapshot_recovery_s"):
         reconstructed = measured.map_snapshots(reconstruct)
@@ -380,19 +384,16 @@ def verify_invariance_suite(data: SnapshotPair, seed=0, truncation_tol=1e-6):
 
     # operator identity C A_full = A_measured C on a small projected copy
     d = min(32, ref.rank)
-    Ud = ref.svd_used.U[:, :d]
-    Xs = Ud.conj().T @ data.X
-    Xsp = Ud.conj().T @ data.Xp
-    A_full = Xsp @ pinv_from_svd(svd_econ(Xs, truncation_tol))
+    small = data.map_snapshots(lambda S: ref.svd_used.U[:, :d].conj().T @ S)
+    A_full = small.Xp @ pinv_from_svd(svd_econ(small.X, truncation_tol))
     worst = 0.0
     for _ in range(3):
         p = int(rng.integers(d, 2 * d + 1))
-        # orthonormal columns: Ys keeps Xs's singular values, so svd_econ
-        # retains the same rank and the identity holds to rounding
+        # orthonormal columns: Cg keeps the singular values of the small
+        # data, so svd_econ retains the same rank and the identity holds to rounding
         Cg, _ = np.linalg.qr(rng.standard_normal((p, d)))
-        Ys = Cg @ Xs
-        Ysp = Cg @ Xsp
-        A_meas = Ysp @ pinv_from_svd(svd_econ(Ys, truncation_tol))
+        measured = small.map_snapshots(lambda S: Cg @ S)
+        A_meas = measured.Xp @ pinv_from_svd(svd_econ(measured.X, truncation_tol))
         resid = np.linalg.norm(Cg @ A_full - A_meas @ Cg) / np.linalg.norm(
             Cg @ A_full
         )

@@ -127,7 +127,7 @@ def generate_fourier_lti(sys: FourierLtiSystem):
     snaps = 2.0 * (atoms[:, ::2] @ values).real
     lambdas = np.exp(np.column_stack([sys.mu, sys.mu.conj()]).reshape(-1) * sys.dt)
 
-    pair = SnapshotPair(X=snaps[:, :-1], Xp=snaps[:, 1:], dt=sys.dt, grid=sys.grid)
+    pair = SnapshotPair.series(snaps, sys.dt, sys.grid)
     truth = FourierTruth(
         lambdas=lambdas, atoms=atoms, mu=sys.mu.copy(), wavenumbers=sys.wavenumbers
     )
@@ -237,4 +237,4 @@ def generate_gyre_snapshots(params: DoubleGyreParams, observable="vorticity"):
             cols.append(np.concatenate([u.reshape(-1), v.reshape(-1)]))
     snaps = np.column_stack(cols)
     grid = params.grid if observable == "vorticity" else None
-    return SnapshotPair(X=snaps[:, :-1], Xp=snaps[:, 1:], dt=params.dt, grid=grid)
+    return SnapshotPair.series(snaps, params.dt, grid)

@@ -9,11 +9,13 @@ import json
 import numpy as np
 import pytest
 
-from csdmd.cli import HANDLERS, main
+from csdmd import io, recovery
+from csdmd.cli import HANDLERS, _read_pair, main
 from csdmd.dmd import SnapshotPair
 from csdmd.errors import (
     ConvergenceError,
     CsdmdError,
+    DimensionError,
     NoProgress,
     RankCollapse,
     ZeroInput,
@@ -97,6 +99,102 @@ def test_compressed_and_recovery_chain(workspace):
         assert report["max_abs_delta"] <= 1e-8
         assert min(report["mode_alignments"]) >= 1.0 - 1e-8
         assert report["unmatched_a"] == []
+
+
+@pytest.mark.parametrize("chunk", [1 << 21, 256, 3 * 256, 4 * 256])
+def test_generated_pair_reads_back_as_one_series(workspace, chunk, monkeypatch):
+    # X' is checked against the shift of X in chunks of 20, 1, 3 or 4 columns
+    data = str(workspace / "data")
+    read = io.read_matrix
+    xp_columns = []
+
+    def recording(directory, name, columns=None, spare_cols=0):
+        if name == "Xp":
+            xp_columns.append(columns)
+        return read(directory, name, columns, spare_cols)
+
+    monkeypatch.setattr(io, "read_matrix", recording)
+    pair = _read_pair(data, chunk=chunk)
+    monkeypatch.undo()
+    # each column of X' is read once, by the chunked check
+    assert None not in xp_columns and sum(map(len, xp_columns)) == 20
+    assert pair.lag == 1 and pair.S.shape == (256, 21)
+    # X and X' are views of the one n x (m+1) block read from the files
+    assert pair.S.flags.owndata and np.shares_memory(pair.X, pair.Xp)
+    np.testing.assert_array_equal(pair.X, read_matrix(data, "X")[0])
+    np.testing.assert_array_equal(pair.Xp, read_matrix(data, "Xp")[0])
+    assert pair.dt == 0.05 and pair.grid == (16, 16)
+
+
+@pytest.mark.parametrize("chunk", [1 << 21, 6])
+def test_pair_that_is_not_a_series_reads_back_whole(tmp_path, chunk):
+    # one entry of X' one ulp off the shift, in the second of 1-column chunks
+    X = np.random.default_rng(0).standard_normal((6, 4))
+    Xp = np.column_stack([X[:, 1:], X[:, 0]])
+    Xp[2, 1] = np.nextafter(Xp[2, 1], np.inf)
+    write_matrix(str(tmp_path), "X", X, dt=0.5)
+    write_matrix(str(tmp_path), "Xp", Xp, dt=0.5)
+    pair = _read_pair(str(tmp_path), chunk=chunk)
+    assert pair.lag == 4 and pair.S.shape == (6, 8)
+    np.testing.assert_array_equal(pair.X, X)
+    np.testing.assert_array_equal(pair.Xp, Xp)
+
+
+def test_complex_shifted_matrix_keeps_its_last_column(tmp_path):
+    # X' = [x_1, x_2, x_3, z]: the shift of a real X up to a complex last column
+    X = np.random.default_rng(1).standard_normal((6, 3))
+    Xp = np.column_stack([X[:, 1:], X[:, 0] + 1j]).astype(complex)
+    write_matrix(str(tmp_path), "X", X, dt=0.5)
+    write_matrix(str(tmp_path), "Xp", Xp, dt=0.5)
+    pair = _read_pair(str(tmp_path))
+    np.testing.assert_array_equal(pair.X, X)
+    np.testing.assert_array_equal(pair.Xp, Xp)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "narrowed", "widened"])
+def test_damaged_shifted_matrix_is_a_configuration_error(workspace, tmp_path, capsys,
+                                                         damage):
+    X, side = read_matrix(str(workspace / "data"), "X")
+    Xp, _ = read_matrix(str(workspace / "data"), "Xp")
+    write_matrix(str(tmp_path), "X", X, grid=side["grid"], dt=side["dt"])
+    if damage == "narrowed":
+        write_matrix(str(tmp_path), "Xp", Xp[:, 1:], dt=side["dt"])
+    elif damage == "widened":
+        # the first m columns of X' still are the shift of X
+        write_matrix(str(tmp_path), "Xp", np.column_stack([Xp, Xp[:, -1]]), dt=side["dt"])
+    else:
+        write_matrix(str(tmp_path), "Xp", Xp, dt=side["dt"])
+        blob = (tmp_path / "Xp.bin").read_bytes()
+        (tmp_path / "Xp.bin").write_bytes(blob[:-8])
+    with pytest.raises(DimensionError):
+        _read_pair(str(tmp_path))
+    assert main(["dmd", "--snapshots", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    assert "configuration error in dmd" in capsys.readouterr().err
+
+
+def test_snapshot_reconstruction_from_files_solves_each_snapshot_once(
+    workspace, tmp_path, monkeypatch
+):
+    # cdmd writes a measured series, so 2A runs m+1 solves, not 2m
+    comp = tmp_path / "comp"
+    assert main(
+        ["cdmd", "--snapshots", str(workspace / "data"), "--measure", "pixel",
+         "-p", "24", "--seed", "9", "--tol", "1e-6", "--out", str(comp)]
+    ) == 0
+    solves = []
+    cosamp = recovery.cosamp
+
+    def counted(op, y, cfg):
+        solves.append(1)
+        return cosamp(op, y, cfg)
+
+    monkeypatch.setattr(recovery, "cosamp", counted)
+    assert main(
+        ["csdmd", "--measured", str(comp), "--measure-file",
+         str(comp / "measure.json"), "--sparsity", "4", "--tol", "1e-6",
+         "--reconstruct-snapshots", "--out", str(tmp_path / "recon")]
+    ) == 0
+    assert len(solves) == 21
 
 
 def test_compare_result_with_itself(workspace):

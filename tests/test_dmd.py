@@ -14,6 +14,7 @@ from csdmd.dmd import (
     compare_spectra,
     compressed_dmd,
     exact_dmd,
+    measure_pair,
     mode_alignment,
     pair_eigenvalues,
 )
@@ -47,21 +48,41 @@ def random_consistent_pair(n, m, seed, dt=0.1):
     return SnapshotPair(X=X, Xp=A @ X, dt=dt), A
 
 
+def test_series_pair_holds_views_of_its_snapshots():
+    S = np.arange(12.0).reshape(3, 4)
+    data = SnapshotPair.series(S, dt=0.5)
+    assert data.S is S and data.lag == 1 and data.m == 3
+    assert np.shares_memory(data.X, S) and np.shares_memory(data.Xp, S)
+    np.testing.assert_array_equal(data.X, S[:, :3])
+    np.testing.assert_array_equal(data.Xp, S[:, 1:])
+    with pytest.raises(DimensionError):
+        SnapshotPair.series(S[:, :1], dt=0.5)
+
+
+def test_keyword_pair_stores_each_distinct_snapshot_once():
+    series = rotation_pair(m=6)
+    assert series.lag == 1 and series.S.shape == (2, 7)
+    data, A = random_consistent_pair(5, 8, seed=3)
+    assert data.lag == 8 and data.S.shape == (5, 16)
+    np.testing.assert_array_equal(data.Xp, A @ data.X)
+    with pytest.raises(DimensionError):
+        SnapshotPair(X=np.ones((4, 0)), Xp=np.ones((4, 0)), dt=1.0)
+
+
 def test_map_snapshots_sees_each_snapshot_of_a_series_once():
     # X' is X shifted, so f gets the m+1 distinct snapshots in one call
     data = rotation_pair(m=6, dt=0.5)
     blocks = []
 
     def double(S):
-        blocks.append(S.shape)
+        blocks.append(S)
         return 2.0 * S
 
     got = data.map_snapshots(double, grid=(2, 1))
-    assert blocks == [(2, 7)]
+    assert len(blocks) == 1 and blocks[0] is data.S and data.S.shape == (2, 7)
     np.testing.assert_array_equal(got.X, 2.0 * data.X)
     np.testing.assert_array_equal(got.Xp, 2.0 * data.Xp)
-    np.testing.assert_array_equal(got.X[:, 1:], got.Xp[:, :-1])
-    assert got.dt == 0.5 and got.grid == (2, 1)
+    assert got.lag == 1 and got.dt == 0.5 and got.grid == (2, 1)
 
 
 def test_map_snapshots_sees_both_matrices_of_an_unshifted_pair():
@@ -69,13 +90,30 @@ def test_map_snapshots_sees_both_matrices_of_an_unshifted_pair():
     blocks = []
 
     def negate(S):
-        blocks.append(S.shape)
+        blocks.append(S)
         return -S
 
     got = data.map_snapshots(negate)
-    assert blocks == [(5, 16)]
+    assert len(blocks) == 1 and blocks[0] is data.S and data.S.shape == (5, 16)
     np.testing.assert_array_equal(got.X, -data.X)
     np.testing.assert_array_equal(got.Xp, -data.Xp)
+
+
+def test_pixel_measurement_gathers_each_distinct_snapshot_once(monkeypatch):
+    data, _ = generate_fourier_lti(make_fourier_lti(nx=16, ny=16, K=2, m=20, seed=1))
+    C = make_measurement("pixel", 40, data.n, seed=2)
+    shapes = []
+
+    def recording(C, S):
+        shapes.append(S.shape)
+        return apply_measurement(C, S)
+
+    monkeypatch.setattr("csdmd.dmd.apply_measurement", recording)
+    measured = measure_pair(C, data)
+    assert shapes == [(data.n, data.m + 1)]
+    np.testing.assert_array_equal(measured.X, data.X[C.indices])
+    np.testing.assert_array_equal(measured.Xp, data.Xp[C.indices])
+    assert measured.lag == 1
 
 
 def test_rotation_eigenvalues():

@@ -54,6 +54,17 @@ def test_vector_promoted_to_column(tmp_path):
     assert sidecar["cols"] == 1
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_column_range_and_spare_columns(tmp_path, dtype):
+    M = np.arange(24.0).reshape(6, 4).astype(dtype) * (1 + 1j if dtype is complex else 1)
+    write_matrix(tmp_path, "M", M)
+    part, _ = read_matrix(tmp_path, "M", range(1, 3), spare_cols=2)
+    assert part.shape == (6, 4) and part.flags.f_contiguous
+    np.testing.assert_array_equal(part[:, :2], M[:, 1:3])
+    with pytest.raises(DimensionError):
+        read_matrix(tmp_path, "M", range(3, 5))
+
+
 def test_size_mismatch_detected(tmp_path):
     write_matrix(tmp_path, "X", np.ones((3, 3)))
     with open(os.path.join(tmp_path, "X.bin"), "ab") as fh:

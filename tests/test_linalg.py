@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from csdmd.errors import ConvergenceError, DimensionError, ZeroInput
-from csdmd.linalg import EIG_MAX_DIM, eig_dense, pinv_from_svd, svd_econ
+from csdmd.linalg import EIG_MAX_DIM, GRAM_TOL_FLOOR, eig_dense, pinv_from_svd, svd_econ
 
 
 def char_poly_coeffs(A):
@@ -251,3 +251,19 @@ def test_eig_conjugate_pairs_put_positive_imag_first():
             assert k > 0 and lambdas[k - 1] == np.conj(lambdas[k])
             pairs += 1
     assert pairs > 1000
+
+
+def test_singular_values_below_the_gram_floor_are_dropped():
+    # a planted spectrum straddling GRAM_TOL_FLOOR: any requested tolerance
+    # below the floor keeps exactly the singular values above it
+    rng = np.random.default_rng(6)
+    A = np.linalg.qr(rng.standard_normal((60, 12)))[0]
+    B = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+    above = np.array([1.0, 0.3, 1e-2, 1e-4, 1e-6, 1e-7])
+    below = np.array([1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14])
+    X = (A * np.concatenate([above, below])) @ B.T
+    for tol in (GRAM_TOL_FLOOR / 2, 1e-9, 1e-12, 0.0):
+        svd = svd_econ(X, truncation_tol=tol)
+        assert svd.rank == len(above)
+        assert svd.truncation_tol == GRAM_TOL_FLOOR
+        np.testing.assert_allclose(svd.sigma, above, rtol=0.05)

@@ -213,8 +213,10 @@ def test_dense_measurement_keeps_the_shift(kind, monkeypatch):
     C = make_measurement(kind, 32, data.n, seed=2)
     measured = measure_pair(C, data)
     np.testing.assert_array_equal(measured.X[:, 1:], measured.Xp[:, :-1])
-    np.testing.assert_array_equal(measured.X, C.payload @ data.X)
-    np.testing.assert_allclose(measured.Xp, C.payload @ data.Xp, rtol=1e-13, atol=0)
+    # Y is C S, one product over the m+1 distinct snapshots
+    CS = C.payload @ data.S
+    np.testing.assert_array_equal(measured.X, CS[:, : data.m])
+    np.testing.assert_array_equal(measured.Xp, CS[:, 1:])
     solves = []
     cosamp = recovery.cosamp
 
@@ -225,6 +227,18 @@ def test_dense_measurement_keeps_the_shift(kind, monkeypatch):
     monkeypatch.setattr(recovery, "cosamp", counted)
     run_2a(measured, C, data.grid, 4, 1e-6)
     assert len(solves) == data.m + 1
+
+
+def test_snapshot_reconstruction_of_real_measurements_is_real():
+    # real pixel samples of a real field: 2A decomposes the real part of the
+    # reconstructions, so Atilde is real and eigenvalues pair up exactly
+    data, _ = generate_fourier_lti(make_fourier_lti(nx=32, ny=32, K=2, m=20, seed=11))
+    C = make_measurement("pixel", 100, data.n, seed=2)
+    result = run_2a(measure_pair(C, data), C, data.grid, 4, 1e-6)
+    assert result.rank == 4
+    assert not np.iscomplexobj(result.Atilde)
+    lambdas = result.lambdas.tolist()
+    assert set(lambdas) == {z.conjugate() for z in lambdas}
 
 
 def test_snapshot_reconstruction_solves_each_distinct_snapshot_once(monkeypatch):
