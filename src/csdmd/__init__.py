@@ -12,7 +12,6 @@ from .dmd import (
     exact_dmd,
     mode_alignment,
     pair_eigenvalues,
-    time_dmd_stage,
 )
 from .errors import (
     BadDimensions,
@@ -32,7 +31,6 @@ from .pipelines import (
     verify_invariance_suite,
 )
 from .recovery import (
-    DenseOperator,
     RecoveredMode,
     RecoveryConfig,
     SensingOperator,

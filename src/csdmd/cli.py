@@ -16,7 +16,7 @@ import zlib
 import numpy as np
 
 from . import io as io_mod
-from .dmd import SnapshotPair, compare_spectra, exact_dmd
+from .dmd import SnapshotPair, compare_spectra, exact_dmd, lifted_dmd, measure_pair
 from .errors import (
     ConvergenceError,
     CsdmdError,
@@ -26,7 +26,7 @@ from .errors import (
     ZeroInput,
 )
 from .linalg import DEFAULT_TRUNCATION_TOL
-from .pipelines import run_1b, run_2a, run_2b, verify_invariance_suite
+from .pipelines import run_2a, run_2b, verify_invariance_suite
 from .sensing import MeasurementMatrix, SparseBasis, make_measurement, mutual_coherence
 from .systems import (
     DoubleGyreParams,
@@ -166,7 +166,8 @@ def _cmd_dmd(args):
 def _cmd_cdmd(args):
     pair = _read_pair(args.snapshots)
     C = make_measurement(args.measure, args.p, pair.n, args.seed)
-    result, measured = run_1b(pair, C, args.tol)
+    measured = measure_pair(C, pair)
+    result = lifted_dmd(measured, pair, args.tol)
     _write_result(args.out, result, extra={"path": "1B", "measure": args.measure, "p": args.p})
     # persist the measured pair and the measurement description for the
     # sampling-only pipeline
@@ -197,9 +198,19 @@ def _load_measurement(path):
         meta = json.load(fh)
     kind, p, n = meta["kind"], meta["p"], meta["n"]
     if kind == "pixel" and "indices" in meta:
-        C = MeasurementMatrix(
-            kind, p, n, meta.get("seed"), indices=np.asarray(meta["indices"])
-        )
+        idx = np.asarray(meta["indices"])
+        if not (
+            idx.shape == (p,)
+            and idx.dtype.kind in "iu"
+            and idx[0] >= 0
+            and idx[-1] < n
+            and np.all(np.diff(idx) > 0)
+        ):
+            raise DimensionError(
+                f"pixel indices in {path} are not {p} strictly increasing "
+                f"integers in [0, {n})"
+            )
+        C = MeasurementMatrix(kind, p, n, meta.get("seed"), indices=idx)
     else:
         C = make_measurement(kind, p, n, meta.get("seed"))
         crc = meta.get("payload_crc32")  # absent in files of older runs

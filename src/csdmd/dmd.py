@@ -3,12 +3,12 @@ through a measurement operator.
 
 The decomposition finds the best-fit linear operator A with X' ~ A X and
 returns its leading eigenstructure: eigenvalues (discrete and continuous
-time), spatial modes, and initial amplitudes.  The compressed variant runs
-the decomposition on projected data Y = C X and lifts the modes back to
-full state space using the full shifted snapshots.
+time), spatial modes, and initial amplitudes.  One core, lifted_dmd, runs
+the decomposition on a measured pair Y = C X and lifts the modes back to
+full state space through the full shifted snapshots; exact DMD is the case
+where the measured pair is the full pair.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,73 +100,31 @@ def measure_pair(C: MeasurementMatrix, pair: SnapshotPair) -> SnapshotPair:
     return pair.map_snapshots(lambda S: apply_measurement(C, S))
 
 
-def _fit(X, Xp, truncation_tol, full_X=None):
-    """The decomposition stage: economy SVD of X, least-squares reduced
-    propagator Atilde = U^H X' V sigma^-1, and its eigendecomposition.
-
-    When X is measured data, the rank check runs before the eigensolve: it
-    raises if full_X keeps more than truncation_tol times its leading
-    energy outside the measured row space span(V).  The check compares
-    energies, resolved down to about eps, so it takes the requested
-    tolerance, not the SVD's applied one (floored on singular values).
-    """
-    if X.shape[1] < 2:
-        raise DimensionError("need at least 2 snapshot columns")
-    svd = svd_econ(X, truncation_tol)
-    if full_X is not None:
-        # with G = (X V)^H (X V): lost = |X|_F^2 - tr G >= sigma_r(X)^2 and
-        # lambda_max(G) <= sigma_0(X)^2, so a dropped sigma_r(X) above
-        # sqrt(tol) sigma_0(X) always raises
-        XV = full_X @ svd.V
-        G = XV.conj().T @ XV
-        top = np.linalg.eigvalsh(G)[-1]
-        # einsum over real views: norm() would copy a strided full_X whole
-        parts = (full_X.real, full_X.imag) if np.iscomplexobj(full_X) else (full_X,)
-        lost = sum(np.einsum("ij,ij->", P, P) for P in parts) - np.trace(G).real
-        if lost > truncation_tol * top:
-            raise RankCollapse(
-                f"measured rank {svd.rank} leaves relative energy "
-                f"{lost / top:.3e} of the full data outside its row space"
-            )
-    Atilde = svd.U.conj().T @ (Xp @ (svd.V / svd.sigma))
-    lambdas, W = eig_dense(Atilde)
-    return svd, Atilde, lambdas, W
-
-
-def _lift(fit, data: SnapshotPair) -> DmdResult:
-    """Finish a fit with modes rebuilt from data.Xp as X' V sigma^-1 W,
-    continuous-time rates, and amplitudes against data.X[:, 0]."""
-    svd, Atilde, lambdas, W = fit
-    Phi = (data.Xp @ (svd.V / svd.sigma)) @ W
-    # numerically zero eigenvalues fall back to X V sigma^-1 W (U W for 1A),
-    # the basis lifted through data.X; <= so lam_max = 0 does too
-    lam_max = np.max(np.abs(lambdas)) if len(lambdas) else 0.0
-    dead = np.abs(lambdas) <= ZERO_EIG_REL * lam_max
-    if np.any(dead):
-        Phi[:, dead] = data.X @ (svd.V / svd.sigma) @ W[:, dead]
-    # principal-branch log; zero eigenvalues map to -inf without warning noise
-    with np.errstate(divide="ignore", invalid="ignore"):
-        omegas = np.log(lambdas.astype(complex)) / data.dt
-    b, *_ = np.linalg.lstsq(Phi, data.X[:, 0].astype(complex), rcond=None)
-    return DmdResult(
-        lambdas=lambdas,
-        omegas=omegas,
-        W=W,
-        Phi=Phi,
-        Atilde=Atilde,
-        amplitudes=b,
-        svd_used=svd,
-        rank=svd.rank,
-        dt=data.dt,
-    )
+def _check_rank(X, svd: EconSvd, truncation_tol):
+    """Raise RankCollapse if X keeps more than truncation_tol times its
+    leading energy outside the measured row space span(svd.V).  The check
+    compares energies, resolved down to about eps, so it takes the
+    requested tolerance, not the SVD's applied one (floored on singular
+    values)."""
+    # with G = (X V)^H (X V): lost = |X|_F^2 - tr G >= sigma_r(X)^2 and
+    # lambda_max(G) <= sigma_0(X)^2, so a dropped sigma_r(X) above
+    # sqrt(tol) sigma_0(X) always raises
+    XV = X @ svd.V
+    G = XV.conj().T @ XV
+    top = np.linalg.eigvalsh(G)[-1]
+    # einsum over real views: norm() would copy a strided X whole
+    parts = (X.real, X.imag) if np.iscomplexobj(X) else (X,)
+    lost = sum(np.einsum("ij,ij->", P, P) for P in parts) - np.trace(G).real
+    if lost > truncation_tol * top:
+        raise RankCollapse(
+            f"measured rank {svd.rank} leaves relative energy "
+            f"{lost / top:.3e} of the full data outside its row space"
+        )
 
 
 def exact_dmd(data: SnapshotPair, truncation_tol=DEFAULT_TRUNCATION_TOL) -> DmdResult:
-    """Exact DMD of a full-state snapshot pair.
-
-    The four steps: economy SVD of X, least-squares reduced propagator
-    Atilde = U^H X' V sigma^-1, eigendecomposition of Atilde, and mode
-    reconstruction from the shifted snapshots.
+    """Exact DMD of a full-state snapshot pair: lifted_dmd of the pair
+    through itself.
 
     Parameters
     ----------
@@ -174,7 +132,7 @@ def exact_dmd(data: SnapshotPair, truncation_tol=DEFAULT_TRUNCATION_TOL) -> DmdR
     truncation_tol : float
         Relative SVD truncation threshold; controls the retained rank.
     """
-    return _lift(_fit(data.X, data.Xp, truncation_tol), data)
+    return lifted_dmd(data, data, truncation_tol)
 
 
 def compressed_dmd(
@@ -208,22 +166,47 @@ def compressed_dmd(
 def lifted_dmd(
     measured: SnapshotPair, full: SnapshotPair, truncation_tol=DEFAULT_TRUNCATION_TOL
 ) -> DmdResult:
-    """compressed_dmd for an already measured pair: fit (Y, Y'), check its
-    rank against the full X, and lift the modes through the full X'."""
-    fit = _fit(measured.X, measured.Xp, truncation_tol, full.X)
-    return _lift(fit, full)
-
-
-def time_dmd_stage(X, Xp, truncation_tol, repeats=3):
-    """Median wall-clock seconds of the decomposition stage (SVD of X,
-    reduced operator, eigendecomposition) over ``repeats`` runs, and the
-    retained rank."""
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        svd, *_ = _fit(X, Xp, truncation_tol)
-        samples.append(time.perf_counter() - t0)
-    return float(np.median(samples)), svd.rank
+    """DMD of the measured pair (Y, Y') with modes lifted through the full
+    pair (X, X'): economy SVD of Y, least-squares reduced propagator
+    Atilde = U^H Y' V sigma^-1, its eigendecomposition, modes
+    X' V sigma^-1 W, and amplitudes against x_0.  Exact DMD is the case
+    where full is measured; otherwise the rank check runs before the
+    eigensolve.
+    """
+    if measured.m < 2:
+        raise DimensionError("need at least 2 snapshot columns")
+    svd = svd_econ(measured.X, truncation_tol)
+    if full is not measured:
+        _check_rank(full.X, svd, truncation_tol)
+    V_sigma = svd.V / svd.sigma
+    B = measured.Xp @ V_sigma
+    Atilde = svd.U.conj().T @ B
+    lambdas, W = eig_dense(Atilde)
+    # Y' V sigma^-1 is X' V sigma^-1 when full is measured: one product
+    # serves Atilde and the modes
+    Phi = (B if full is measured else full.Xp @ V_sigma) @ W
+    del B  # before lstsq, which copies Phi: one n x r block less at the peak
+    # numerically zero eigenvalues fall back to X V sigma^-1 W (U W for
+    # exact DMD), the basis lifted through X; <= so lam_max = 0 does too
+    lam_max = np.max(np.abs(lambdas)) if len(lambdas) else 0.0
+    dead = np.abs(lambdas) <= ZERO_EIG_REL * lam_max
+    if np.any(dead):
+        Phi[:, dead] = full.X @ V_sigma @ W[:, dead]
+    # principal-branch log; zero eigenvalues map to -inf without warning noise
+    with np.errstate(divide="ignore", invalid="ignore"):
+        omegas = np.log(lambdas.astype(complex)) / full.dt
+    b, *_ = np.linalg.lstsq(Phi, full.X[:, 0].astype(complex), rcond=None)
+    return DmdResult(
+        lambdas=lambdas,
+        omegas=omegas,
+        W=W,
+        Phi=Phi,
+        Atilde=Atilde,
+        amplitudes=b,
+        svd_used=svd,
+        rank=svd.rank,
+        dt=full.dt,
+    )
 
 
 def advance_modes(result: DmdResult, t: float) -> np.ndarray:

@@ -16,7 +16,8 @@ from .errors import DimensionError
 REPORT_SCHEMA = "csdmd-report/1"
 
 
-def atomic_write_bytes(path, payload: bytes):
+def atomic_write_bytes(path, payload):
+    """Write a bytes-like payload (bytes, or a C-contiguous array) to path."""
     tmp = f"{path}.tmp-{os.getpid()}"
     with open(tmp, "wb") as fh:
         fh.write(payload)
@@ -68,12 +69,10 @@ def write_matrix(directory, name, M, grid=None, dt=None):
     M = np.asarray(M)
     if M.ndim == 1:
         M = M[:, None]
-    if np.iscomplexobj(M):
-        payload = np.asarray(M, dtype="<c16").tobytes(order="F")
-        dtype = "c128"
-    else:
-        payload = np.asarray(M, dtype="<f8").tobytes(order="F")
-        dtype = "f64"
+    dtype, np_dtype = ("c128", "<c16") if np.iscomplexobj(M) else ("f64", "<f8")
+    # the transpose of a column-major block is C-contiguous: its buffer is
+    # the payload, with no copy when M is already column-major
+    payload = np.asfortranarray(M, np_dtype).T
     sidecar = {"rows": int(M.shape[0]), "cols": int(M.shape[1]), "dtype": dtype}
     if grid is not None:
         sidecar["grid"] = [int(grid[0]), int(grid[1])]

@@ -8,9 +8,12 @@ decomposition runs:
   2A  reconstruct every snapshot from measurements, then decompose
   2B  decompose the measured pair, sparse-recover only the r modes
 
-run_1b, run_2a and run_2b each run one compressed pathway; the CLI calls
-them directly.  run_path executes one pathway, auto-runs the reference
-when full data is available, and assembles a comparison report.
+1A and 1B are one core, dmd.lifted_dmd: 1B lifts the measured pair's
+decomposition through the full pair, and 1A is 1B with the full pair as
+its own measurement.  run_2a and run_2b each run one sparse-recovery
+pathway; the CLI calls them directly.  run_path executes one pathway,
+auto-runs the reference when full data is available, and assembles a
+comparison report.
 """
 
 import math
@@ -26,8 +29,8 @@ from . import io as io_mod
 from .dmd import (
     SnapshotPair,
     compare_spectra,
+    compressed_dmd,
     exact_dmd,
-    lifted_dmd,
     measure_pair,
     pair_eigenvalues,
 )
@@ -153,15 +156,6 @@ def _residual_rows(diagnostics):
     return rows
 
 
-def run_1b(data, C, truncation_tol, timings=None):
-    """Pathway 1B: measure, decompose the measured pair, lift the modes
-    through the full X'.  Returns the result and the measured pair."""
-    with _timed(timings, "compressed_dmd_s"):
-        measured = measure_pair(C, data)
-        result = lifted_dmd(measured, data, truncation_tol)
-    return result, measured
-
-
 def run_2a(measured, C, grid, sparsity_K, truncation_tol, timings=None):
     """Pathway 2A: CoSaMP-reconstruct every distinct measured snapshot on
     the grid, then decompose the reconstruction (its real part when C and
@@ -235,7 +229,8 @@ def run_path(cfg: ExperimentConfig) -> ExperimentReport:
 
     result = reference
     if cfg.path == "1B":
-        result, _ = run_1b(data, C, cfg.truncation_tol, timings)
+        with _timed(timings, "compressed_dmd_s"):
+            result = compressed_dmd(data, C, cfg.truncation_tol)
     elif cfg.path in ("2A", "2B"):
         measured = measure_pair(C, data)
         K = _default_sparsity(cfg, truth)

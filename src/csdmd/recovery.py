@@ -47,23 +47,6 @@ class RecoveredMode:
     iters: int
 
 
-class DenseOperator:
-    """Wrap an explicit matrix as a recovery operator (mainly for tests)."""
-
-    def __init__(self, A):
-        self.A = np.asarray(A)
-        self.shape = self.A.shape
-
-    def adjoint(self, y):
-        return self.A.conj().T @ y
-
-    def columns(self, idx):
-        return self.A[:, idx]
-
-    def synthesize(self, coeffs):
-        return coeffs
-
-
 class SensingOperator:
     """The composite operator (measure after basis synthesis).
 

@@ -228,13 +228,15 @@ def generate_gyre_snapshots(params: DoubleGyreParams, observable="vorticity"):
     nx, ny = params.grid
     steps = int(round((params.t1 - params.t0) / params.dt))
     times = params.t0 + params.dt * np.arange(steps + 1)
-    cols = []
-    for t in times:
+    n = nx * ny
+    # column-major, so each snapshot is one contiguous column and the
+    # series is written out without a copy
+    S = np.empty((n if observable == "vorticity" else 2 * n, steps + 1), order="F")
+    for k, t in enumerate(times):
         u, v, vort = double_gyre_field(params, t)
         if observable == "vorticity":
-            cols.append(vort.reshape(-1))
+            S[:, k] = vort.reshape(-1)
         else:
-            cols.append(np.concatenate([u.reshape(-1), v.reshape(-1)]))
-    snaps = np.column_stack(cols)
+            S[:n, k], S[n:, k] = u.reshape(-1), v.reshape(-1)
     grid = params.grid if observable == "vorticity" else None
-    return SnapshotPair.series(snaps, params.dt, grid)
+    return SnapshotPair.series(S, params.dt, grid)

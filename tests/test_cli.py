@@ -356,6 +356,34 @@ def test_measure_file_without_checksum_loads(workspace, tmp_path):
     ) == 0
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda idx: idx[:-1] + [9999],  # outside [0, n)
+        lambda idx: idx[:-1] + [-1],
+        lambda idx: idx[:2] + idx[1:-1],  # a duplicate, still p of them
+        lambda idx: idx[::-1],  # decreasing
+        lambda idx: idx[:-1],  # fewer than p
+        lambda idx: idx[:-1] + [float(idx[-1])],  # not integers
+    ],
+)
+def test_malformed_pixel_indices_are_a_configuration_error(workspace, tmp_path,
+                                                           capsys, damage):
+    comp = tmp_path / "comp"
+    assert main(
+        ["cdmd", "--snapshots", str(workspace / "data"), "--measure", "pixel",
+         "-p", "24", "--seed", "9", "--tol", "1e-6", "--out", str(comp)]
+    ) == 0
+    meta = json.loads((comp / "measure.json").read_text())
+    meta["indices"] = damage(meta["indices"])
+    (comp / "measure.json").write_text(json.dumps(meta))
+    assert main(
+        ["csdmd", "--measured", str(comp), "--measure-file",
+         str(comp / "measure.json"), "--sparsity", "2", "--out", str(tmp_path / "o")]
+    ) == 2
+    assert "pixel indices" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(workspace, tmp_path, capsys):
     # one measurement row cannot carry a rank-4 system
     code = main(

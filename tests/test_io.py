@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,21 @@ def test_matrix_bytes_are_little_endian_column_major(tmp_path):
     raw = open(os.path.join(tmp_path, "M.bin"), "rb").read()
     values = struct.unpack("<4d", raw)
     assert values == (1.0, 3.0, 2.0, 4.0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_column_major_block_is_written_without_a_copy(tmp_path, dtype):
+    # X = S[:, :m] and X' = S[:, 1:] of a column-major series S
+    rng = np.random.default_rng(4)
+    S = np.asfortranarray(rng.standard_normal((256, 129)).astype(dtype))
+    for name, block in (("X", S[:, :-1]), ("Xp", S[:, 1:])):
+        tracemalloc.start()
+        write_matrix(tmp_path, name, block)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < block.nbytes / 4
+        back, _ = read_matrix(tmp_path, name)
+        np.testing.assert_array_equal(back, block)
 
 
 def test_vector_promoted_to_column(tmp_path):

@@ -16,7 +16,6 @@ from csdmd.dmd import (
     exact_dmd,
     measure_pair,
     pair_eigenvalues,
-    time_dmd_stage,
 )
 from csdmd.errors import BadDimensions, DimensionError
 from csdmd.pipelines import (
@@ -345,13 +344,6 @@ def test_report_file_and_determinism(tmp_path):
     assert loaded["path"] == "1B"
     keys = list(loaded.keys())
     assert keys[0] == "schema" and keys[-1] == "notes"
-
-
-def test_timing_helper_reports_rank():
-    data = random_consistent_pair(32, 40, seed=8)
-    median, rank = time_dmd_stage(data.X, data.Xp, 1e-6)
-    assert median > 0.0
-    assert rank == 32
 
 
 def test_invariance_suite_on_generic_data():

@@ -11,7 +11,6 @@ import pytest
 from csdmd import recovery
 from csdmd.errors import NoProgress, ZeroInput
 from csdmd.recovery import (
-    DenseOperator,
     RecoveredMode,
     RecoveryConfig,
     SensingOperator,
@@ -19,6 +18,24 @@ from csdmd.recovery import (
     recover_modes,
 )
 from csdmd.sensing import SparseBasis, apply_basis, apply_measurement, make_measurement
+
+
+class DenseOperator:
+    """An explicit matrix as a recovery operator: the four members cosamp
+    may use."""
+
+    def __init__(self, A):
+        self.A = np.asarray(A)
+        self.shape = self.A.shape
+
+    def adjoint(self, y):
+        return self.A.conj().T @ y
+
+    def columns(self, idx):
+        return self.A[:, idx]
+
+    def synthesize(self, coeffs):
+        return coeffs
 
 
 def planted_instance(n, p, K, seed, kind="gaussian"):

@@ -208,6 +208,10 @@ def test_gyre_snapshot_shapes():
     vel = generate_gyre_snapshots(params, observable="velocity")
     assert vel.X.shape == (2 * 8192, 150)
     assert vel.grid is None
+    # u over v, snapshot by snapshot; one column-major block each
+    u, v, _ = double_gyre_field(params, params.t0 + params.dt)
+    np.testing.assert_array_equal(vel.X[:, 1], np.concatenate([u.ravel(), v.ravel()]))
+    assert pair.S.flags.f_contiguous and vel.S.flags.f_contiguous
 
 
 def test_gyre_full_scale_shapes():
