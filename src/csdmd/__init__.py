@@ -14,7 +14,6 @@ from .dmd import (
     pair_eigenvalues,
 )
 from .errors import (
-    BadDimensions,
     BadWavenumber,
     ConvergenceError,
     CsdmdError,

@@ -46,28 +46,29 @@ NUMERICAL_ERRORS = (
 CONFIG_ERRORS = (CsdmdError, FileNotFoundError, json.JSONDecodeError, KeyError)
 
 
-def _read_pair(directory, x="X", xp="Xp", dt=1.0, chunk=1 << 21):
-    """The pair stored as x.bin and xp.bin (dt from x's sidecar, if there).
-    x goes into an n x (m+1) block and xp is checked against its shift in
-    chunks of about chunk entries: if xp matches, bit for bit, the block
-    takes its last column and holds the pair; else both are copied."""
-    S, side = io_mod.read_matrix(directory, x, spare_cols=1)
-    n, m = S.shape[0], S.shape[1] - 1
+def _read_pair(directory, x="X", xp="Xp", dt=1.0):
+    """The pair stored as the matrices x and xp (dt from x's sidecar, if
+    there).  When x and xp are views of one block at columns 0 and lag, and
+    the block ends with xp, the block is read once and holds the pair at
+    that lag; any other pair is read as two matrices."""
+    side, block, first, width = io_mod.locate(directory, x)
+    xp_side, xp_block, lag, _ = io_mod.locate(directory, xp)
     grid = tuple(side["grid"]) if side.get("grid") else None
     dt = side.get("dt", dt)
-    step = max(1, chunk // max(n, 1))
-    for k in range(0, m, step):
-        part, xp_side = io_mod.read_matrix(directory, xp, range(k, min(k + step, m)))
-        if (xp_side["rows"], xp_side["cols"], part.dtype) != (n, m, S.dtype):
-            break
-        if k + step >= m:  # the last chunk: the block takes x_m
-            S[:, m] = part[:, -1]
-        if not np.array_equal(part, S[:, k + 1 : k + 1 + part.shape[1]]):
-            break
-    else:
-        return SnapshotPair.series(S, dt, grid)
+    if xp_block == block and first == 0 and xp_side["cols"] == side["cols"] == width - lag:
+        S, _ = io_mod.read_matrix(directory, block)
+        return SnapshotPair.from_block(S, lag, dt, grid)
+    X, _ = io_mod.read_matrix(directory, x)
     Xp, _ = io_mod.read_matrix(directory, xp)
-    return SnapshotPair(X=S[:, :-1], Xp=Xp, dt=dt, grid=grid)
+    return SnapshotPair(X=X, Xp=Xp, dt=dt, grid=grid)
+
+
+def _write_pair(directory, pair, x, xp, block):
+    """The pair as one block file, pair.S, and two view sidecars: x at
+    column 0 and xp at the pair's lag."""
+    io_mod.write_matrix(directory, block, pair.S, grid=pair.grid, dt=pair.dt)
+    io_mod.write_view(directory, x, block, 0, pair.m)
+    io_mod.write_view(directory, xp, block, pair.lag, pair.m)
 
 
 def _write_result(out_dir, result, extra=None):
@@ -146,8 +147,7 @@ def _cmd_gen(args):
             "dt": args.dt,
             "observable": args.observable,
         }
-    io_mod.write_matrix(args.out, "X", pair.X, grid=pair.grid, dt=pair.dt)
-    io_mod.write_matrix(args.out, "Xp", pair.Xp, grid=pair.grid, dt=pair.dt)
+    _write_pair(args.out, pair, "X", "Xp", "snapshots")
     io_mod.atomic_write_text(
         os.path.join(args.out, "system.json"), io_mod.dumps_report(meta)
     )
@@ -171,8 +171,7 @@ def _cmd_cdmd(args):
     _write_result(args.out, result, extra={"path": "1B", "measure": args.measure, "p": args.p})
     # persist the measured pair and the measurement description for the
     # sampling-only pipeline
-    io_mod.write_matrix(args.out, "Y", measured.X, dt=pair.dt)
-    io_mod.write_matrix(args.out, "Yp", measured.Xp, dt=pair.dt)
+    _write_pair(args.out, measured, "Y", "Yp", "measurements")
     measure_meta = {
         "kind": C.kind,
         "p": C.p,

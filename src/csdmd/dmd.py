@@ -45,10 +45,10 @@ class SnapshotPair:
     @classmethod
     def series(cls, S, dt, grid=None):
         """The pair of the time series S = [x_0 ... x_m], as views of S."""
-        return cls._block(S, 1, dt, grid)
+        return cls.from_block(S, 1, dt, grid)
 
     @classmethod
-    def _block(cls, S, lag, dt, grid):
+    def from_block(cls, S, lag, dt, grid=None):
         """The pair X = S[:, :m], X' = S[:, lag:] over S itself."""
         pair = cls.__new__(cls)
         pair._wrap(np.asarray(S), lag, dt, grid)
@@ -69,7 +69,7 @@ class SnapshotPair:
         """The pair of f(S) at the same lag.  f maps the n x k block S to an
         n' x k block in one call, so work on the snapshots of a time series
         runs m+1 times, not 2m.  grid labels the rows of the result."""
-        return SnapshotPair._block(f(self.S), self.lag, self.dt, grid)
+        return SnapshotPair.from_block(f(self.S), self.lag, self.dt, grid)
 
 
 @dataclass(frozen=True)

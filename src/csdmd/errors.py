@@ -6,12 +6,12 @@ class CsdmdError(Exception):
 
 
 class DimensionError(CsdmdError):
-    """Shapes of the operands do not agree, a limit was exceeded, or a
-    saved operator does not rebuild as recorded."""
+    """Shapes disagree, a size is out of range or over a limit, or a saved
+    matrix or operator does not rebuild as recorded."""
 
 
-class BadDimensions(CsdmdError):
-    """A size parameter is out of its allowed range."""
+# the former name of DimensionError, kept for code that imports it
+BadDimensions = DimensionError
 
 
 class RankCollapse(CsdmdError):

@@ -2,8 +2,9 @@
 images, and the report serializer.
 
 Matrix payloads are little-endian 64-bit floats in column-major order;
-complex matrices interleave real and imaginary parts per entry.  All
-writes go through a temp file and an atomic rename.
+complex matrices interleave real and imaginary parts per entry.  A view
+sidecar names a run of columns of another matrix file, its block, so X and
+X' of a series share one payload.  Writes go through an atomic rename.
 """
 
 import json
@@ -85,28 +86,60 @@ def write_matrix(directory, name, M, grid=None, dt=None):
     )
 
 
-def read_matrix(directory, name, columns=None, spare_cols=0):
-    """Read a matrix written by write_matrix; returns (array, sidecar).
-    The array is column-major: the columns in the range columns (all by
-    default), then spare_cols unset columns for the caller to fill."""
+def write_view(directory, name, block, first, cols):
+    """Write ``name.json``, a view sidecar: the matrix name is the columns
+    first ... first+cols-1 of the matrix block written in the same
+    directory, with block's rows, dtype, grid and dt."""
+    sidecar = dict(_read_sidecar(directory, block), cols=cols, block=block, first_col=first)
+    atomic_write_text(os.path.join(directory, f"{name}.json"), dumps_report(sidecar))
+
+
+def _read_sidecar(directory, name):
     with open(os.path.join(directory, f"{name}.json"), "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
+        return json.load(fh)
+
+
+def locate(directory, name):
+    """Where the matrix name is stored: (sidecar, block, first, width).  Its
+    columns are the columns first, first+1, ... of the width-column matrix
+    file ``block.bin``: name's own, or the one its view sidecar names."""
+    sidecar = _read_sidecar(directory, name)
+    if "block" not in sidecar:
+        return sidecar, name, 0, sidecar["cols"]
+    block, first = sidecar["block"], sidecar["first_col"]
+    try:
+        outer = _read_sidecar(directory, block)
+    except FileNotFoundError:
+        raise DimensionError(f"{name}.json is a view of {block}, which is missing") from None
+    rows, cols, dtype = outer["rows"], outer["cols"], outer["dtype"]
+    if "block" in outer or (rows, dtype) != (sidecar["rows"], sidecar["dtype"]) or not (
+        0 <= first <= cols - sidecar["cols"]
+    ):
+        raise DimensionError(
+            f"{name}.json is no run of columns of {block}, a {rows}x{cols} {dtype} "
+            + ("view" if "block" in outer else "matrix")
+        )
+    return sidecar, block, first, cols
+
+
+def read_matrix(directory, name):
+    """Read a matrix written by write_matrix, or a view written by
+    write_view; returns (column-major array, sidecar)."""
+    sidecar, block, first, width = locate(directory, name)
     rows, cols, dtype = sidecar["rows"], sidecar["cols"], sidecar["dtype"]
     np_dtype = {"f64": "<f8", "c128": "<c16"}.get(dtype)
     if np_dtype is None:
         raise DimensionError(f"unknown dtype {dtype!r} in {name}.json")
-    columns = range(cols) if columns is None else columns
-    M = np.empty((rows, len(columns) + spare_cols), np_dtype, order="F")
-    with open(os.path.join(directory, f"{name}.bin"), "rb") as fh:
+    M = np.empty((rows, cols), np_dtype, order="F")
+    with open(os.path.join(directory, f"{block}.bin"), "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if size != rows * cols * M.itemsize or columns.stop > cols:
+        if size != rows * width * M.itemsize:
             raise DimensionError(
-                f"{name}.bin holds {size} bytes, sidecar says {rows}x{cols} {dtype}; "
-                f"columns up to {columns.stop} asked for"
+                f"{block}.bin holds {size} bytes, sidecar says {rows}x{width} {dtype}"
             )
-        fh.seek(columns.start * rows * M.itemsize)
+        fh.seek(first * rows * M.itemsize)
         # the transpose of a column-major block is C-contiguous
-        fh.readinto(M[:, : len(columns)].T)
+        fh.readinto(M.T)
     return M, sidecar
 
 
@@ -136,7 +169,6 @@ def write_mode_image(path, field, grid, component="real"):
             {"nx": nx, "ny": ny, "min": lo, "max": hi, "component": component}
         ),
     )
-
 
 def read_pgm(path):
     """Parse a binary PGM written by write_mode_image (testing helper)."""

@@ -6,7 +6,7 @@ bidiagonalizing the full n x m input, because snapshot matrices are tall
 (n >> m) and the Gram route keeps every eigenproblem at the snapshot count.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,11 +46,6 @@ class EconSvd:
     truncation_tol: float
 
 
-def _check_finite(X):
-    if not np.all(np.isfinite(X)):
-        raise DimensionError("matrix contains NaN or Inf entries")
-
-
 def svd_econ(X, truncation_tol=DEFAULT_TRUNCATION_TOL):
     """Economy SVD of a (possibly complex) matrix by the method of snapshots.
 
@@ -77,31 +72,32 @@ def svd_econ(X, truncation_tol=DEFAULT_TRUNCATION_TOL):
     Raises
     ------
     ZeroInput
-        If the input has zero Frobenius norm.
+        If the input has zero Frobenius norm, or entries so small that
+        their squares underflow to zero.
     DimensionError
-        If the input is not a 2-d matrix of finite values.
+        If the input is not a 2-d matrix of finite values, or has entries
+        so large that their squares overflow.
     """
     X = np.asarray(X)
     if X.ndim != 2 or X.size == 0:
         raise DimensionError(f"expected a nonempty 2-d matrix, got shape {X.shape}")
-    _check_finite(X)
-    if not np.any(X):
-        raise ZeroInput("cannot decompose an all-zero matrix")
 
     truncation_tol = max(truncation_tol, GRAM_TOL_FLOOR)
     n, m = X.shape
     if m > n:
         # Wide input: decompose the conjugate transpose and swap factors.
         flipped = svd_econ(X.conj().T, truncation_tol)
-        return EconSvd(
-            U=flipped.V,
-            sigma=flipped.sigma,
-            V=flipped.U,
-            rank=flipped.rank,
-            truncation_tol=truncation_tol,
-        )
+        return replace(flipped, U=flipped.V, V=flipped.U)
 
-    G = X.conj().T @ X
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = X.conj().T @ X
+    # the trace of G is |X|_F^2: a NaN or Inf in X reaches it, and it is zero
+    # only when every entry squares to zero, so X needs no other pass
+    energy = np.trace(G)
+    if not np.isfinite(energy):
+        raise DimensionError("matrix holds NaN or Inf, or entries whose squares overflow")
+    if energy == 0:
+        raise ZeroInput("matrix is zero, or its entries' squares underflow to zero")
     evals, V = np.linalg.eigh(G)
     # eigh returns ascending order; flip and clamp tiny negatives from roundoff
     evals = np.clip(evals[::-1], 0.0, None)
@@ -166,7 +162,8 @@ def eig_dense(A):
         raise DimensionError(f"expected a square matrix, got shape {A.shape}")
     if A.shape[0] > EIG_MAX_DIM:
         raise DimensionError(f"matrix dimension {A.shape[0]} exceeds {EIG_MAX_DIM}")
-    _check_finite(A)
+    if not np.all(np.isfinite(A)):
+        raise DimensionError("matrix contains NaN or Inf entries")
 
     try:
         lambdas, W = np.linalg.eig(A)

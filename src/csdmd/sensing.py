@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadDimensions, DimensionError
+from .errors import DimensionError
 
 KINDS = ("gaussian", "bernoulli", "pixel", "unitary")
 
@@ -43,14 +43,14 @@ def make_measurement(kind, p, n, seed=None, payload=None) -> MeasurementMatrix:
     orthonormal rows; without a payload a random co-isometry is drawn.
     """
     if kind not in KINDS:
-        raise BadDimensions(f"unknown measurement kind {kind!r}")
+        raise DimensionError(f"unknown measurement kind {kind!r}")
     if not (1 <= p <= n):
-        raise BadDimensions(f"need 1 <= p <= n, got p={p}, n={n}")
+        raise DimensionError(f"need 1 <= p <= n, got p={p}, n={n}")
     if kind == "unitary":
         if payload is not None:
             payload = np.asarray(payload)
             if payload.shape != (p, n):
-                raise BadDimensions(
+                raise DimensionError(
                     f"unitary payload shape {payload.shape} != ({p}, {n})"
                 )
             return MeasurementMatrix(kind, p, n, seed, payload=payload)
@@ -208,5 +208,5 @@ def mutual_coherence(C: MeasurementMatrix, psi: SparseBasis) -> float:
 def recommended_measurements(K, n, safety=1.5) -> int:
     """Sampling-count heuristic ceil(safety * K * ln(n/K))."""
     if K < 1 or n <= K:
-        raise BadDimensions(f"need 1 <= K < n, got K={K}, n={n}")
+        raise DimensionError(f"need 1 <= K < n, got K={K}, n={n}")
     return max(1, math.ceil(safety * K * math.log(n / K)))

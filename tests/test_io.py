@@ -12,10 +12,12 @@ from csdmd.errors import DimensionError
 from csdmd.io import (
     REPORT_SCHEMA,
     dumps_report,
+    locate,
     read_matrix,
     read_pgm,
     write_matrix,
     write_mode_image,
+    write_view,
 )
 
 
@@ -71,14 +73,21 @@ def test_vector_promoted_to_column(tmp_path):
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_column_range_and_spare_columns(tmp_path, dtype):
-    M = np.arange(24.0).reshape(6, 4).astype(dtype) * (1 + 1j if dtype is complex else 1)
-    write_matrix(tmp_path, "M", M)
-    part, _ = read_matrix(tmp_path, "M", range(1, 3), spare_cols=2)
-    assert part.shape == (6, 4) and part.flags.f_contiguous
-    np.testing.assert_array_equal(part[:, :2], M[:, 1:3])
-    with pytest.raises(DimensionError):
-        read_matrix(tmp_path, "M", range(3, 5))
+def test_views_read_columns_of_their_block(tmp_path, dtype):
+    S = np.arange(24.0).reshape(6, 4).astype(dtype) * (1 + 1j if dtype is complex else 1)
+    write_matrix(tmp_path, "S", S, grid=(3, 2), dt=0.5)
+    write_view(tmp_path, "A", "S", 0, 3)
+    write_view(tmp_path, "B", "S", 1, 2)
+    assert sorted(os.listdir(tmp_path)) == ["A.json", "B.json", "S.bin", "S.json"]
+    back, sidecar = read_matrix(tmp_path, "A")
+    assert back.flags.f_contiguous
+    np.testing.assert_array_equal(back, S[:, :3])
+    # a view keeps its block's rows, dtype, grid and dt
+    assert sidecar == {"rows": 6, "cols": 3, "dtype": "c128" if dtype is complex else "f64",
+                       "grid": [3, 2], "dt": 0.5, "block": "S", "first_col": 0}
+    np.testing.assert_array_equal(read_matrix(tmp_path, "B")[0], S[:, 1:3])
+    assert locate(tmp_path, "B")[1:] == ("S", 1, 4)
+    assert locate(tmp_path, "S")[1:] == ("S", 0, 4)
 
 
 def test_size_mismatch_detected(tmp_path):

@@ -169,6 +169,18 @@ def test_nonfinite_rejected():
         svd_econ(np.ones(5))
 
 
+@pytest.mark.parametrize("shape", [(6, 3), (3, 6)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_entries_whose_squares_overflow_or_underflow(shape, dtype):
+    # finite, nonzero entries the Gram route cannot square
+    with pytest.raises(DimensionError, match="overflow"):
+        svd_econ(np.full(shape, 1e200, dtype))
+    with pytest.raises(ZeroInput, match="underflow"):
+        svd_econ(np.full(shape, 1e-170, dtype))
+    with pytest.raises(DimensionError, match="NaN or Inf"):
+        svd_econ(np.full(shape, np.inf, dtype))
+
+
 def test_eig_diagonal():
     lambdas, W = eig_dense(np.diag([2.0, -1.0]))
     np.testing.assert_allclose(sorted(lambdas.real), [-1.0, 2.0], atol=1e-14)
