@@ -8,6 +8,7 @@ failure (stage named on stderr).
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -26,7 +27,7 @@ from .errors import (
     ZeroInput,
 )
 from .linalg import DEFAULT_TRUNCATION_TOL
-from .pipelines import run_2a, run_2b, verify_invariance_suite
+from .pipelines import INVARIANCE_TOL_FLOOR, run_2a, run_2b, verify_invariance_suite
 from .sensing import MeasurementMatrix, SparseBasis, make_measurement, mutual_coherence
 from .systems import (
     DoubleGyreParams,
@@ -65,10 +66,14 @@ def _read_pair(directory, x="X", xp="Xp", dt=1.0):
 
 def _write_pair(directory, pair, x, xp, block):
     """The pair as one block file, pair.S, and two view sidecars: x at
-    column 0 and xp at the pair's lag."""
+    column 0 and xp at the pair's lag.  A plain x.bin or xp.bin that an
+    older version wrote there is removed: no sidecar points at it now."""
     io_mod.write_matrix(directory, block, pair.S, grid=pair.grid, dt=pair.dt)
     io_mod.write_view(directory, x, block, 0, pair.m)
     io_mod.write_view(directory, xp, block, pair.lag, pair.m)
+    for name in (x, xp):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(directory, f"{name}.bin"))
 
 
 def _write_result(out_dir, result, extra=None):
@@ -349,7 +354,8 @@ def build_parser():
     p_ver = sub.add_parser("verify", help="run the invariance checks on snapshots")
     p_ver.add_argument("--snapshots", required=True)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--tol", type=float, default=1e-6)
+    p_ver.add_argument("--tol", type=float, default=INVARIANCE_TOL_FLOOR,
+                       help="rank cutoff, at least %(default).2g: a lower one is raised to it")
 
     return parser
 

@@ -6,7 +6,9 @@ returns its leading eigenstructure: eigenvalues (discrete and continuous
 time), spatial modes, and initial amplitudes.  One core, lifted_dmd, runs
 the decomposition on a measured pair Y = C X and lifts the modes back to
 full state space through the full shifted snapshots; exact DMD is the case
-where the measured pair is the full pair.
+where the measured pair is the full pair.  The fit reads the measured
+block once, through its Gram matrix, and the lift reads the full X' once
+(exact DMD after Tu et al., 2014); U is never formed.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, RankCollapse
-from .linalg import DEFAULT_TRUNCATION_TOL, EconSvd, eig_dense, svd_econ
+from .linalg import DEFAULT_TRUNCATION_TOL, EconSvd, eig_dense, gram_svd, thin_product
 from .sensing import MeasurementMatrix, apply_measurement
 
 ZERO_EIG_REL = 1e-12
@@ -109,7 +111,7 @@ def _check_rank(X, svd: EconSvd, truncation_tol):
     # with G = (X V)^H (X V): lost = |X|_F^2 - tr G >= sigma_r(X)^2 and
     # lambda_max(G) <= sigma_0(X)^2, so a dropped sigma_r(X) above
     # sqrt(tol) sigma_0(X) always raises
-    XV = X @ svd.V
+    XV = thin_product(X, svd.V)
     G = XV.conj().T @ XV
     top = np.linalg.eigvalsh(G)[-1]
     # einsum over real views: norm() would copy a strided X whole
@@ -167,35 +169,43 @@ def lifted_dmd(
     measured: SnapshotPair, full: SnapshotPair, truncation_tol=DEFAULT_TRUNCATION_TOL
 ) -> DmdResult:
     """DMD of the measured pair (Y, Y') with modes lifted through the full
-    pair (X, X'): economy SVD of Y, least-squares reduced propagator
-    Atilde = U^H Y' V sigma^-1, its eigendecomposition, modes
-    X' V sigma^-1 W, and amplitudes against x_0.  Exact DMD is the case
-    where full is measured; otherwise the rank check runs before the
-    eigensolve.
+    pair (X, X').  From G = Y^H Y and G' = Y^H Y' alone come sigma, V
+    (gram_svd) and Atilde = R^-H sigma^-1 V^H G' V sigma^-1, with R the
+    Cholesky factor of sigma^-1 V^H G V sigma^-1: the thin-QR
+    orthonormalisation of U = Y V sigma^-1, done in r x r space.  The lift
+    B = X' V sigma^-1 gives the modes B W and the amplitudes
+    W^-1 lstsq(B, x_0).  Exact DMD is the case where full is measured;
+    otherwise the rank check runs before the eigensolve.
     """
     if measured.m < 2:
         raise DimensionError("need at least 2 snapshot columns")
-    svd = svd_econ(measured.X, truncation_tol)
+    S, m, lag = measured.S, measured.m, measured.lag
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Y^H [Y, Y'], which for a series is the one Gram S^H S
+        G = (S if lag == 1 else measured.X).conj().T @ S
+    G, Gp = G[:m, :m], G[:m, lag:]
+    svd = gram_svd(G, truncation_tol)
     if full is not measured:
         _check_rank(full.X, svd, truncation_tol)
     V_sigma = svd.V / svd.sigma
-    B = measured.Xp @ V_sigma
-    Atilde = svd.U.conj().T @ B
+    L = np.linalg.cholesky(V_sigma.conj().T @ G @ V_sigma)
+    Atilde = np.linalg.solve(L, V_sigma.conj().T @ Gp @ V_sigma)
     lambdas, W = eig_dense(Atilde)
-    # Y' V sigma^-1 is X' V sigma^-1 when full is measured: one product
-    # serves Atilde and the modes
-    Phi = (B if full is measured else full.Xp @ V_sigma) @ W
-    del B  # before lstsq, which copies Phi: one n x r block less at the peak
-    # numerically zero eigenvalues fall back to X V sigma^-1 W (U W for
-    # exact DMD), the basis lifted through X; <= so lam_max = 0 does too
+    B = thin_product(full.Xp, V_sigma)
+    Phi = thin_product(B, W)
+    # numerically zero eigenvalues fall back to X V sigma^-1 W, the basis lifted
+    # through X, and b to lstsq on Phi; <= so lam_max = 0 does too
     lam_max = np.max(np.abs(lambdas)) if len(lambdas) else 0.0
     dead = np.abs(lambdas) <= ZERO_EIG_REL * lam_max
+    x0 = full.X[:, 0]
     if np.any(dead):
-        Phi[:, dead] = full.X @ V_sigma @ W[:, dead]
+        Phi[:, dead] = thin_product(thin_product(full.X, V_sigma), W[:, dead])
+        b, *_ = np.linalg.lstsq(Phi, x0.astype(complex), rcond=None)
+    else:
+        b = np.linalg.solve(W, np.linalg.lstsq(B, x0, rcond=None)[0])
     # principal-branch log; zero eigenvalues map to -inf without warning noise
     with np.errstate(divide="ignore", invalid="ignore"):
         omegas = np.log(lambdas.astype(complex)) / full.dt
-    b, *_ = np.linalg.lstsq(Phi, full.X[:, 0].astype(complex), rcond=None)
     return DmdResult(
         lambdas=lambdas,
         omegas=omegas,

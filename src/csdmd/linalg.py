@@ -26,8 +26,6 @@ class EconSvd:
 
     Attributes
     ----------
-    U : ndarray, shape (n, r)
-        Left singular vectors, orthonormal columns.
     sigma : ndarray, shape (r,)
         Singular values, positive and descending.
     V : ndarray, shape (m, r)
@@ -37,13 +35,47 @@ class EconSvd:
     truncation_tol : float
         Relative threshold applied to discard trailing singular values:
         the requested one, raised to at least GRAM_TOL_FLOOR.
+    U : ndarray, shape (n, r), or None
+        Left singular vectors, orthonormal columns; None from gram_svd.
     """
 
-    U: np.ndarray
     sigma: np.ndarray
     V: np.ndarray
     rank: int
     truncation_tol: float
+    U: np.ndarray = None
+
+
+def thin_product(A, M):
+    """A @ M for a tall block A and a small M, as (M^T A^T)^T, which OpenBLAS
+    runs ~4x faster on a column-major A; a real A times a complex M is one
+    real product on M's interleaved parts, with no complex copy of A."""
+    if np.iscomplexobj(M) and not np.iscomplexobj(A):
+        return (A @ np.ascontiguousarray(M).view(float)).view(complex)
+    return (M.T @ A.T).T
+
+
+def gram_svd(G, truncation_tol=DEFAULT_TRUNCATION_TOL):
+    """Singular values and right singular vectors of X from its Gram
+    matrix G = X^H X, truncated, floored and checked as svd_econ does
+    (the checks read the trace of G, |X|_F^2); U is not formed."""
+    truncation_tol = max(truncation_tol, GRAM_TOL_FLOOR)
+    # the trace of G is |X|_F^2: a NaN or Inf in X reaches it, and it is zero
+    # only when every entry squares to zero, so X needs no other pass
+    energy = np.trace(G)
+    if not np.isfinite(energy):
+        raise DimensionError("matrix holds NaN or Inf, or entries whose squares overflow")
+    if energy == 0:
+        raise ZeroInput("matrix is zero, or its entries' squares underflow to zero")
+    evals, V = np.linalg.eigh(G)
+    # eigh returns ascending order; flip and clamp tiny negatives from roundoff
+    evals = np.clip(evals[::-1], 0.0, None)
+    V = V[:, ::-1]
+    sigma = np.sqrt(evals)
+
+    r = max(int(np.sum(sigma > truncation_tol * sigma[0])), 1)
+    V = np.ascontiguousarray(V[:, :r])
+    return EconSvd(sigma=sigma[:r], V=V, rank=r, truncation_tol=truncation_tol)
 
 
 def svd_econ(X, truncation_tol=DEFAULT_TRUNCATION_TOL):
@@ -82,7 +114,6 @@ def svd_econ(X, truncation_tol=DEFAULT_TRUNCATION_TOL):
     if X.ndim != 2 or X.size == 0:
         raise DimensionError(f"expected a nonempty 2-d matrix, got shape {X.shape}")
 
-    truncation_tol = max(truncation_tol, GRAM_TOL_FLOOR)
     n, m = X.shape
     if m > n:
         # Wide input: decompose the conjugate transpose and swap factors.
@@ -91,24 +122,8 @@ def svd_econ(X, truncation_tol=DEFAULT_TRUNCATION_TOL):
 
     with np.errstate(over="ignore", invalid="ignore"):
         G = X.conj().T @ X
-    # the trace of G is |X|_F^2: a NaN or Inf in X reaches it, and it is zero
-    # only when every entry squares to zero, so X needs no other pass
-    energy = np.trace(G)
-    if not np.isfinite(energy):
-        raise DimensionError("matrix holds NaN or Inf, or entries whose squares overflow")
-    if energy == 0:
-        raise ZeroInput("matrix is zero, or its entries' squares underflow to zero")
-    evals, V = np.linalg.eigh(G)
-    # eigh returns ascending order; flip and clamp tiny negatives from roundoff
-    evals = np.clip(evals[::-1], 0.0, None)
-    V = V[:, ::-1]
-    sigma = np.sqrt(evals)
-
-    r = int(np.sum(sigma > truncation_tol * sigma[0]))
-    r = max(r, 1)
-    sigma = sigma[:r]
-    V = np.ascontiguousarray(V[:, :r])
-    U = X @ V / sigma
+    svd = gram_svd(G, truncation_tol)
+    U = thin_product(X, svd.V) / svd.sigma
 
     # The Gram route loses orthonormality in U for singular values near
     # sqrt(eps) of the largest; one thin-QR pass restores it without
@@ -116,9 +131,7 @@ def svd_econ(X, truncation_tol=DEFAULT_TRUNCATION_TOL):
     Q, R = np.linalg.qr(U)
     d = np.diagonal(R)
     phase = np.where(np.abs(d) > 0, d / np.abs(np.where(np.abs(d) > 0, d, 1.0)), 1.0)
-    U = Q * phase
-
-    return EconSvd(U=U, sigma=sigma, V=V, rank=r, truncation_tol=truncation_tol)
+    return replace(svd, U=Q * phase)
 
 
 def canonical_phase(M):

@@ -294,7 +294,9 @@ def _phase_aligned_gap(a, b):
     return float(np.linalg.norm(a - b))
 
 
-def verify_invariance_suite(data: SnapshotPair, seed=0, truncation_tol=1e-6):
+def verify_invariance_suite(
+    data: SnapshotPair, seed=0, truncation_tol=INVARIANCE_TOL_FLOOR
+):
     """Check the invariance properties of the decomposition on real data.
 
     Runs the reference decomposition, then re-runs it under four
@@ -370,14 +372,14 @@ def verify_invariance_suite(data: SnapshotPair, seed=0, truncation_tol=1e-6):
     compare("left_dft", exact_dmd(spectral, truncation_tol), mode_map=fwd)
 
     # projection onto the data's own orthonormal (POD) basis
-    U = ref.svd_used.U
+    U = svd_econ(data.X, truncation_tol).U
     to_pod = lambda M: U.conj().T @ M
     pod = data.map_snapshots(to_pod)
     compare("left_pod", exact_dmd(pod, truncation_tol), mode_map=to_pod)
 
     # operator identity C A_full = A_measured C on a small projected copy
     d = min(32, ref.rank)
-    small = data.map_snapshots(lambda S: ref.svd_used.U[:, :d].conj().T @ S)
+    small = data.map_snapshots(lambda S: U[:, :d].conj().T @ S)
     A_full = small.Xp @ pinv_from_svd(svd_econ(small.X, truncation_tol))
     worst = 0.0
     for _ in range(3):

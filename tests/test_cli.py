@@ -4,6 +4,7 @@ All invocations go through main() in-process so exit codes and stderr
 text can be asserted directly.
 """
 
+import inspect
 import json
 import os
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from csdmd import io, recovery
-from csdmd.cli import HANDLERS, _read_pair, main
+from csdmd.cli import HANDLERS, _read_pair, build_parser, main
 from csdmd.dmd import SnapshotPair
 from csdmd.errors import (
     ConvergenceError,
@@ -22,8 +23,13 @@ from csdmd.errors import (
     ZeroInput,
 )
 from csdmd.io import read_matrix, read_pgm, write_matrix, write_view
-from csdmd.linalg import svd_econ
-from csdmd.pipelines import ExperimentConfig, run_path
+from csdmd.linalg import gram_svd
+from csdmd.pipelines import (
+    INVARIANCE_TOL_FLOOR,
+    ExperimentConfig,
+    run_path,
+    verify_invariance_suite,
+)
 from csdmd.sensing import make_measurement
 from csdmd.systems import (
     DoubleGyreParams,
@@ -372,8 +378,8 @@ def test_verify_reports_all_checks(workspace, capsys):
 
 def test_verify_passes_on_the_double_gyre(tmp_path, capsys):
     # a Gaussian p x d projection re-truncated the projected gyre data
-    # (projection_commutes read 0.30); at the default tol 1e-6, kept as
-    # asked, every check failed here
+    # (projection_commutes read 0.30); at a tol of 1e-6, kept as asked,
+    # every check failed here
     out = tmp_path / "gyre"
     assert main(["gen", "gyre", "--nx", "64", "--ny", "32", "--out", str(out)]) == 0
     for tol in ([], ["--tol", "1e-4"]):
@@ -382,6 +388,40 @@ def test_verify_passes_on_the_double_gyre(tmp_path, capsys):
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
         assert len(lines) == 5
         assert all(ln.startswith("pass") for ln in lines)
+
+
+def test_verify_tol_defaults_to_the_invariance_floor():
+    # any lower tol is raised to the floor, so the floor is what runs
+    args = build_parser().parse_args(["verify", "--snapshots", "data"])
+    assert args.tol == INVARIANCE_TOL_FLOOR
+    default = inspect.signature(verify_invariance_suite).parameters["truncation_tol"]
+    assert default.default == INVARIANCE_TOL_FLOOR
+
+
+def test_rewriting_a_directory_removes_the_plain_payloads_of_an_older_layout(tmp_path):
+    # an older version wrote X.bin/Xp.bin and Y.bin/Yp.bin; the views that
+    # gen and cdmd write now leave nothing pointing at them
+    data, comp = tmp_path / "data", tmp_path / "comp"
+    stale = np.ones((4, 3))
+    for directory, names in ((data, ("X", "Xp")), (comp, ("Y", "Yp"))):
+        for name in names:
+            write_matrix(str(directory), name, stale)
+    assert main(
+        ["gen", "example1", "--nx", "16", "--ny", "16", "--k", "2", "--dt", "0.05",
+         "--t1", "1.0", "--seed", "3", "--out", str(data)]
+    ) == 0
+    assert main(
+        ["cdmd", "--snapshots", str(data), "--measure", "pixel", "-p", "12",
+         "--tol", "1e-6", "--out", str(comp)]
+    ) == 0
+    payloads = lambda d: sorted(f for f in os.listdir(d) if f.endswith(".bin"))
+    assert payloads(data) == ["snapshots.bin", "truth_atoms.bin", "truth_lambdas.bin"]
+    assert "Y.bin" not in payloads(comp) and "Yp.bin" not in payloads(comp)
+    assert "measurements.bin" in payloads(comp)
+    pair = _read_pair(str(data))
+    cfg = make_fourier_lti(nx=16, ny=16, K=2, dt=0.05, m=20, seed=3)
+    np.testing.assert_array_equal(pair.S, generate_fourier_lti(cfg)[0].S)
+    assert _read_pair(str(comp), "Y", "Yp").S.shape == (12, 21)
 
 
 def test_config_error_exit_codes(workspace, tmp_path, capsys):
@@ -609,18 +649,22 @@ def test_compressed_run_is_deterministic(workspace):
 
 
 def test_cdmd_decomposes_only_the_measured_pair(workspace, tmp_path, monkeypatch):
-    shapes = []
+    # the one decomposition is of the Gram of the 12-row measured block Y
+    grams = []
 
-    def recording_svd(A, tol):
-        shapes.append(np.shape(A))
-        return svd_econ(A, tol)
+    def recording_gram_svd(G, tol):
+        grams.append(G)
+        return gram_svd(G, tol)
 
-    monkeypatch.setattr("csdmd.dmd.svd_econ", recording_svd)
+    monkeypatch.setattr("csdmd.dmd.gram_svd", recording_gram_svd)
+    comp = str(tmp_path / "comp")
     assert main(
         ["cdmd", "--snapshots", str(workspace / "data"), "--measure", "gaussian",
-         "-p", "12", "--seed", "5", "--tol", "1e-6", "--out", str(tmp_path / "comp")]
+         "-p", "12", "--seed", "5", "--tol", "1e-6", "--out", comp]
     ) == 0
-    assert shapes == [(12, 20)]
+    Y, _ = read_matrix(comp, "Y")
+    assert Y.shape == (12, 20) and len(grams) == 1
+    np.testing.assert_allclose(grams[0], Y.T @ Y, rtol=0, atol=1e-12 * np.abs(Y.T @ Y).max())
 
 
 def test_compare_agrees_with_run_path(tmp_path):

@@ -5,6 +5,8 @@ angle, a repeated fixed point, and the synthetic Fourier generator whose
 continuous eigenvalues are drawn explicitly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,20 @@ from csdmd.dmd import (
     compare_spectra,
     compressed_dmd,
     exact_dmd,
+    lifted_dmd,
     measure_pair,
     mode_alignment,
     pair_eigenvalues,
 )
-from csdmd.errors import DimensionError, RankCollapse
-from csdmd.linalg import GRAM_TOL_FLOOR, pinv_from_svd, svd_econ
+from csdmd.errors import DimensionError, RankCollapse, ZeroInput
+from csdmd.linalg import GRAM_TOL_FLOOR, eig_dense, gram_svd, pinv_from_svd, svd_econ
 from csdmd.sensing import apply_measurement, make_measurement
-from csdmd.systems import generate_fourier_lti, make_fourier_lti
+from csdmd.systems import (
+    DoubleGyreParams,
+    generate_fourier_lti,
+    generate_gyre_snapshots,
+    make_fourier_lti,
+)
 
 
 def rotation_pair(theta=0.3, m=10, dt=1.0):
@@ -306,18 +314,126 @@ def test_tolerance_below_the_floor_keeps_only_the_planted_rank():
 
 
 def test_compressed_dmd_decomposes_only_the_measured_pair(monkeypatch):
-    shapes = []
+    # the one decomposition is of the Gram of the 8-row measured block Y,
+    # never of the full X
+    grams = []
 
-    def recording_svd(A, tol):
-        shapes.append(np.shape(A))
-        return svd_econ(A, tol)
+    def recording_gram_svd(G, tol):
+        grams.append(G)
+        return gram_svd(G, tol)
 
-    monkeypatch.setattr("csdmd.dmd.svd_econ", recording_svd)
+    monkeypatch.setattr("csdmd.dmd.gram_svd", recording_gram_svd)
     system = make_fourier_lti(nx=32, ny=32, K=3, dt=0.02, m=40, seed=6)
     data, _ = generate_fourier_lti(system)
     C = make_measurement("gaussian", 8, data.n, seed=3)
     compressed_dmd(data, C, truncation_tol=1e-6)
-    assert shapes == [(8, 40)]
+    Y = apply_measurement(C, data.X)
+    assert len(grams) == 1
+    np.testing.assert_allclose(grams[0], Y.T @ Y, rtol=0, atol=1e-12 * np.abs(Y.T @ Y).max())
+
+
+def svd_reference_dmd(measured, full, tol):
+    """Exact DMD of the measured pair lifted through the full one, as the
+    textbook writes it: np.linalg.svd of Y, Atilde = U^H Y' V sigma^-1, modes
+    X' V sigma^-1 W (X V sigma^-1 W for zero eigenvalues), amplitudes
+    lstsq(Phi, x_0)."""
+    U, s, Vh = np.linalg.svd(measured.X, full_matrices=False)
+    r = int(np.sum(s > tol * s[0]))
+    U, V_sigma = U[:, :r], Vh[:r].conj().T / s[:r]
+    lambdas, W = np.linalg.eig(U.conj().T @ measured.Xp @ V_sigma)
+    Phi = full.Xp @ V_sigma @ W
+    dead = np.abs(lambdas) <= 1e-12 * np.abs(lambdas).max()
+    Phi[:, dead] = full.X @ V_sigma @ W[:, dead]
+    b = np.linalg.lstsq(Phi, full.X[:, 0].astype(complex), rcond=None)[0]
+    return lambdas, Phi, b
+
+
+def _core_cases():
+    system = make_fourier_lti(nx=32, ny=32, K=3, dt=0.02, m=40, seed=6)
+    waves, _ = generate_fourier_lti(system)
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((64, 6))
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    dying = X @ Q @ np.diag([0.0, 0.9, 0.8, 0.7, 0.6, 0.5]) @ Q.T
+    C = make_measurement("gaussian", 8, waves.n, seed=3)
+    fft = lambda S: np.fft.fft(S, axis=0, norm="ortho")
+    return {
+        "real_series": (waves, waves, 1e-6),
+        "complex_series": (waves.map_snapshots(fft),) * 2 + (1e-6,),
+        "lag_m_pair": (random_consistent_pair(40, 12, seed=9)[0],) * 2 + (1e-10,),
+        # 8 x 41: the measured block is wide, and the modes are lifted
+        "wide_measured_pair": (measure_pair(C, waves), waves, 1e-6),
+        "zero_eigenvalue": (SnapshotPair(X=X, Xp=dying, dt=1.0),) * 2 + (1e-10,),
+    }
+
+
+@pytest.mark.parametrize("case", list(_core_cases()))
+def test_gram_core_matches_an_svd_built_exact_dmd(case):
+    # the Gram core never forms U and solves for b through W; it must agree
+    # with the textbook form (U from an SVD, b from lstsq on Phi) in lambda,
+    # in the modes, and in Phi diag(b), which is free of the modes' scale
+    # and phase (a wide Y gets its V by another route, with other signs)
+    measured, full, tol = _core_cases()[case]
+    lambdas, Phi, b = svd_reference_dmd(measured, full, tol)
+    got = lifted_dmd(measured, full, tol)
+    assert case != "lag_m_pair" or measured.lag == measured.m
+    assert case != "zero_eigenvalue" or np.min(np.abs(got.lambdas)) < 1e-12
+    pairs, un_a, un_b = pair_eigenvalues(lambdas, got.lambdas)
+    assert not un_a and not un_b
+    scale = np.linalg.norm(Phi * b)
+    for i, j, dist in pairs:
+        assert dist < 1e-10
+        assert mode_alignment(Phi[:, i], got.Phi[:, j]) > 1 - 1e-10
+        gap = np.linalg.norm(Phi[:, i] * b[i] - got.Phi[:, j] * got.amplitudes[j])
+        assert gap <= 1e-9 * scale
+
+
+def test_gram_core_keeps_the_thin_qr_orthonormalisation():
+    # the r x r Cholesky factor stands in for svd_econ's thin QR of
+    # U = Y V sigma^-1; without it, Phi diag(b) on this gyre moves by ~1e-9
+    data = generate_gyre_snapshots(DoubleGyreParams(grid=(64, 32)))
+    svd = svd_econ(data.X, 1e-4)
+    B = data.Xp @ (svd.V / svd.sigma)
+    lambdas, W = eig_dense(svd.U.conj().T @ B)
+    b = np.linalg.lstsq(B @ W, data.X[:, 0].astype(complex), rcond=None)[0]
+    got = exact_dmd(data, 1e-4)
+    pairs, un_a, un_b = pair_eigenvalues(lambdas, got.lambdas)
+    assert not un_a and not un_b
+    scale = np.linalg.norm(B @ W * b)
+    for i, j, dist in pairs:
+        assert dist < 1e-10
+        gap = np.linalg.norm(B @ W[:, i] * b[i] - got.Phi[:, j] * got.amplitudes[j])
+        assert gap <= 1.5e-10 * scale
+
+
+@pytest.mark.parametrize("entry, error, match", [
+    (np.nan, DimensionError, "NaN or Inf"),
+    (1e200, DimensionError, "overflow"),
+    (1e-170, ZeroInput, "underflow"),
+])
+def test_exact_dmd_raises_the_svd_errors(entry, error, match):
+    # the errors svd_econ raises for the same snapshots, read from the trace
+    # of the Gram the core forms
+    S = np.full((6, 5), entry)
+    with pytest.raises(error, match=match):
+        exact_dmd(SnapshotPair.series(S, dt=1.0))
+
+
+def test_core_allocates_no_copy_of_the_snapshot_block():
+    # 16384 x 201 waves: past the block itself, exact_dmd and lifted_dmd
+    # keep only Gram-sized and n x r arrays, no n x (m+1) buffer and no
+    # complex copy of S
+    system = make_fourier_lti(nx=128, ny=128, K=5, dt=0.01, m=200, seed=2)
+    data, _ = generate_fourier_lti(system)
+    measured = measure_pair(make_measurement("gaussian", 112, data.n, seed=3), data)
+    for run in (lambda: exact_dmd(data, 1e-6), lambda: lifted_dmd(measured, data, 1e-6)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.S.nbytes / 4
 
 
 def _sigma_rule_raises(X, Y, tol):
