@@ -81,7 +81,7 @@ def gram_svd(G, truncation_tol=DEFAULT_TRUNCATION_TOL):
 def svd_econ(X, truncation_tol=DEFAULT_TRUNCATION_TOL):
     """Economy SVD of a (possibly complex) matrix by the method of snapshots.
 
-    Forms the Gram matrix X^H X (or X X^H when the input is wide), solves
+    Forms the m x m Gram matrix X^H X, also for a wide input, solves
     the symmetric eigenproblem, and maps eigenpairs back to singular
     triplets.  Singular values below ``truncation_tol`` times the largest
     are discarded.  A tolerance below GRAM_TOL_FLOOR (2 sqrt(eps), about
@@ -113,12 +113,6 @@ def svd_econ(X, truncation_tol=DEFAULT_TRUNCATION_TOL):
     X = np.asarray(X)
     if X.ndim != 2 or X.size == 0:
         raise DimensionError(f"expected a nonempty 2-d matrix, got shape {X.shape}")
-
-    n, m = X.shape
-    if m > n:
-        # Wide input: decompose the conjugate transpose and swap factors.
-        flipped = svd_econ(X.conj().T, truncation_tol)
-        return replace(flipped, U=flipped.V, V=flipped.U)
 
     with np.errstate(over="ignore", invalid="ignore"):
         G = X.conj().T @ X

@@ -163,8 +163,8 @@ def _residual_rows(diagnostics):
 
 def run_2a(measured, C, grid, sparsity_K, truncation_tol, timings=None):
     """Pathway 2A: CoSaMP-reconstruct every distinct measured snapshot on
-    the grid, then decompose the reconstruction (its real part when C and
-    the measured pair are real).  Raises the first failed column's
+    the grid, then decompose the reconstruction (its real part when the
+    measured pair is real).  Raises the first failed column's
     ZeroInput or NoProgress.  Limited to n <= PATH_2A_MAX_N and
     m <= PATH_2A_MAX_M, since it runs one sparse solve per snapshot, m+1
     for a time series."""
@@ -175,9 +175,9 @@ def run_2a(measured, C, grid, sparsity_K, truncation_tol, timings=None):
             f"m<={PATH_2A_MAX_M}; got n={C.n}, m={measured.m}"
         )
     rcfg = RecoveryConfig(sparsity_K=sparsity_K)
-    # the true snapshot of real data measured by a real C (pixel has no
-    # payload) is real: its real part is no worse, and Atilde stays real
-    real = not (np.iscomplexobj(measured.S) or np.iscomplexobj(C.payload))
+    # every C is real, so the true snapshot of real measured data is real:
+    # its real part is no worse, and Atilde stays real
+    real = np.isrealobj(measured.S)
 
     def reconstruct(Y):
         fields, diags = recover_modes(Y, C, psi, rcfg)

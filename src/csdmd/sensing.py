@@ -21,7 +21,7 @@ KINDS = ("gaussian", "bernoulli", "pixel", "unitary")
 
 @dataclass(frozen=True)
 class MeasurementMatrix:
-    """A p x n measurement operator.
+    """A real p x n measurement operator, checked on construction.
 
     Dense kinds carry their entries in ``payload``; the pixel kind stores
     the selected row indices instead and never materializes a matrix.
@@ -34,32 +34,35 @@ class MeasurementMatrix:
     payload: Optional[np.ndarray] = None
     indices: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        p, n = self.p, self.n
+        if not 1 <= p <= n:
+            raise DimensionError(f"need 1 <= p <= n, got p={p}, n={n}")
+        if self.kind == "pixel":
+            idx = np.asarray(self.indices)
+            if not (idx.shape == (p,) and idx.dtype.kind in "iu" and idx[0] >= 0
+                    and idx[-1] < n and np.all(np.diff(idx) > 0)):
+                raise DimensionError(
+                    f"pixel indices are not {p} strictly increasing integers in [0, {n})"
+                )
+        elif np.shape(self.payload) != (p, n) or np.iscomplexobj(self.payload):
+            raise DimensionError(f"{self.kind} payload is not a real {p} x {n} matrix")
 
-def make_measurement(kind, p, n, seed=None, payload=None) -> MeasurementMatrix:
+
+def make_measurement(kind, p, n, seed=None) -> MeasurementMatrix:
     """Construct a measurement operator, deterministic per (kind, p, n, seed).
 
-    kind is one of gaussian, bernoulli, pixel, unitary.  The
-    unitary kind accepts an explicit (possibly complex) payload with
-    orthonormal rows; without a payload a random co-isometry is drawn.
+    kind is one of gaussian, bernoulli, pixel, unitary.  The unitary kind
+    is a real random co-isometry: its p rows are orthonormal.
     """
     if kind not in KINDS:
         raise DimensionError(f"unknown measurement kind {kind!r}")
     if not (1 <= p <= n):
         raise DimensionError(f"need 1 <= p <= n, got p={p}, n={n}")
-    if kind == "unitary":
-        if payload is not None:
-            payload = np.asarray(payload)
-            if payload.shape != (p, n):
-                raise DimensionError(
-                    f"unitary payload shape {payload.shape} != ({p}, {n})"
-                )
-            return MeasurementMatrix(kind, p, n, seed, payload=payload)
-        rng = np.random.default_rng(seed)
-        M = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
-        Q, _ = np.linalg.qr(M)
-        return MeasurementMatrix(kind, p, n, seed, payload=Q.conj().T)
-
     rng = np.random.default_rng(seed)
+    if kind == "unitary":
+        Q, _ = np.linalg.qr(rng.standard_normal((n, p)))
+        return MeasurementMatrix(kind, p, n, seed, payload=np.ascontiguousarray(Q.T))
     if kind == "pixel":
         idx = np.sort(rng.choice(n, size=p, replace=False))
         return MeasurementMatrix(kind, p, n, seed, indices=idx)
@@ -78,8 +81,10 @@ def apply_measurement(C: MeasurementMatrix, X):
         raise DimensionError(f"operand has {rows} rows, measurement expects {C.n}")
     if C.kind == "pixel":
         return X[C.indices]
-    if _split_product(C, X):
-        # interleaved (re, im) pairs: column 2j is Re x_j, column 2j+1 is Im x_j
+    if np.iscomplexobj(X):
+        # one real GEMM on the interleaved (re, im) pairs, column 2j Re x_j
+        # and column 2j+1 Im x_j, so the real payload is never cast to
+        # complex (a 2x larger copy per call)
         flat = np.ascontiguousarray(X).reshape(rows, -1)
         Y = C.payload @ flat.view(flat.real.dtype)
         return Y.view(flat.dtype).reshape((C.p,) + X.shape[1:])
@@ -96,20 +101,13 @@ def adjoint_measurement(C: MeasurementMatrix, Y):
         out = np.zeros(out_shape, dtype=Y.dtype)
         out[C.indices] = Y
         return out
-    if _split_product(C, Y):
+    if np.iscomplexobj(Y):
         # (Y^T C)^T: a (2k, p) by (p, n) product reads C row by row, ~2x
         # faster than C^T Y for the few columns CoSaMP passes
         flat = np.ascontiguousarray(Y).reshape(C.p, -1)
         X = np.ascontiguousarray((flat.view(flat.real.dtype).T @ C.payload).T)
         return X.view(flat.dtype).reshape((C.n,) + Y.shape[1:])
-    return C.payload.conj().T @ Y
-
-
-def _split_product(C: MeasurementMatrix, operand):
-    """True when a real payload meets a complex operand.  The product then
-    runs as one real GEMM on the operand's real and imaginary parts, so the
-    p x n payload is never cast to complex (a 2x larger copy per call)."""
-    return np.isrealobj(C.payload) and np.iscomplexobj(operand)
+    return C.payload.T @ Y
 
 
 @dataclass(frozen=True)
@@ -182,9 +180,9 @@ def mutual_coherence(C: MeasurementMatrix, psi: SparseBasis) -> float:
 
     Every entry of C Psi has magnitude 1/sqrt(n) for the pixel kind.
     Otherwise, as the DFT matrix is symmetric, the i-th row of C Psi is the
-    basis synthesis of the i-th (conjugated) measurement row.  For a real
-    row that synthesis is the conjugate of the forward transform, whose
-    Hermitian half (rfft2) holds every magnitude.  The rows go through the
+    basis synthesis of the i-th measurement row.  The row is real, so that
+    synthesis is the conjugate of its forward transform, whose Hermitian
+    half (rfft2) holds every magnitude.  The rows go through the
     FFT 16 at a time, so no p x n complex array is formed.
     """
     if C.n != psi.n:
@@ -194,12 +192,8 @@ def mutual_coherence(C: MeasurementMatrix, psi: SparseBasis) -> float:
     nx, ny = psi.grid
     peak = 0.0
     for rows in np.array_split(C.payload, -(-C.p // 16)):
-        if np.isrealobj(rows):
-            spectra = np.fft.rfft2(rows.reshape(-1, ny, nx), norm="ortho")
-            entries = np.abs(spectra).reshape(len(rows), -1)
-        else:
-            # products[:, i] = Psi @ conj(row_i); entry j equals <row_i, psi_j>
-            entries = np.abs(apply_basis(psi, rows.conj().T, "forward")).T
+        spectra = np.fft.rfft2(rows.reshape(-1, ny, nx), norm="ortho")
+        entries = np.abs(spectra).reshape(len(rows), -1)
         row_peak = np.max(entries, axis=1) / np.linalg.norm(rows, axis=1)
         peak = max(peak, float(np.max(row_peak)))
     return peak

@@ -32,12 +32,6 @@ def dft_atom_direct(grid, ky, kx):
     return (atom / np.sqrt(nx * ny)).ravel()
 
 
-def basis_matrix(grid):
-    n = grid[0] * grid[1]
-    psi = SparseBasis(grid)
-    return apply_basis(psi, np.eye(n, dtype=complex), "forward")
-
-
 def dense_matrix(C):
     """The p x n matrix of a measurement operator, one basis vector at a time."""
     return apply_measurement(C, np.eye(C.n))
@@ -178,12 +172,36 @@ def test_identity_kind():
         make_measurement("identity", 4, 4, seed=0)
 
 
-def test_unitary_payload_round_trip():
-    rng = np.random.default_rng(4)
-    Q = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
-    C = make_measurement("unitary", 6, 6, seed=0, payload=Q)
-    x = rng.standard_normal(6)
-    np.testing.assert_allclose(apply_measurement(C, x), Q @ x, atol=1e-13)
+def test_unitary_rows_are_real_and_orthonormal():
+    C = make_measurement("unitary", 12, 40, seed=6)
+    assert C.payload.dtype == np.float64
+    assert np.linalg.norm(C.payload @ C.payload.T - np.eye(12)) <= 1e-12
+    again = make_measurement("unitary", 12, 40, seed=6)
+    np.testing.assert_array_equal(again.payload, C.payload)
+
+
+PIXEL_DAMAGES = [
+    lambda idx: idx[:-1] + [9999],  # outside [0, n)
+    lambda idx: idx[:-1] + [-1],
+    lambda idx: idx[:2] + idx[1:-1],  # a duplicate, still p of them
+    lambda idx: idx[::-1],  # decreasing
+    lambda idx: idx[:-1],  # fewer than p
+    lambda idx: idx[:-1] + [float(idx[-1])],  # not integers
+]
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [(dict(kind="pixel", indices=np.array(damage([0, 2, 5, 7]))), "pixel indices")
+     for damage in PIXEL_DAMAGES]
+    + [
+        (dict(kind="gaussian", payload=np.ones((4, 8)) * 1j), "real 4 x 8"),
+        (dict(kind="unitary", payload=np.ones((8, 4))), "real 4 x 8"),
+    ],
+)
+def test_construction_rejects_a_malformed_matrix(fields, message):
+    with pytest.raises(BadDimensions, match=message):
+        MeasurementMatrix(p=4, n=8, **fields)
 
 
 def test_unknown_kind_rejected():
@@ -206,11 +224,13 @@ def test_pixel_coherence_at_paper_scale_stays_matrix_free():
 
 
 def test_coherence_of_basis_itself_is_one():
-    # measuring directly in the sparse basis is maximally coherent
+    # measuring directly in the sparse basis is maximally coherent: the
+    # rows are the real atoms of the 4 x 4 grid, the constant and (-1)^(ix+iy)
     psi = SparseBasis((4, 4))
-    atoms = basis_matrix((4, 4))
-    C = make_measurement("unitary", 5, 16, seed=0, payload=atoms.T[:5])
-    assert abs(mutual_coherence(C, psi) - 1.0) < 1e-12
+    iy, ix = np.divmod(np.arange(16), 4)
+    atoms = np.stack([np.full(16, 0.25), (-1.0) ** (ix + iy) / 4])
+    C = MeasurementMatrix("unitary", 2, 16, payload=atoms)
+    assert mutual_coherence(C, psi) == 1.0
 
 
 def synthesis_coherence(C, psi):
