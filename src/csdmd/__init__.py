@@ -22,7 +22,7 @@ from .errors import (
     RankCollapse,
     ZeroInput,
 )
-from .linalg import EconSvd, eig_dense, pinv_from_svd, svd_econ
+from .linalg import EconSvd, eig_dense, svd_econ
 from .pipelines import (
     ExperimentConfig,
     ExperimentReport,

@@ -107,6 +107,8 @@ def _write_images(out_dir, result, grid, count, with_imag):
 
 
 def _cmd_gen(args):
+    if not (args.dt > 0 and np.isfinite(args.t1)):
+        raise DimensionError(f"need dt > 0 and a finite t1, got dt={args.dt}, t1={args.t1}")
     if args.what == "example1":
         m = int(round(args.t1 / args.dt))
         sys_cfg = make_fourier_lti(

@@ -7,11 +7,12 @@ time), spatial modes, and initial amplitudes.  One core, lifted_dmd, runs
 the decomposition on a measured pair Y = C X and lifts the modes back to
 full state space through the full shifted snapshots; exact DMD is the case
 where the measured pair is the full pair.  The fit reads the measured
-block once, through its Gram matrix, and the lift reads the full X' once
-(exact DMD after Tu et al., 2014); U is never formed.
+block once, through its Gram matrix on the short side (m x m for a tall
+block, p x p for a wide one), and the lift reads the full X' once (exact
+DMD after Tu et al., 2014); no n-row U is ever formed.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -145,8 +146,8 @@ def compressed_dmd(
     Projects the snapshots to Y = C X, Y' = C X', decomposes the projected
     pair, and rebuilds spatial modes from the full shifted snapshots as
     X' V_Y sigma_Y^-1 W_Y.  Eigenvalues come entirely from the projected
-    data, so the expensive eigenproblem is p x p instead of n x n, and the
-    full X is never decomposed.
+    data, so the Gram eigenproblem is at most p x p instead of n x n, and
+    the full X is never decomposed.
 
     Parameters
     ----------
@@ -169,27 +170,36 @@ def lifted_dmd(
     measured: SnapshotPair, full: SnapshotPair, truncation_tol=DEFAULT_TRUNCATION_TOL
 ) -> DmdResult:
     """DMD of the measured pair (Y, Y') with modes lifted through the full
-    pair (X, X').  From G = Y^H Y and G' = Y^H Y' alone come sigma, V
-    (gram_svd) and Atilde = R^-H sigma^-1 V^H G' V sigma^-1, with R the
-    Cholesky factor of sigma^-1 V^H G V sigma^-1: the thin-QR
-    orthonormalisation of U = Y V sigma^-1, done in r x r space.  The lift
+    pair (X, X'), from one Gram of Y, on its short side.  A tall Y gives
+    sigma and V from G = Y^H Y (gram_svd) and, with G' = Y^H Y',
+    Atilde = R^-H sigma^-1 V^H G' V sigma^-1, R the Cholesky factor of
+    sigma^-1 V^H G V sigma^-1: the thin-QR orthonormalisation of
+    U = Y V sigma^-1 in r x r space.  A wide Y gives an orthonormal U from
+    Y Y^H, V = Y^H U sigma^-1 and Atilde = U^H Y' V sigma^-1.  The lift
     B = X' V sigma^-1 gives the modes B W and the amplitudes
     W^-1 lstsq(B, x_0).  Exact DMD is the case where full is measured;
-    otherwise the rank check runs before the eigensolve.
-    """
+    otherwise the rank check runs before the eigensolve."""
     if measured.m < 2:
         raise DimensionError("need at least 2 snapshot columns")
-    S, m, lag = measured.S, measured.m, measured.lag
+    S, m, lag, Y = measured.S, measured.m, measured.lag, measured.X
+    wide = measured.n < m
     with np.errstate(over="ignore", invalid="ignore"):
-        # Y^H [Y, Y'], which for a series is the one Gram S^H S
-        G = (S if lag == 1 else measured.X).conj().T @ S
-    G, Gp = G[:m, :m], G[:m, lag:]
-    svd = gram_svd(G, truncation_tol)
+        # one Gram, on Y's short side: Y Y^H (p x p, all of it kept by [:m, :m]),
+        # or Y^H [Y, Y'], which for a series is the one Gram S^H S
+        G = Y @ Y.conj().T if wide else (S if lag == 1 else Y).conj().T @ S
+    svd = gram_svd(G[:m, :m], truncation_tol)
+    if wide:
+        # U^H [Y, Y'] in one product: V sigma = Y^H U, and Atilde from U^H Y'
+        T = svd.V.conj().T @ S
+        V_sigma = T[:, :m].conj().T / svd.sigma**2
+        svd = replace(svd, V=V_sigma * svd.sigma)
+        Atilde = T[:, lag:] @ V_sigma
+    else:
+        V_sigma = svd.V / svd.sigma
+        L = np.linalg.cholesky(V_sigma.conj().T @ G[:m, :m] @ V_sigma)
+        Atilde = np.linalg.solve(L, V_sigma.conj().T @ G[:m, lag:] @ V_sigma)
     if full is not measured:
         _check_rank(full.X, svd, truncation_tol)
-    V_sigma = svd.V / svd.sigma
-    L = np.linalg.cholesky(V_sigma.conj().T @ G @ V_sigma)
-    Atilde = np.linalg.solve(L, V_sigma.conj().T @ Gp @ V_sigma)
     lambdas, W = eig_dense(Atilde)
     B = thin_product(full.Xp, V_sigma)
     Phi = thin_product(B, W)

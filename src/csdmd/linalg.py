@@ -1,12 +1,11 @@
-"""Dense matrix substrate: economy SVD via the method of snapshots and a
-small dense eigensolver.
+"""Dense matrix substrate: singular values from a Gram matrix (the method
+of snapshots), thin products on tall blocks, and a small dense eigensolver.
 
-The SVD here deliberately works through the m x m Gram matrix rather than
-bidiagonalizing the full n x m input, because snapshot matrices are tall
-(n >> m) and the Gram route keeps every eigenproblem at the snapshot count.
+A block is reduced to its Gram on the short side, X^H X or X X^H; gram_svd
+reads that side's singular vectors from it, and no n-row ones are formed.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,7 +13,7 @@ from .errors import ConvergenceError, DimensionError, ZeroInput
 
 # The Gram route resolves singular values only down to ~sqrt(eps) sigma_0
 # (1.5e-8); a lower tolerance would keep rounding noise as spurious rank,
-# so svd_econ raises any requested tolerance to GRAM_TOL_FLOOR.
+# so gram_svd raises any requested tolerance to GRAM_TOL_FLOOR.
 DEFAULT_TRUNCATION_TOL = 1e-7
 GRAM_TOL_FLOOR = float(2.0 * np.sqrt(np.finfo(float).eps))
 EIG_MAX_DIM = 512
@@ -22,28 +21,26 @@ EIG_MAX_DIM = 512
 
 @dataclass(frozen=True)
 class EconSvd:
-    """Economy singular value decomposition X ~ U diag(sigma) V^H.
+    """Truncated singular values of X and the singular vectors of one side.
 
     Attributes
     ----------
     sigma : ndarray, shape (r,)
         Singular values, positive and descending.
     V : ndarray, shape (m, r)
-        Right singular vectors, orthonormal columns.
+        Orthonormal right singular vectors of the n x m X from X^H X
+        (left ones, shape (n, r), from X X^H).
     rank : int
         Retained rank r.
     truncation_tol : float
         Relative threshold applied to discard trailing singular values:
         the requested one, raised to at least GRAM_TOL_FLOOR.
-    U : ndarray, shape (n, r), or None
-        Left singular vectors, orthonormal columns; None from gram_svd.
     """
 
     sigma: np.ndarray
     V: np.ndarray
     rank: int
     truncation_tol: float
-    U: np.ndarray = None
 
 
 def thin_product(A, M):
@@ -56,9 +53,11 @@ def thin_product(A, M):
 
 
 def gram_svd(G, truncation_tol=DEFAULT_TRUNCATION_TOL):
-    """Singular values and right singular vectors of X from its Gram
-    matrix G = X^H X, truncated, floored and checked as svd_econ does
-    (the checks read the trace of G, |X|_F^2); U is not formed."""
+    """Singular values and right singular vectors of X from one eigh of its
+    Gram G = X^H X (left ones from G = X X^H), truncated below
+    truncation_tol, raised to GRAM_TOL_FLOOR, times the largest.  Raises
+    ZeroInput if |X|_F^2 = tr G is zero or underflows, DimensionError if X
+    holds NaN or Inf or its squares overflow."""
     truncation_tol = max(truncation_tol, GRAM_TOL_FLOOR)
     # the trace of G is |X|_F^2: a NaN or Inf in X reaches it, and it is zero
     # only when every entry squares to zero, so X needs no other pass
@@ -79,53 +78,14 @@ def gram_svd(G, truncation_tol=DEFAULT_TRUNCATION_TOL):
 
 
 def svd_econ(X, truncation_tol=DEFAULT_TRUNCATION_TOL):
-    """Economy SVD of a (possibly complex) matrix by the method of snapshots.
-
-    Forms the m x m Gram matrix X^H X, also for a wide input, solves
-    the symmetric eigenproblem, and maps eigenpairs back to singular
-    triplets.  Singular values below ``truncation_tol`` times the largest
-    are discarded.  A tolerance below GRAM_TOL_FLOOR (2 sqrt(eps), about
-    3e-8), where the Gram route no longer resolves singular values, is
-    raised to the floor.  This is a limit: singular values below the floor
-    times the largest are dropped even when the data truly has them, so
-    no requested tolerance keeps a spectrum below about 3e-8.
-
-    Parameters
-    ----------
-    X : ndarray, shape (n, m)
-        Input matrix, real or complex.
-    truncation_tol : float
-        Relative cutoff for rank truncation; raised to GRAM_TOL_FLOOR if lower.
-
-    Returns
-    -------
-    EconSvd
-
-    Raises
-    ------
-    ZeroInput
-        If the input has zero Frobenius norm, or entries so small that
-        their squares underflow to zero.
-    DimensionError
-        If the input is not a 2-d matrix of finite values, or has entries
-        so large that their squares overflow.
-    """
+    """gram_svd of X^H X for a nonempty 2-d X: the Gram route the DMD core
+    runs, kept for the benchmark's per-layer SVD timer until that timer
+    reads a library trace."""
     X = np.asarray(X)
     if X.ndim != 2 or X.size == 0:
         raise DimensionError(f"expected a nonempty 2-d matrix, got shape {X.shape}")
-
     with np.errstate(over="ignore", invalid="ignore"):
-        G = X.conj().T @ X
-    svd = gram_svd(G, truncation_tol)
-    U = thin_product(X, svd.V) / svd.sigma
-
-    # The Gram route loses orthonormality in U for singular values near
-    # sqrt(eps) of the largest; one thin-QR pass restores it without
-    # disturbing the reconstruction (the drifting columns carry tiny sigma).
-    Q, R = np.linalg.qr(U)
-    d = np.diagonal(R)
-    phase = np.where(np.abs(d) > 0, d / np.abs(np.where(np.abs(d) > 0, d, 1.0)), 1.0)
-    return replace(svd, U=Q * phase)
+        return gram_svd(X.conj().T @ X, truncation_tol)
 
 
 def canonical_phase(M):
@@ -192,7 +152,3 @@ def eig_dense(A):
         )
     return lambdas, W
 
-
-def pinv_from_svd(svd):
-    """Moore-Penrose pseudo-inverse V diag(1/sigma) U^H from an EconSvd."""
-    return (svd.V / svd.sigma) @ svd.U.conj().T

@@ -56,6 +56,8 @@ class FourierLtiSystem:
             seen.add(neg)
         if len(self.wavenumbers) != self.K:
             raise DimensionError("wavenumber count must equal K")
+        if not self.dt > 0 or self.m < 1:
+            raise DimensionError(f"need dt > 0 and m >= 1 steps, got dt={self.dt}, m={self.m}")
         if np.any(np.real(self.mu) > 1e-12):
             raise DimensionError("plant only neutrally stable or decaying waves")
 
@@ -75,6 +77,10 @@ class FourierTruth:
 def make_fourier_lti(nx=128, ny=128, K=5, dt=0.01, m=200, seed=0) -> FourierLtiSystem:
     """Draw a random system: distinct wavenumber pairs, frequencies in
     [pi, 10 pi], small stable dampings, order-one initial coefficients."""
+    # all wavenumbers but the (1 + [nx even]) (1 + [ny even]) self-conjugate ones
+    pairs = (nx * ny - (1 + (nx % 2 == 0)) * (1 + (ny % 2 == 0))) // 2
+    if not 1 <= K <= pairs:
+        raise DimensionError(f"K={K} outside [1, {pairs}], the wave pairs of a {nx}x{ny} grid")
     rng = np.random.default_rng(seed)
     chosen = []
     seen = set()
@@ -192,8 +198,11 @@ class DoubleGyreParams:
         nx, ny = self.grid
         if nx < 2 or ny < 2:
             raise DimensionError("grid must be at least 2x2")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise DimensionError("dt must be positive")
+        # generate_gyre_snapshots takes round((t1 - t0) / dt) steps
+        if not 0.5 <= (self.t1 - self.t0) / self.dt < np.inf:
+            raise DimensionError(f"[t0, t1] must span finitely many, >= 1, steps dt={self.dt}")
 
 
 def double_gyre_field(params: DoubleGyreParams, t):

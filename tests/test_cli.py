@@ -608,6 +608,24 @@ def test_gyre_generation(tmp_path):
     ) == 0
 
 
+@pytest.mark.parametrize("args", [
+    ["example1", "--dt", "0"],
+    ["example1", "--dt", "-0.01"],
+    ["example1", "--t1", "-1"],
+    ["gyre", "--t0", "5", "--t1", "1"],
+    ["gyre", "--dt", "0"],
+    ["example1", "--t1", "nan"],
+    ["gyre", "--t1", "inf"],
+    # an 8 x 8 grid holds only 30 wave pairs
+    ["example1", "--k", "40"],
+], ids=["zero-dt", "negative-dt", "negative-t1", "t1-before-t0", "gyre-zero-dt", "nan-t1",
+        "gyre-infinite-t1", "k-40"])
+def test_gen_rejects_a_bad_time_window_or_wave_count(tmp_path, capsys, args):
+    argv = ["gen", *args, "--nx", "8", "--ny", "8", "--out", str(tmp_path / "g")]
+    assert main(argv) == 2
+    assert "configuration error in gen" in capsys.readouterr().err
+
+
 def test_gen_gyre_defaults_are_the_library_defaults(tmp_path):
     # the command line and DoubleGyreParams must draw the same flow
     out = tmp_path / "gyre"
@@ -649,7 +667,8 @@ def test_compressed_run_is_deterministic(workspace):
 
 
 def test_cdmd_decomposes_only_the_measured_pair(workspace, tmp_path, monkeypatch):
-    # the one decomposition is of the Gram of the 12-row measured block Y
+    # the one decomposition is of the Gram of the 12-row measured block Y,
+    # on its short side: 12 x 12, not 20 x 20
     grams = []
 
     def recording_gram_svd(G, tol):
@@ -664,7 +683,7 @@ def test_cdmd_decomposes_only_the_measured_pair(workspace, tmp_path, monkeypatch
     ) == 0
     Y, _ = read_matrix(comp, "Y")
     assert Y.shape == (12, 20) and len(grams) == 1
-    np.testing.assert_allclose(grams[0], Y.T @ Y, rtol=0, atol=1e-12 * np.abs(Y.T @ Y).max())
+    np.testing.assert_allclose(grams[0], Y @ Y.T, rtol=0, atol=1e-12 * np.abs(Y @ Y.T).max())
 
 
 def test_compare_agrees_with_run_path(tmp_path):

@@ -22,7 +22,7 @@ from csdmd.dmd import (
     pair_eigenvalues,
 )
 from csdmd.errors import DimensionError, RankCollapse, ZeroInput
-from csdmd.linalg import GRAM_TOL_FLOOR, eig_dense, gram_svd, pinv_from_svd, svd_econ
+from csdmd.linalg import GRAM_TOL_FLOOR, eig_dense, gram_svd, svd_econ
 from csdmd.sensing import apply_measurement, make_measurement
 from csdmd.systems import (
     DoubleGyreParams,
@@ -313,8 +313,8 @@ def test_tolerance_below_the_floor_keeps_only_the_planted_rank():
 
 
 def test_compressed_dmd_decomposes_only_the_measured_pair(monkeypatch):
-    # the one decomposition is of the Gram of the 8-row measured block Y,
-    # never of the full X
+    # the one decomposition is of a Gram of the p-row measured block Y, on
+    # its short side (p x p for p < m, else m x m), never of the full X
     grams = []
 
     def recording_gram_svd(G, tol):
@@ -324,11 +324,14 @@ def test_compressed_dmd_decomposes_only_the_measured_pair(monkeypatch):
     monkeypatch.setattr("csdmd.dmd.gram_svd", recording_gram_svd)
     system = make_fourier_lti(nx=32, ny=32, K=3, dt=0.02, m=40, seed=6)
     data, _ = generate_fourier_lti(system)
-    C = make_measurement("gaussian", 8, data.n, seed=3)
-    compressed_dmd(data, C, truncation_tol=1e-6)
-    Y = apply_measurement(C, data.X)
-    assert len(grams) == 1
-    np.testing.assert_allclose(grams[0], Y.T @ Y, rtol=0, atol=1e-12 * np.abs(Y.T @ Y).max())
+    for p in (8, 40, 60):
+        C = make_measurement("gaussian", p, data.n, seed=3)
+        grams.clear()
+        compressed_dmd(data, C, truncation_tol=1e-6)
+        Y = apply_measurement(C, data.X)
+        short = Y @ Y.T if p < data.m else Y.T @ Y
+        assert len(grams) == 1 and grams[0].shape == (min(p, data.m),) * 2
+        np.testing.assert_allclose(grams[0], short, rtol=0, atol=1e-12 * np.abs(short).max())
 
 
 def svd_reference_dmd(measured, full, tol):
@@ -388,14 +391,16 @@ def test_gram_core_matches_an_svd_built_exact_dmd(case):
 
 
 def test_gram_core_keeps_the_thin_qr_orthonormalisation():
-    # the r x r Cholesky factor stands in for svd_econ's thin QR of
-    # U = Y V sigma^-1; without it, Phi diag(b) on this gyre moves by ~1e-9
+    # the r x r Cholesky factor stands in for a thin QR of U = Y V sigma^-1;
+    # without it, Phi diag(b) on this gyre moves by ~1e-9 against an
+    # Atilde = U^H X' V sigma^-1 built from LAPACK's orthonormal U
     data = generate_gyre_snapshots(DoubleGyreParams(grid=(64, 32)))
-    svd = svd_econ(data.X, 1e-4)
-    B = data.Xp @ (svd.V / svd.sigma)
-    lambdas, W = eig_dense(svd.U.conj().T @ B)
-    b = np.linalg.lstsq(B @ W, data.X[:, 0].astype(complex), rcond=None)[0]
     got = exact_dmd(data, 1e-4)
+    U, s, Vh = np.linalg.svd(data.X, full_matrices=False)
+    U, V_sigma = U[:, : got.rank], Vh[: got.rank].conj().T / s[: got.rank]
+    B = data.Xp @ V_sigma
+    lambdas, W = eig_dense(U.conj().T @ B)
+    b = np.linalg.lstsq(B @ W, data.X[:, 0].astype(complex), rcond=None)[0]
     pairs, un_a, un_b = pair_eigenvalues(lambdas, got.lambdas)
     assert not un_a and not un_b
     scale = np.linalg.norm(B @ W * b)
@@ -478,15 +483,14 @@ def test_projection_commutes_with_propagator():
     # needs rank preservation, so C has at least n rows here (drawn
     # directly since the sensor constructors model compressing C).
     data, A = random_consistent_pair(12, 40, seed=44)
-    svd_x = svd_econ(data.X, 1e-10)
-    assert svd_x.rank == 12
-    A_X = data.Xp @ pinv_from_svd(svd_x)
+    assert svd_econ(data.X, 1e-10).rank == 12
+    A_X = data.Xp @ np.linalg.pinv(data.X, rcond=1e-10)
     rng = np.random.default_rng(3)
     for trial in range(5):
         p = int(rng.integers(12, 25))
         Cd = rng.standard_normal((p, 12))
         Y = Cd @ data.X
-        A_Y = (Cd @ data.Xp) @ pinv_from_svd(svd_econ(Y, 1e-10))
+        A_Y = (Cd @ data.Xp) @ np.linalg.pinv(Y, rcond=1e-10)
         lhs = Cd @ A_X
         assert np.linalg.norm(lhs - A_Y @ Cd) <= 1e-8 * np.linalg.norm(lhs)
 

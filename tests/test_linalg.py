@@ -2,16 +2,18 @@
 
 The SVD is cross-checked against numpy's LAPACK-backed bidiagonalization
 solver, which shares no code with the Gram-matrix route used by the
-package.  The eigensolver is checked by independently building the
-characteristic polynomial (trace recursion) and evaluating it at the
-returned eigenvalues, plus a companion-roots comparison.
+package.  The Gram route forms no left singular vectors; tests that need
+them form U = X V sigma^-1 themselves.  The eigensolver is checked by
+independently building the characteristic polynomial (trace recursion)
+and evaluating it at the returned eigenvalues, plus a companion-roots
+comparison.
 """
 
 import numpy as np
 import pytest
 
 from csdmd.errors import ConvergenceError, DimensionError, ZeroInput
-from csdmd.linalg import EIG_MAX_DIM, GRAM_TOL_FLOOR, eig_dense, pinv_from_svd, svd_econ
+from csdmd.linalg import EIG_MAX_DIM, GRAM_TOL_FLOOR, eig_dense, svd_econ, thin_product
 
 
 def char_poly_coeffs(A):
@@ -29,6 +31,11 @@ def char_poly_coeffs(A):
     return np.array(coeffs)
 
 
+def left_vectors(X, svd):
+    """U = X V sigma^-1, the left singular vectors the Gram route implies."""
+    return thin_product(X, svd.V) / svd.sigma
+
+
 def polish_roots(coeffs, roots, iters=5):
     """A few Newton steps on each root of the polynomial."""
     deriv = np.polyder(coeffs)
@@ -44,7 +51,8 @@ def test_identity_svd():
     assert svd.rank == 3
     # degenerate spectrum means U is only determined up to a joint
     # rotation with V; the product pins it down
-    np.testing.assert_allclose(svd.U @ svd.V.conj().T, np.eye(3), atol=1e-12)
+    U = left_vectors(np.eye(3), svd)
+    np.testing.assert_allclose(U @ svd.V.conj().T, np.eye(3), atol=1e-12)
 
 
 def test_rank_one_outer_product():
@@ -57,10 +65,13 @@ def test_rank_one_outer_product():
 
 def test_against_lapack_svd():
     rng = np.random.default_rng(7)
-    X = rng.standard_normal((16, 8))
-    svd = svd_econ(X)
-    sigma_ref = np.linalg.svd(X, compute_uv=False)
-    np.testing.assert_allclose(svd.sigma, sigma_ref, atol=1e-10 * sigma_ref[0])
+    # a wide X takes its m x m Gram too: V is m x r
+    for shape in ((16, 8), (6, 20)):
+        X = rng.standard_normal(shape)
+        svd = svd_econ(X)
+        sigma_ref = np.linalg.svd(X, compute_uv=False)[: svd.rank]
+        np.testing.assert_allclose(svd.sigma, sigma_ref, atol=1e-10 * sigma_ref[0])
+        assert svd.V.shape == (shape[1], svd.rank)
 
 
 def test_reconstruction_and_orthonormality():
@@ -75,22 +86,26 @@ def test_reconstruction_and_orthonormality():
         # a tolerance above that floor recovers the exact rank
         svd = svd_econ(X, truncation_tol=1e-7)
         assert svd.rank == r
-        rec = (svd.U * svd.sigma) @ svd.V.conj().T
+        U = left_vectors(X, svd)
+        rec = (U * svd.sigma) @ svd.V.conj().T
         assert np.linalg.norm(rec - X) <= 1e-8 * np.linalg.norm(X)
-        assert np.linalg.norm(svd.U.conj().T @ svd.U - np.eye(r)) <= 1e-10
+        assert np.linalg.norm(U.conj().T @ U - np.eye(r)) <= 1e-10
         assert np.linalg.norm(svd.V.conj().T @ svd.V - np.eye(r)) <= 1e-10
         # the permissive default keeps junk directions near the noise
         # floor; factors stay orthonormal and reconstruction stays sane,
         # though the tight bound only applies when rank is resolved
         loose = svd_econ(X)
-        rec = (loose.U * loose.sigma) @ loose.V.conj().T
+        U = left_vectors(X, loose)
+        rec = (U * loose.sigma) @ loose.V.conj().T
         assert np.linalg.norm(rec - X) <= 1e-6 * np.linalg.norm(X)
         eye = np.eye(loose.rank)
-        assert np.linalg.norm(loose.U.conj().T @ loose.U - eye) <= 1e-10
+        assert np.linalg.norm(U.conj().T @ U - eye) <= 1e-10
 
 
 def test_orthonormality_with_wide_spectrum():
-    # singular values spanning six decades still give orthonormal factors
+    # singular values spanning six decades still give orthonormal factors:
+    # V from eigh, and U = X V sigma^-1 once the DMD core's r x r Cholesky
+    # step (U = Q L^H with L L^H = U^H U) has taken out its drift
     rng = np.random.default_rng(3)
     n, m, r = 200, 40, 10
     A = np.linalg.qr(rng.standard_normal((n, r)))[0]
@@ -99,19 +114,11 @@ def test_orthonormality_with_wide_spectrum():
     X = (A * sig) @ B.T
     svd = svd_econ(X, truncation_tol=1e-7)
     assert svd.rank == r
-    assert np.linalg.norm(svd.U.conj().T @ svd.U - np.eye(r)) <= 1e-10
-
-
-def test_wide_matrix_swaps_factors():
-    rng = np.random.default_rng(2)
-    X = rng.standard_normal((6, 20))
-    svd = svd_econ(X)
-    sigma_ref = np.linalg.svd(X, compute_uv=False)[: svd.rank]
-    np.testing.assert_allclose(svd.sigma, sigma_ref, atol=1e-10 * sigma_ref[0])
-    assert svd.U.shape == (6, svd.rank)
-    assert svd.V.shape == (20, svd.rank)
-    rec = (svd.U * svd.sigma) @ svd.V.conj().T
-    assert np.linalg.norm(rec - X) <= 1e-8 * np.linalg.norm(X)
+    assert np.linalg.norm(svd.V.conj().T @ svd.V - np.eye(r)) <= 1e-10
+    U = left_vectors(X, svd)
+    L = np.linalg.cholesky(U.conj().T @ U)
+    Q = np.linalg.solve(L, U.conj().T).conj().T
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(r)) <= 1e-10
 
 
 def test_complex_input():
@@ -120,7 +127,7 @@ def test_complex_input():
     svd = svd_econ(X)
     sigma_ref = np.linalg.svd(X, compute_uv=False)
     np.testing.assert_allclose(svd.sigma, sigma_ref, atol=1e-10 * sigma_ref[0])
-    rec = (svd.U * svd.sigma) @ svd.V.conj().T
+    rec = (left_vectors(X, svd) * svd.sigma) @ svd.V.conj().T
     assert np.linalg.norm(rec - X) <= 1e-10 * np.linalg.norm(X)
 
 
@@ -150,8 +157,9 @@ def test_right_unitary_preserves_sigma_and_subspace():
     sv2 = svd_econ(X @ P.conj().T)
     np.testing.assert_allclose(sv1.sigma, sv2.sigma, atol=1e-10 * sv1.sigma[0])
     # left subspace unchanged: projectors agree
-    P1 = sv1.U @ sv1.U.conj().T
-    P2 = sv2.U @ sv2.U.conj().T
+    U1, U2 = left_vectors(X, sv1), left_vectors(X @ P.conj().T, sv2)
+    P1 = U1 @ U1.conj().T
+    P2 = U2 @ U2.conj().T
     assert np.linalg.norm(P1 - P2) <= 1e-8
 
 
@@ -232,24 +240,6 @@ def test_eig_dimension_guards():
         eig_dense(np.ones((3, 4)))
     with pytest.raises(DimensionError):
         eig_dense(np.eye(EIG_MAX_DIM + 1))
-
-
-def test_pinv_identity():
-    np.testing.assert_allclose(pinv_from_svd(svd_econ(np.eye(2))), np.eye(2), atol=1e-13)
-
-
-def test_pinv_truncated_diagonal():
-    pinv = pinv_from_svd(svd_econ(np.diag([2.0, 0.0]), truncation_tol=1e-10))
-    np.testing.assert_allclose(pinv, np.diag([0.5, 0.0]), atol=1e-13)
-
-
-def test_pinv_left_inverse():
-    rng = np.random.default_rng(9)
-    X = rng.standard_normal((10, 4))
-    pinv = pinv_from_svd(svd_econ(X))
-    np.testing.assert_allclose(pinv @ X, np.eye(4), atol=1e-9)
-    # defining property X X+ X = X
-    assert np.linalg.norm(X @ pinv @ X - X) <= 1e-8 * np.linalg.norm(X)
 
 
 def test_eig_conjugate_pairs_put_positive_imag_first():

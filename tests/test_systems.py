@@ -124,6 +124,29 @@ def test_wavenumber_validation():
         explicit_system(mu=(0.5 + 1j,))
 
 
+def test_wave_count_is_checked_against_the_grid_before_drawing():
+    # a 4 x 4 grid has 16 wavenumbers, 4 of them self-conjugate: 6 pairs
+    sys = make_fourier_lti(nx=4, ny=4, K=6, m=3, seed=0)
+    assert len(set(sys.wavenumbers)) == 6
+    for K in (7, 0):
+        with pytest.raises(DimensionError, match="wave pairs of a 4x4 grid"):
+            make_fourier_lti(nx=4, ny=4, K=K, m=3, seed=0)
+
+
+@pytest.mark.parametrize("dt, m", [(0.0, 10), (-0.01, 10), (0.01, 0), (0.01, -5)])
+def test_planted_system_needs_a_positive_step_and_one_step(dt, m):
+    with pytest.raises(DimensionError, match="dt > 0 and m >= 1"):
+        make_fourier_lti(nx=8, ny=8, K=2, dt=dt, m=m, seed=0)
+
+
+@pytest.mark.parametrize(
+    "t0, t1, dt", [(5.0, 1.0, 0.1), (0.0, 0.04, 0.1), (0.0, 1.0, 0.0), (0.0, np.inf, 0.1)]
+)
+def test_gyre_window_must_span_a_step(t0, t1, dt):
+    with pytest.raises(DimensionError):
+        DoubleGyreParams(grid=(8, 4), t0=t0, t1=t1, dt=dt)
+
+
 def test_default_scale_shapes():
     data, truth = generate_fourier_lti(make_fourier_lti(seed=42))
     assert data.X.shape == (16384, 200)
