@@ -76,34 +76,26 @@ def _write_pair(directory, pair, x, xp, block):
             os.remove(os.path.join(directory, f"{name}.bin"))
 
 
-def _write_result(out_dir, result, extra=None):
-    os.makedirs(out_dir, exist_ok=True)
-    io_mod.write_matrix(out_dir, "lambdas", result.lambdas)
-    io_mod.write_matrix(out_dir, "omegas", result.omegas)
-    io_mod.write_matrix(out_dir, "amplitudes", result.amplitudes)
-    io_mod.write_matrix(out_dir, "modes", result.Phi)
-    io_mod.write_matrix(out_dir, "atilde", result.Atilde)
-    summary = {
-        "rank": result.rank,
-        "dt": result.dt,
-        "truncation_tol": result.svd_used.truncation_tol,
-    }
-    if extra:
-        summary.update(extra)
-    io_mod.atomic_write_text(
-        os.path.join(out_dir, "result.json"), io_mod.dumps_report(summary)
-    )
-
-
-def _write_images(out_dir, result, grid, count, with_imag):
-    if grid is None:
+def _write_fit(args, result, grid, **extra):
+    """A fit's arrays and result.json (its rank, dt, cutoff and extra) in
+    args.out, then, with --images, the args.images modes of largest
+    amplitude as images on grid (with --imag, their imaginary parts too)."""
+    for name, array in (("lambdas", result.lambdas), ("omegas", result.omegas),
+                        ("amplitudes", result.amplitudes), ("modes", result.Phi),
+                        ("atilde", result.Atilde)):
+        io_mod.write_matrix(args.out, name, array)
+    summary = {"rank": result.rank, "dt": result.dt,
+               "truncation_tol": result.svd_used.truncation_tol, **extra}
+    io_mod.atomic_write_text(os.path.join(args.out, "result.json"), io_mod.dumps_report(summary))
+    if args.images and grid is None:
         raise DimensionError("mode images need grid metadata on the snapshots")
     order = np.argsort(-np.abs(result.amplitudes))
-    for rank_pos, j in enumerate(order[:count]):
-        base = os.path.join(out_dir, f"mode{rank_pos:02d}")
+    for rank_pos, j in enumerate(order[:args.images]):
+        base = os.path.join(args.out, f"mode{rank_pos:02d}")
         io_mod.write_mode_image(base + ".pgm", result.Phi[:, j], grid, "real")
-        if with_imag:
+        if args.imag:
             io_mod.write_mode_image(base + "_imag.pgm", result.Phi[:, j], grid, "imag")
+    return 0
 
 
 def _cmd_gen(args):
@@ -115,8 +107,7 @@ def _cmd_gen(args):
             nx=args.nx, ny=args.ny, K=args.k, dt=args.dt, m=m, seed=args.seed
         )
         pair, truth = generate_fourier_lti(sys_cfg)
-        if args.noise > 0:
-            pair = add_fourier_noise(pair, args.noise, args.noise_seed)
+        pair = add_fourier_noise(pair, args.noise, args.noise_seed)
         io_mod.write_matrix(args.out, "truth_lambdas", truth.lambdas)
         io_mod.write_matrix(args.out, "truth_atoms", truth.atoms, grid=sys_cfg.grid)
         meta = {
@@ -163,11 +154,7 @@ def _cmd_gen(args):
 
 def _cmd_dmd(args):
     pair = _read_pair(args.snapshots)
-    result = exact_dmd(pair, args.tol)
-    _write_result(args.out, result, extra={"path": "1A"})
-    if args.images:
-        _write_images(args.out, result, pair.grid, args.images, args.imag)
-    return 0
+    return _write_fit(args, exact_dmd(pair, args.tol), pair.grid, path="1A")
 
 
 def _cmd_cdmd(args):
@@ -175,9 +162,8 @@ def _cmd_cdmd(args):
     C = make_measurement(args.measure, args.p, pair.n, args.seed)
     measured = measure_pair(C, pair)
     result = lifted_dmd(measured, pair, args.tol)
-    _write_result(args.out, result, extra={"path": "1B", "measure": args.measure, "p": args.p})
     # persist the measured pair and the measurement description for the
-    # sampling-only pipeline
+    # sampling-only pipeline, before _write_fit can refuse --images
     _write_pair(args.out, measured, "Y", "Yp", "measurements")
     measure_meta = {
         "kind": C.kind,
@@ -194,9 +180,7 @@ def _cmd_cdmd(args):
     io_mod.atomic_write_text(
         os.path.join(args.out, "measure.json"), io_mod.dumps_report(measure_meta)
     )
-    if args.images:
-        _write_images(args.out, result, pair.grid, args.images, args.imag)
-    return 0
+    return _write_fit(args, result, pair.grid, path="1B", measure=args.measure, p=args.p)
 
 
 def _load_measurement(path):
@@ -223,20 +207,11 @@ def _cmd_csdmd(args):
     measured = _read_pair(args.measured, "Y", "Yp", dt)
 
     if args.reconstruct_snapshots:
-        result = run_2a(measured, C, grid, args.sparsity, args.tol)
-        extra = {"path": "2A"}
-    else:
-        result, residuals = run_2b(measured, C, grid, args.sparsity, args.tol)
-        extra = {
-            "path": "2B",
-            "sparsity_K": args.sparsity,
-            "coherence": mutual_coherence(C, SparseBasis(grid)),
-            "recovery": residuals,
-        }
-    _write_result(args.out, result, extra)
-    if args.images:
-        _write_images(args.out, result, grid, args.images, args.imag)
-    return 0
+        return _write_fit(args, run_2a(measured, C, grid, args.sparsity, args.tol), grid,
+                          path="2A")
+    result, residuals = run_2b(measured, C, grid, args.sparsity, args.tol)
+    return _write_fit(args, result, grid, path="2B", sparsity_K=args.sparsity,
+                      coherence=mutual_coherence(C, SparseBasis(grid)), recovery=residuals)
 
 
 def _cmd_compare(args):
@@ -276,6 +251,14 @@ def _cmd_verify(args):
     return 0
 
 
+def _count(text):
+    """An argparse type: an integer >= 0 (an image count or a seed)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"need an integer >= 0, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="csdmd",
@@ -292,9 +275,9 @@ def build_parser():
     g1.add_argument("--k", type=int, default=5)
     g1.add_argument("--dt", type=float, default=0.01)
     g1.add_argument("--t1", type=float, default=2.0)
-    g1.add_argument("--seed", type=int, default=0)
+    g1.add_argument("--seed", type=_count, default=0)
     g1.add_argument("--noise", type=float, default=0.0)
-    g1.add_argument("--noise-seed", type=int, default=None)
+    g1.add_argument("--noise-seed", type=_count, default=None)
     g1.add_argument("--out", required=True)
 
     gyre = DoubleGyreParams()
@@ -310,32 +293,28 @@ def build_parser():
     g2.add_argument("--observable", choices=("vorticity", "velocity"), default="vorticity")
     g2.add_argument("--out", required=True)
 
-    p_dmd = sub.add_parser("dmd", help="full-state decomposition")
-    p_dmd.add_argument("--snapshots", required=True)
-    p_dmd.add_argument("--tol", type=float, default=DEFAULT_TRUNCATION_TOL)
-    p_dmd.add_argument("--out", required=True)
-    p_dmd.add_argument("--images", type=int, default=0)
-    p_dmd.add_argument("--imag", action="store_true")
+    # the options every fit command shares, read by _write_fit
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("--tol", type=float, default=DEFAULT_TRUNCATION_TOL)
+    fit.add_argument("--out", required=True)
+    fit.add_argument("--images", type=_count, default=0)
+    fit.add_argument("--imag", action="store_true")
 
-    p_cdmd = sub.add_parser("cdmd", help="compress, decompose, lift modes")
+    p_dmd = sub.add_parser("dmd", parents=[fit], help="full-state decomposition")
+    p_dmd.add_argument("--snapshots", required=True)
+
+    p_cdmd = sub.add_parser("cdmd", parents=[fit], help="compress, decompose, lift modes")
     p_cdmd.add_argument("--snapshots", required=True)
     p_cdmd.add_argument("--measure", choices=("gaussian", "bernoulli", "pixel"), required=True)
     p_cdmd.add_argument("-p", type=int, required=True)
-    p_cdmd.add_argument("--seed", type=int, default=0)
-    p_cdmd.add_argument("--tol", type=float, default=DEFAULT_TRUNCATION_TOL)
-    p_cdmd.add_argument("--out", required=True)
-    p_cdmd.add_argument("--images", type=int, default=0)
-    p_cdmd.add_argument("--imag", action="store_true")
+    p_cdmd.add_argument("--seed", type=_count, default=0)
 
-    p_cs = sub.add_parser("csdmd", help="decompose measurements, recover sparse modes")
+    p_cs = sub.add_parser("csdmd", parents=[fit],
+                          help="decompose measurements, recover sparse modes")
     p_cs.add_argument("--measured", required=True)
     p_cs.add_argument("--measure-file", required=True)
     p_cs.add_argument("--sparsity", type=int, required=True)
-    p_cs.add_argument("--tol", type=float, default=DEFAULT_TRUNCATION_TOL)
     p_cs.add_argument("--reconstruct-snapshots", action="store_true")
-    p_cs.add_argument("--out", required=True)
-    p_cs.add_argument("--images", type=int, default=0)
-    p_cs.add_argument("--imag", action="store_true")
 
     p_cmp = sub.add_parser("compare", help="match eigenvalues and modes of two results")
     p_cmp.add_argument("--a", required=True)
@@ -344,7 +323,7 @@ def build_parser():
 
     p_ver = sub.add_parser("verify", help="run the invariance checks on snapshots")
     p_ver.add_argument("--snapshots", required=True)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_count, default=0)
     p_ver.add_argument("--tol", type=float, default=INVARIANCE_TOL_FLOOR,
                        help="rank cutoff, at least %(default).2g: a lower one is raised to it")
 

@@ -57,7 +57,10 @@ def gram_svd(G, truncation_tol=DEFAULT_TRUNCATION_TOL):
     Gram G = X^H X (left ones from G = X X^H), truncated below
     truncation_tol, raised to GRAM_TOL_FLOOR, times the largest.  Raises
     ZeroInput if |X|_F^2 = tr G is zero or underflows, DimensionError if X
-    holds NaN or Inf or its squares overflow."""
+    holds NaN or Inf or its squares overflow, or if truncation_tol is not
+    finite (a NaN or +Inf cutoff passes the floor and keeps rank 1)."""
+    if not np.isfinite(truncation_tol):
+        raise DimensionError(f"truncation tolerance must be finite, got {truncation_tol}")
     truncation_tol = max(truncation_tol, GRAM_TOL_FLOOR)
     # the trace of G is |X|_F^2: a NaN or Inf in X reaches it, and it is zero
     # only when every entry squares to zero, so X needs no other pass

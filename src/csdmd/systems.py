@@ -12,7 +12,7 @@ import numpy as np
 
 from .dmd import SnapshotPair
 from .errors import BadWavenumber, DimensionError
-from .sensing import SparseBasis, basis_atoms
+from .sensing import SparseBasis, apply_basis, basis_atoms
 
 FREQ_RANGE = (2.0 * np.pi * 0.5, 2.0 * np.pi * 5.0)
 DAMP_RANGE = (-0.2, 0.0)
@@ -156,28 +156,21 @@ def add_fourier_noise(data: SnapshotPair, rms_fraction, seed=None) -> SnapshotPa
         return data
     if data.grid is None:
         raise DimensionError("need grid metadata to synthesize spatial noise")
-    nx, ny = data.grid
+    psi = SparseBasis(data.grid)
     rng = np.random.default_rng(seed)
 
     def noised(snaps):
-        power = np.zeros((ny, nx))
-        for k in range(snaps.shape[1]):
-            power += np.abs(np.fft.fft2(snaps[:, k].reshape(ny, nx), norm="ortho")) ** 2
-        power /= snaps.shape[1]
+        power = np.mean(np.abs(apply_basis(psi, snaps, "inverse")) ** 2, axis=1)
         active = power > 1e-8 * power.max()
-
-        out = np.empty_like(snaps)
-        for k in range(snaps.shape[1]):
-            field = rng.standard_normal((ny, nx))
-            spectrum = np.fft.fft2(field, norm="ortho")
-            spectrum[active] = 0.0
-            level = np.linalg.norm(spectrum)
-            target = rms_fraction * np.linalg.norm(snaps[:, k])
-            if level > 0:
-                spectrum *= target / level
-            noise = np.fft.ifft2(spectrum, norm="ortho").real.reshape(-1)
-            out[:, k] = snaps[:, k] + noise
-        return out
+        # one white field per snapshot, drawn in snapshot order
+        spectrum = apply_basis(psi, rng.standard_normal((snaps.shape[1], psi.n)).T, "inverse")
+        spectrum[active] = 0.0
+        # each column's norm is one BLAS dot, as np.linalg.norm takes a vector's:
+        # norm(axis=0) sums in another order, which moves the data in its last bits
+        level = np.array([np.linalg.norm(col) for col in spectrum.T])
+        target = rms_fraction * np.array([np.linalg.norm(col) for col in snaps.T])
+        spectrum *= np.divide(target, level, out=np.zeros_like(level), where=level > 0)
+        return snaps + apply_basis(psi, spectrum, "forward").real
 
     return data.map_snapshots(noised, data.grid)
 
@@ -215,12 +208,11 @@ def double_gyre_field(params: DoubleGyreParams, t):
     nx, ny = params.grid
     x = np.linspace(0.0, 2.0, nx)
     y = np.linspace(0.0, 1.0, ny)
-    XX, YY = np.meshgrid(x, y)
     st = np.sin(params.omega * t)
-    f = params.eps * st * XX**2 + XX - 2.0 * params.eps * st * XX
-    dfdx = 2.0 * params.eps * st * XX + 1.0 - 2.0 * params.eps * st
-    u = -np.pi * params.A * np.sin(np.pi * f) * np.cos(np.pi * YY)
-    v = np.pi * params.A * np.cos(np.pi * f) * np.sin(np.pi * YY) * dfdx
+    f = params.eps * st * x**2 + x - 2.0 * params.eps * st * x
+    dfdx = 2.0 * params.eps * st * x + 1.0 - 2.0 * params.eps * st
+    u = -np.pi * params.A * np.sin(np.pi * f) * np.cos(np.pi * y)[:, None]
+    v = np.pi * params.A * np.cos(np.pi * f) * np.sin(np.pi * y)[:, None] * dfdx
     vorticity = np.gradient(v, x, axis=1) - np.gradient(u, y, axis=0)
     return u, v, vorticity
 

@@ -23,7 +23,7 @@ from csdmd.errors import (
     ZeroInput,
 )
 from csdmd.io import read_matrix, read_pgm, write_matrix, write_view
-from csdmd.linalg import gram_svd
+from csdmd.linalg import DEFAULT_TRUNCATION_TOL, gram_svd
 from csdmd.pipelines import (
     INVARIANCE_TOL_FLOOR,
     ExperimentConfig,
@@ -352,19 +352,111 @@ def test_pixel_measure_file_roundtrip(workspace):
     assert json.loads(out.read_text())["max_abs_delta"] <= 1e-6
 
 
-def test_mode_images(workspace):
-    imgs = workspace / "imgs"
+def _fit_argv(workspace, tmp_path, fit):
+    """One fit command on the workspace data, without the shared options;
+    csdmd runs 2B on the measured pair of a Gaussian p = 12 cdmd run."""
+    data = str(workspace / "data")
+    if fit == "dmd":
+        return ["dmd", "--snapshots", data]
+    cdmd = ["cdmd", "--snapshots", data, "--measure", "gaussian", "-p", "12", "--seed", "5"]
+    if fit == "cdmd":
+        return cdmd
+    comp = tmp_path / "comp"
+    assert main([*cdmd, "--tol", "1e-6", "--out", str(comp)]) == 0
+    return ["csdmd", "--measured", str(comp), "--measure-file", str(comp / "measure.json"),
+            "--sparsity", "2"]
+
+
+@pytest.mark.parametrize("fit", ["dmd", "cdmd", "csdmd"])
+def test_mode_images(workspace, tmp_path, fit):
+    imgs = tmp_path / "imgs"
     assert main(
-        ["dmd", "--snapshots", str(workspace / "data"), "--tol", "1e-6",
-         "--out", str(imgs), "--images", "2", "--imag"]
+        [*_fit_argv(workspace, tmp_path, fit), "--tol", "1e-6", "--out", str(imgs),
+         "--images", "2", "--imag"]
     ) == 0
-    for name in ("mode00.pgm", "mode00_imag.pgm", "mode01.pgm"):
+    for name in ("mode00.pgm", "mode00_imag.pgm", "mode01.pgm", "mode01_imag.pgm"):
         assert (imgs / name).exists()
+    assert not (imgs / "mode02.pgm").exists()
     img, maxval = read_pgm(str(imgs / "mode00.pgm"))
     assert img.shape == (16, 16)
     assert maxval == 255
     side = json.loads((imgs / "mode00.pgm.json").read_text())
     assert side["component"] == "real"
+
+
+def test_fit_commands_share_one_option_set():
+    required = {
+        "dmd": ["--snapshots", "d"],
+        "cdmd": ["--snapshots", "d", "--measure", "pixel", "-p", "4"],
+        "csdmd": ["--measured", "d", "--measure-file", "m", "--sparsity", "2"],
+    }
+    parser = build_parser()
+
+    def shared(*argv):
+        args = parser.parse_args(list(argv))
+        return args.tol, args.out, args.images, args.imag
+
+    for fit, argv in required.items():
+        assert shared(fit, *argv, "--out", "o") == (DEFAULT_TRUNCATION_TOL, "o", 0, False)
+        assert shared(fit, *argv, "--out", "o", "--tol", "1e-3", "--images", "3",
+                      "--imag") == (1e-3, "o", 3, True)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["dmd", "cdmd", "csdmd", "verify"])
+def test_a_non_finite_tolerance_is_a_configuration_error(workspace, tmp_path, capsys,
+                                                         command, tol):
+    # max(tol, floor) passed NaN and Inf on: the fits wrote rank 1 and exited
+    # 0, and verify printed five passes
+    out = tmp_path / "out"
+    if command == "verify":
+        argv = ["verify", "--snapshots", str(workspace / "data")]
+    else:
+        argv = [*_fit_argv(workspace, tmp_path, command), "--out", str(out)]
+    capsys.readouterr()
+    assert main([*argv, "--tol", tol]) == 2
+    assert "tolerance must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option", [
+    ("dmd", "--images"), ("cdmd", "--images"), ("csdmd", "--images"),
+    ("gen", "--seed"), ("gen", "--noise-seed"), ("cdmd", "--seed"), ("verify", "--seed"),
+])
+def test_a_negative_count_or_seed_exits_before_any_write(workspace, tmp_path, capsys,
+                                                        command, option):
+    # --images -1 wrote all modes but the last (order[:-1]); a negative seed
+    # ended in a ValueError traceback from default_rng
+    out = tmp_path / "out"
+    if command == "gen":
+        argv = ["gen", "example1", "--nx", "8", "--ny", "8", "--noise", "0.01",
+                "--out", str(out)]
+    elif command == "verify":
+        argv = ["verify", "--snapshots", str(workspace / "data")]
+    else:
+        argv = [*_fit_argv(workspace, tmp_path, command), "--out", str(out)]
+    capsys.readouterr()
+    assert main([*argv, option, "-1"]) == 2
+    assert f"argument {option}: need an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gridless_cdmd_writes_its_fit_before_refusing_images(tmp_path, capsys):
+    # the images come last: the fit and the measured pair are written first
+    data, comp = tmp_path / "vel", tmp_path / "comp"
+    assert main(
+        ["gen", "gyre", "--nx", "12", "--ny", "6", "--t1", "1.0", "--dt", "0.1",
+         "--observable", "velocity", "--out", str(data)]
+    ) == 0
+    capsys.readouterr()
+    assert main(
+        ["cdmd", "--snapshots", str(data), "--measure", "gaussian", "-p", "20",
+         "--tol", "1e-6", "--out", str(comp), "--images", "1"]
+    ) == 2
+    assert "mode images need grid metadata" in capsys.readouterr().err
+    for name in ("result.json", "modes.bin", "measure.json", "measurements.bin"):
+        assert (comp / name).exists()
+    assert not (comp / "mode00.pgm").exists()
 
 
 def test_verify_reports_all_checks(workspace, capsys):
@@ -618,12 +710,17 @@ def test_gyre_generation(tmp_path):
     ["gyre", "--t1", "inf"],
     # an 8 x 8 grid holds only 30 wave pairs
     ["example1", "--k", "40"],
+    # a NaN or negative noise level skipped the noise: clean data, exit 0
+    ["example1", "--noise", "nan"],
+    ["example1", "--noise", "-0.1"],
+    ["example1", "--noise", "1.5"],
 ], ids=["zero-dt", "negative-dt", "negative-t1", "t1-before-t0", "gyre-zero-dt", "nan-t1",
-        "gyre-infinite-t1", "k-40"])
+        "gyre-infinite-t1", "k-40", "nan-noise", "negative-noise", "noise-above-one"])
 def test_gen_rejects_a_bad_time_window_or_wave_count(tmp_path, capsys, args):
     argv = ["gen", *args, "--nx", "8", "--ny", "8", "--out", str(tmp_path / "g")]
     assert main(argv) == 2
     assert "configuration error in gen" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
 
 
 def test_gen_gyre_defaults_are_the_library_defaults(tmp_path):

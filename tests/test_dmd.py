@@ -312,6 +312,16 @@ def test_tolerance_below_the_floor_keeps_only_the_planted_rank():
     assert result.svd_used.truncation_tol == GRAM_TOL_FLOOR
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_tolerance_is_rejected(tol):
+    # max(tol, floor) passed NaN and +Inf on, sigma > tol * sigma_0 then
+    # kept nothing, and the fit read rank 1 where the data hold 6
+    system = make_fourier_lti(nx=32, ny=32, K=3, dt=0.02, m=40, seed=6)
+    data, _ = generate_fourier_lti(system)
+    with pytest.raises(DimensionError, match="finite"):
+        exact_dmd(data, truncation_tol=tol)
+
+
 def test_compressed_dmd_decomposes_only_the_measured_pair(monkeypatch):
     # the one decomposition is of a Gram of the p-row measured block Y, on
     # its short side (p x p for p < m, else m x m), never of the full X
