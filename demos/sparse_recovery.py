@@ -11,7 +11,7 @@ recovered from 2% pixel sampling.
 
 import numpy as np
 
-from csdmd.dmd import SnapshotPair, exact_dmd, mode_alignment, pair_eigenvalues
+from csdmd.dmd import exact_dmd, measure_pair, mode_alignment, pair_eigenvalues
 from csdmd.errors import NoProgress
 from csdmd.recovery import RecoveryConfig, SensingOperator, cosamp, recover_modes
 from csdmd.sensing import SparseBasis, apply_basis, apply_measurement, make_measurement
@@ -71,9 +71,7 @@ reference = exact_dmd(data, truncation_tol=1e-4)
 
 p = int(round(0.02 * data.n))
 C = make_measurement("pixel", p, data.n, seed=11)
-measured = SnapshotPair(
-    X=apply_measurement(C, data.X), Xp=apply_measurement(C, data.Xp), dt=data.dt
-)
+measured = measure_pair(C, data)  # one C S over the m+1 distinct snapshots
 projected = exact_dmd(measured, truncation_tol=1e-4)
 recovered, diags = recover_modes(
     projected.Phi, C, SparseBasis(params.grid), RecoveryConfig(sparsity_K=30)

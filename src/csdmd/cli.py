@@ -119,6 +119,7 @@ def _cmd_gen(args):
             "m": m,
             "seed": args.seed,
             "noise_rms": args.noise,
+            "noise_seed": args.noise_seed,
             "wavenumbers": [list(w) for w in sys_cfg.wavenumbers],
             "mu": [complex(z) for z in sys_cfg.mu],
         }

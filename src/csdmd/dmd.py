@@ -62,8 +62,9 @@ class SnapshotPair:
             raise DimensionError(f"a block of shape {S.shape} holds no pair at lag {lag}")
         if grid is not None and grid[0] * grid[1] != S.shape[0]:
             raise DimensionError(f"grid {grid} does not match row count {S.shape[0]}")
-        if dt <= 0:
-            raise DimensionError("dt must be positive")
+        # a NaN dt would write NaN omegas, and a JSON null reads as None
+        if dt is None or not 0 < dt < np.inf:
+            raise DimensionError(f"dt must be finite and positive, got {dt}")
         self.S, self.lag, self.dt, self.grid = S, lag, dt, grid
         self.n, self.m = S.shape[0], S.shape[1] - lag
         self.X, self.Xp = S[:, : self.m], S[:, lag:]

@@ -169,15 +169,3 @@ def write_mode_image(path, field, grid, component="real"):
             {"nx": nx, "ny": ny, "min": lo, "max": hi, "component": component}
         ),
     )
-
-def read_pgm(path):
-    """Parse a binary PGM written by write_mode_image (testing helper)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    parts = blob.split(b"\n", 3)
-    if parts[0] != b"P5":
-        raise DimensionError("not a binary PGM file")
-    w, h = (int(v) for v in parts[1].split())
-    maxval = int(parts[2])
-    img = np.frombuffer(parts[3], dtype=np.uint8, count=w * h).reshape(h, w)
-    return img, maxval

@@ -16,7 +16,6 @@ from .errors import ConvergenceError, DimensionError, ZeroInput
 # so gram_svd raises any requested tolerance to GRAM_TOL_FLOOR.
 DEFAULT_TRUNCATION_TOL = 1e-7
 GRAM_TOL_FLOOR = float(2.0 * np.sqrt(np.finfo(float).eps))
-EIG_MAX_DIM = 512
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ def canonical_phase(M):
 
 
 def eig_dense(A):
-    """Eigendecomposition of a small dense square matrix.
+    """Eigendecomposition of a dense square matrix.
 
     Eigenvectors are returned unit-norm with canonical phase, ordered by
     descending eigenvalue magnitude, then by descending imaginary part.
@@ -118,8 +117,7 @@ def eig_dense(A):
     Parameters
     ----------
     A : ndarray, shape (d, d)
-        Square matrix with d <= EIG_MAX_DIM, a safety bound on the
-        problem size.
+        Square matrix; in a fit, d is the retained rank r.
 
     Returns
     -------
@@ -130,8 +128,6 @@ def eig_dense(A):
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {A.shape}")
-    if A.shape[0] > EIG_MAX_DIM:
-        raise DimensionError(f"matrix dimension {A.shape[0]} exceeds {EIG_MAX_DIM}")
     if not np.all(np.isfinite(A)):
         raise DimensionError("matrix contains NaN or Inf entries")
 

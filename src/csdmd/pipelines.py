@@ -84,7 +84,6 @@ class ExperimentReport:
     recovery_residuals: list = field(default_factory=list)
     coherence: Optional[float] = None
     timings: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
 
     def to_dict(self):
         return {"schema": io_mod.REPORT_SCHEMA, **asdict(self)}
@@ -143,12 +142,6 @@ def _timed(timings, key):
         timings[key] = time.perf_counter() - t0
 
 
-def _sparse_basis(grid):
-    if grid is None:
-        raise DimensionError("sparse recovery needs grid metadata")
-    return SparseBasis(grid)
-
-
 def _residual_rows(diagnostics):
     """One report row per mode: CoSaMP residual and iterations, or the error."""
     rows = []
@@ -168,7 +161,7 @@ def run_2a(measured, C, grid, sparsity_K, truncation_tol, timings=None):
     ZeroInput or NoProgress.  Limited to n <= PATH_2A_MAX_N and
     m <= PATH_2A_MAX_M, since it runs one sparse solve per snapshot, m+1
     for a time series."""
-    psi = _sparse_basis(grid)
+    psi = SparseBasis(grid)
     if C.n > PATH_2A_MAX_N or measured.m > PATH_2A_MAX_M:
         raise DimensionError(
             f"snapshot reconstruction limited to n<={PATH_2A_MAX_N}, "
@@ -197,7 +190,7 @@ def run_2b(measured, C, grid, sparsity_K, truncation_tol, timings=None):
     """Pathway 2B: decompose the measured pair, then CoSaMP-recover only its
     r modes on the grid.  Returns the result and one residual row per mode;
     a mode whose recovery failed is a zero column with an error row."""
-    psi = _sparse_basis(grid)
+    psi = SparseBasis(grid)
     with _timed(timings, "projected_dmd_s"):
         projected = exact_dmd(measured, truncation_tol)
     with _timed(timings, "mode_recovery_s"):

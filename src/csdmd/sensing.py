@@ -112,7 +112,8 @@ def adjoint_measurement(C: MeasurementMatrix, Y):
 
 @dataclass(frozen=True)
 class SparseBasis:
-    """Unitary 2-d DFT synthesis basis on an (nx, ny) grid.
+    """Unitary 2-d DFT synthesis basis on an (nx, ny) grid, checked on
+    construction.
 
     The forward direction maps coefficient vectors to spatial fields
     (x = Psi s); the inverse direction is the analysis transform.  Both
@@ -121,17 +122,14 @@ class SparseBasis:
 
     grid: tuple
 
+    def __post_init__(self):
+        if self.grid is None:
+            raise DimensionError("the sparse basis needs grid metadata")
+
     @property
     def n(self):
         nx, ny = self.grid
         return nx * ny
-
-    def _shape(self, vec):
-        nx, ny = self.grid
-        v = np.asarray(vec)
-        if v.shape[0] != nx * ny:
-            raise DimensionError(f"vector length {v.shape[0]} != grid size {nx * ny}")
-        return v, (ny, nx)
 
 
 def apply_basis(psi: SparseBasis, s, direction="forward"):
@@ -139,19 +137,17 @@ def apply_basis(psi: SparseBasis, s, direction="forward"):
 
     forward: spatial field from coefficients, via the inverse unitary FFT.
     inverse: coefficients from a spatial field, via the forward unitary FFT.
+    Both transform axes (0, 1) of the (ny, nx, k) view of the columns.
     """
-    v, (ny, nx) = psi._shape(s)
-    single = v.ndim == 1
-    cols = v.reshape(ny, nx, -1)
-    cols = np.moveaxis(cols, -1, 0)
-    if direction == "forward":
-        out = np.fft.ifft2(cols, norm="ortho")
-    elif direction == "inverse":
-        out = np.fft.fft2(cols, norm="ortho")
-    else:
+    transform = {"forward": np.fft.ifft2, "inverse": np.fft.fft2}.get(direction)
+    if transform is None:
         raise DimensionError(f"direction must be forward or inverse, got {direction!r}")
-    out = np.moveaxis(out, 0, -1).reshape(ny * nx, -1)
-    return out[:, 0] if single else out
+    v = np.asarray(s)
+    if v.shape[0] != psi.n:
+        raise DimensionError(f"vector length {v.shape[0]} != grid size {psi.n}")
+    nx, ny = psi.grid
+    out = transform(v.reshape((ny, nx) + v.shape[1:]), axes=(0, 1), norm="ortho")
+    return out.reshape(v.shape)
 
 
 def basis_atoms(psi: SparseBasis, idx, rows=None):

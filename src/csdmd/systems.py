@@ -154,8 +154,6 @@ def add_fourier_noise(data: SnapshotPair, rms_fraction, seed=None) -> SnapshotPa
         raise DimensionError("rms_fraction must lie in [0, 1]")
     if rms_fraction == 0.0:
         return data
-    if data.grid is None:
-        raise DimensionError("need grid metadata to synthesize spatial noise")
     psi = SparseBasis(data.grid)
     rng = np.random.default_rng(seed)
 

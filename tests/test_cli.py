@@ -22,7 +22,7 @@ from csdmd.errors import (
     RankCollapse,
     ZeroInput,
 )
-from csdmd.io import read_matrix, read_pgm, write_matrix, write_view
+from csdmd.io import read_matrix, write_matrix, write_view
 from csdmd.linalg import DEFAULT_TRUNCATION_TOL, gram_svd
 from csdmd.pipelines import (
     INVARIANCE_TOL_FLOOR,
@@ -38,6 +38,8 @@ from csdmd.systems import (
     generate_gyre_snapshots,
     make_fourier_lti,
 )
+
+from pgm import read_pgm
 
 
 @pytest.fixture(scope="module")
@@ -248,7 +250,7 @@ def _set_sidecar(directory, name, **changes):
 
 @pytest.mark.parametrize("damage", [
     "missing_block", "negative_first_col", "first_col_past_block",
-    "rows", "dtype", "view_of_view", "payload_size",
+    "rows", "dtype", "view_of_view", "payload_size", "null_dt",
 ])
 def test_malformed_view_is_a_configuration_error(tmp_path, capsys, damage):
     data = tmp_path / "data"
@@ -269,14 +271,18 @@ def test_malformed_view_is_a_configuration_error(tmp_path, capsys, damage):
         _set_sidecar(data, "Xp", dtype="c128")
     elif damage == "view_of_view":
         _set_sidecar(data, "Xp", block="X", first_col=0)
+    elif damage == "null_dt":
+        # a non-finite dt is written as null; the matrix reads, its pair does not
+        _set_sidecar(data, "X", dt=None)
     else:
         blob = (data / "snapshots.bin").read_bytes()
         (data / "snapshots.bin").write_bytes(blob[:-8])
     with pytest.raises(DimensionError):
         _read_pair(str(data))
-    with pytest.raises(DimensionError):
-        read_matrix(str(data), "Xp" if damage in ("first_col_past_block", "dtype",
-                                                  "view_of_view") else "X")
+    if damage != "null_dt":
+        with pytest.raises(DimensionError):
+            read_matrix(str(data), "Xp" if damage in ("first_col_past_block", "dtype",
+                                                      "view_of_view") else "X")
     capsys.readouterr()
     assert main(["dmd", "--snapshots", str(data), "--out", str(tmp_path / "o")]) == 2
     assert "configuration error in dmd" in capsys.readouterr().err
@@ -721,6 +727,29 @@ def test_gen_rejects_a_bad_time_window_or_wave_count(tmp_path, capsys, args):
     assert main(argv) == 2
     assert "configuration error in gen" in capsys.readouterr().err
     assert not (tmp_path / "g").exists()
+
+
+def test_noisy_data_set_is_drawn_again_from_its_system_json(tmp_path):
+    first = tmp_path / "first"
+    assert main(
+        ["gen", "example1", "--nx", "16", "--ny", "16", "--k", "2", "--dt", "0.05",
+         "--t1", "1.0", "--seed", "4", "--noise", "0.05", "--noise-seed", "3",
+         "--out", str(first)]
+    ) == 0
+    meta = json.loads((first / "system.json").read_text())
+    assert meta["noise_seed"] == 3
+    again = tmp_path / "again"
+    assert main(
+        ["gen", "example1", "--nx", str(meta["nx"]), "--ny", str(meta["ny"]),
+         "--k", str(meta["K"]), "--dt", str(meta["dt"]), "--t1", str(meta["m"] * meta["dt"]),
+         "--seed", str(meta["seed"]), "--noise", str(meta["noise_rms"]),
+         "--noise-seed", str(meta["noise_seed"]), "--out", str(again)]
+    ) == 0
+    assert (again / "snapshots.bin").read_bytes() == (first / "snapshots.bin").read_bytes()
+    # without --noise-seed the noise comes from OS entropy, recorded as null
+    clean = tmp_path / "clean"
+    assert main(["gen", "example1", "--nx", "8", "--ny", "8", "--out", str(clean)]) == 0
+    assert json.loads((clean / "system.json").read_text())["noise_seed"] is None
 
 
 def test_gen_gyre_defaults_are_the_library_defaults(tmp_path):

@@ -77,6 +77,16 @@ def test_keyword_pair_stores_each_distinct_snapshot_once():
         SnapshotPair(X=np.ones((4, 0)), Xp=np.ones((4, 0)), dt=1.0)
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, None, 0.0, -0.1])
+def test_a_pair_needs_a_finite_positive_step(dt):
+    # a NaN step would give NaN omegas; a null dt in a sidecar reads as None
+    S = np.arange(12.0).reshape(3, 4)
+    with pytest.raises(DimensionError):
+        SnapshotPair.series(S, dt=dt)
+    with pytest.raises(DimensionError):
+        SnapshotPair(X=S[:, :3], Xp=S[:, 1:], dt=dt)
+
+
 def test_map_snapshots_sees_each_snapshot_of_a_series_once():
     # X' is X shifted, so f gets the m+1 distinct snapshots in one call
     data = rotation_pair(m=6, dt=0.5)
@@ -155,6 +165,15 @@ def test_single_column_rejected():
     X = np.ones((4, 1))
     with pytest.raises(DimensionError):
         exact_dmd(SnapshotPair(X=X, Xp=X, dt=1.0))
+
+
+def test_a_fit_above_rank_512_runs():
+    # the r x r eigensolve takes any rank the m x m Gram eigh before it kept
+    rng = np.random.default_rng(0)
+    data = SnapshotPair(X=rng.standard_normal((600, 550)),
+                        Xp=rng.standard_normal((600, 550)), dt=1.0)
+    result = exact_dmd(data)
+    assert result.rank == 550 and result.Phi.shape == (600, 550)
 
 
 def test_nilpotent_direction_uses_projected_modes():

@@ -14,11 +14,12 @@ from csdmd.io import (
     dumps_report,
     locate,
     read_matrix,
-    read_pgm,
     write_matrix,
     write_mode_image,
     write_view,
 )
+
+from pgm import read_pgm
 
 
 def test_real_matrix_round_trip(tmp_path):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from csdmd.errors import ConvergenceError, DimensionError, ZeroInput
-from csdmd.linalg import EIG_MAX_DIM, GRAM_TOL_FLOOR, eig_dense, svd_econ, thin_product
+from csdmd.linalg import GRAM_TOL_FLOOR, eig_dense, svd_econ, thin_product
 
 
 def char_poly_coeffs(A):
@@ -238,8 +238,6 @@ def test_eig_residual_and_normalization():
 def test_eig_dimension_guards():
     with pytest.raises(DimensionError):
         eig_dense(np.ones((3, 4)))
-    with pytest.raises(DimensionError):
-        eig_dense(np.eye(EIG_MAX_DIM + 1))
 
 
 def test_eig_conjugate_pairs_put_positive_imag_first():

@@ -299,7 +299,7 @@ def test_sparse_paths_need_grid():
             system=data, path=path, measurement_kind="gaussian", p=16,
             measurement_seed=0, sparsity_K=2,
         )
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="the sparse basis needs grid metadata"):
             run_path(cfg)
 
 
@@ -343,7 +343,7 @@ def test_report_file_and_determinism(tmp_path):
     assert loaded["schema"] == "csdmd-report/1"
     assert loaded["path"] == "1B"
     keys = list(loaded.keys())
-    assert keys[0] == "schema" and keys[-1] == "notes"
+    assert keys[0] == "schema" and keys[-1] == "timings"
 
 
 def test_invariance_suite_on_generic_data():

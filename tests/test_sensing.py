@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from csdmd.errors import BadDimensions
+from csdmd.errors import BadDimensions, DimensionError
 from csdmd.recovery import SensingOperator
 from csdmd.sensing import (
     MeasurementMatrix,
@@ -47,6 +47,16 @@ def test_forward_matches_direct_sum():
         np.testing.assert_allclose(fast, dft_atom_direct(grid, ky, kx), atol=1e-13)
 
 
+def test_basis_checks_its_grid_and_operands():
+    with pytest.raises(DimensionError, match="the sparse basis needs grid metadata"):
+        SparseBasis(None)
+    psi = SparseBasis((5, 3))
+    with pytest.raises(DimensionError):
+        apply_basis(psi, np.ones(16))
+    with pytest.raises(DimensionError):
+        apply_basis(psi, np.ones(15), "sideways")
+
+
 def test_dc_atom_is_constant():
     psi = SparseBasis((8, 8))
     coeffs = np.zeros(64, dtype=complex)
@@ -67,13 +77,16 @@ def test_round_trip_and_parseval():
 
 def test_matrix_argument_is_columnwise():
     rng = np.random.default_rng(1)
-    psi = SparseBasis((4, 4))
-    S = rng.standard_normal((16, 3))
-    batched = apply_basis(psi, S, "forward")
-    for j in range(3):
-        np.testing.assert_allclose(
-            batched[:, j], apply_basis(psi, S[:, j], "forward"), atol=1e-13
-        )
+    psi = SparseBasis((5, 3))
+    S = rng.standard_normal((15, 4)) + 1j * rng.standard_normal((15, 4))
+    for block in (S, S.real, np.asfortranarray(S)):
+        for direction in ("forward", "inverse"):
+            batched = apply_basis(psi, block, direction)
+            assert batched.shape == (15, 4)
+            for j in range(4):
+                np.testing.assert_array_equal(
+                    batched[:, j], apply_basis(psi, block[:, j], direction)
+                )
 
 
 def test_gaussian_deterministic_and_scaled():

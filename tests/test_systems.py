@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from csdmd.dmd import exact_dmd, mode_alignment, pair_eigenvalues
+from csdmd.dmd import SnapshotPair, exact_dmd, mode_alignment, pair_eigenvalues
 from csdmd.errors import BadWavenumber, DimensionError
 from csdmd.sensing import SparseBasis, apply_basis
 from csdmd.systems import (
@@ -158,6 +158,13 @@ def test_noise_zero_fraction_is_identity():
     data, _ = generate_fourier_lti(make_fourier_lti(nx=16, ny=16, K=2, m=10, seed=3))
     noised = add_fourier_noise(data, 0.0, seed=1)
     assert noised is data
+
+
+def test_noise_needs_a_grid():
+    data, _ = generate_fourier_lti(make_fourier_lti(nx=16, ny=16, K=2, m=10, seed=3))
+    gridless = SnapshotPair.series(data.S, data.dt)
+    with pytest.raises(DimensionError, match="the sparse basis needs grid metadata"):
+        add_fourier_noise(gridless, 0.02, seed=1)
 
 
 def test_noise_level_and_realness():
