@@ -50,7 +50,6 @@ from .systems import (
     FourierLtiSystem,
     FourierTruth,
     add_fourier_noise,
-    double_gyre_field,
     generate_fourier_lti,
     generate_gyre_snapshots,
     make_fourier_lti,

@@ -720,8 +720,15 @@ def test_gyre_generation(tmp_path):
     ["example1", "--noise", "nan"],
     ["example1", "--noise", "-0.1"],
     ["example1", "--noise", "1.5"],
+    # half a step rounds to no step: the window check passed it, the series then failed
+    ["gyre", "--t1", "0.05"],
+    # non-finite flow parameters wrote a NaN block and exited 0
+    ["gyre", "--amp", "nan"],
+    ["gyre", "--omega", "inf"],
+    ["gyre", "--eps", "nan"],
 ], ids=["zero-dt", "negative-dt", "negative-t1", "t1-before-t0", "gyre-zero-dt", "nan-t1",
-        "gyre-infinite-t1", "k-40", "nan-noise", "negative-noise", "noise-above-one"])
+        "gyre-infinite-t1", "k-40", "nan-noise", "negative-noise", "noise-above-one",
+        "gyre-half-step", "gyre-nan-amp", "gyre-infinite-omega", "gyre-nan-eps"])
 def test_gen_rejects_a_bad_time_window_or_wave_count(tmp_path, capsys, args):
     argv = ["gen", *args, "--nx", "8", "--ny", "8", "--out", str(tmp_path / "g")]
     assert main(argv) == 2

@@ -5,6 +5,7 @@ derivatives are evaluated by hand at chosen points), and the planted
 eigenstructure is the oracle for the wave generator.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,6 @@ from csdmd.systems import (
     DoubleGyreParams,
     FourierLtiSystem,
     add_fourier_noise,
-    double_gyre_field,
     generate_fourier_lti,
     generate_gyre_snapshots,
     make_fourier_lti,
@@ -140,9 +140,11 @@ def test_planted_system_needs_a_positive_step_and_one_step(dt, m):
 
 
 @pytest.mark.parametrize(
-    "t0, t1, dt", [(5.0, 1.0, 0.1), (0.0, 0.04, 0.1), (0.0, 1.0, 0.0), (0.0, np.inf, 0.1)]
+    "t0, t1, dt",
+    [(5.0, 1.0, 0.1), (0.0, 0.04, 0.1), (0.0, 1.0, 0.0), (0.0, np.inf, 0.1), (0.0, 0.05, 0.1)],
 )
 def test_gyre_window_must_span_a_step(t0, t1, dt):
+    # (0, 0.05, 0.1) is half a step, which the generator rounds to none
     with pytest.raises(DimensionError):
         DoubleGyreParams(grid=(8, 4), t0=t0, t1=t1, dt=dt)
 
@@ -193,11 +195,61 @@ def test_noise_preserves_active_bins_and_shift():
             assert abs(diff[(-ky) % 32, (-kx) % 32]) < 1e-12
 
 
+def reference_gyre_field(params, t):
+    """u, v and vorticity at time t as (ny, nx) arrays, built field by field:
+    2-d u and v, and the vorticity by np.gradient along both axes."""
+    nx, ny = params.grid
+    x = np.linspace(0.0, 2.0, nx)
+    y = np.linspace(0.0, 1.0, ny)
+    st = np.sin(params.omega * t)
+    f = params.eps * st * x**2 + x - 2.0 * params.eps * st * x
+    dfdx = 2.0 * params.eps * st * x + 1.0 - 2.0 * params.eps * st
+    u = -np.pi * params.A * np.sin(np.pi * f) * np.cos(np.pi * y)[:, None]
+    v = np.pi * params.A * np.cos(np.pi * f) * np.sin(np.pi * y)[:, None] * dfdx
+    vorticity = np.gradient(v, x, axis=1) - np.gradient(u, y, axis=0)
+    return u, v, vorticity
+
+
+def gyre_fields(params, t):
+    """u, v and vorticity at time t as (ny, nx) arrays, from a one-step series."""
+    params = replace(params, t0=t, t1=t + params.dt)
+    nx, ny = params.grid
+    u, v = generate_gyre_snapshots(params, "velocity").X[:, 0].reshape(2, ny, nx)
+    vort = generate_gyre_snapshots(params).X[:, 0].reshape(ny, nx)
+    return u, v, vort
+
+
+@pytest.mark.parametrize("grid", [(9, 5), (33, 17), (64, 32)])
+def test_gyre_series_matches_the_field_by_field_construction(grid):
+    params = DoubleGyreParams(grid=grid, t0=1.3, t1=4.3)
+    vort = generate_gyre_snapshots(params).S
+    vel = generate_gyre_snapshots(params, "velocity").S
+    times = params.t0 + params.dt * np.arange(vort.shape[1])
+    fields = [reference_gyre_field(params, t) for t in times]
+    ref_vort = np.column_stack([w.ravel() for _, _, w in fields])
+    ref_vel = np.column_stack([np.concatenate([u.ravel(), v.ravel()]) for u, v, _ in fields])
+    # boundary rows and columns included; the vorticity differences scaled
+    # profiles where the reference scales differenced ones
+    assert np.abs(vort - ref_vort).max() <= 1e-13 * np.abs(ref_vort).max()
+    assert np.abs(vel - ref_vel).max() <= 1e-15 * np.abs(ref_vel).max()
+
+
+def test_paper_scale_gyre_holds_one_block():
+    tracemalloc.start()
+    try:
+        pair = generate_gyre_snapshots(DoubleGyreParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the block itself and a few T x nx profiles, never an n x (m+1) temporary
+    assert peak <= pair.S.nbytes + 6 * 2**20
+
+
 def test_gyre_closed_form_spot_values():
     # grid chosen so (x, y) = (0.25, 0.25) is a sample point; there
     # u = -pi A sin(pi/4) cos(pi/4) = -0.05 pi at t = 0
     params = DoubleGyreParams(grid=(9, 5))
-    u, v, vort = double_gyre_field(params, 0.0)
+    u, v, vort = gyre_fields(params, 0.0)
     assert u.shape == (5, 9)
     assert abs(u[1, 1] - (-0.05 * np.pi)) < 1e-14
     # walls are impermeable: v vanishes on both horizontal boundaries
@@ -208,8 +260,8 @@ def test_gyre_closed_form_spot_values():
 def test_gyre_period():
     params = DoubleGyreParams(grid=(64, 32))
     for t in (0.7, 2.3):
-        a = double_gyre_field(params, t)
-        b = double_gyre_field(params, t + 10.0)
+        a = gyre_fields(params, t)
+        b = gyre_fields(params, t + 10.0)
         for fa, fb in zip(a, b):
             assert np.abs(fa - fb).max() < 1e-12
 
@@ -219,7 +271,7 @@ def test_gyre_divergence_vanishes_at_second_order():
     # its error twice per refinement
     def max_div(nx, ny):
         params = DoubleGyreParams(grid=(nx, ny))
-        u, v, _ = double_gyre_field(params, 2.5)
+        u, v, _ = gyre_fields(params, 2.5)
         x = np.linspace(0.0, 2.0, nx)
         y = np.linspace(0.0, 1.0, ny)
         div = np.gradient(u, x, axis=1) + np.gradient(v, y, axis=0)
@@ -239,8 +291,9 @@ def test_gyre_snapshot_shapes():
     assert vel.X.shape == (2 * 8192, 150)
     assert vel.grid is None
     # u over v, snapshot by snapshot; one column-major block each
-    u, v, _ = double_gyre_field(params, params.t0 + params.dt)
-    np.testing.assert_array_equal(vel.X[:, 1], np.concatenate([u.ravel(), v.ravel()]))
+    u, v, _ = reference_gyre_field(params, params.t0 + params.dt)
+    ref = np.concatenate([u.ravel(), v.ravel()])
+    np.testing.assert_allclose(vel.X[:, 1], ref, rtol=0, atol=1e-15 * np.abs(ref).max())
     assert pair.S.flags.f_contiguous and vel.S.flags.f_contiguous
 
 
