@@ -12,7 +12,7 @@ The four pathways share names throughout the package:
 
   1A  decompose the full snapshots (the reference)
   1B  compress the snapshots, decompose the small pair, lift the modes
-  2A  reconstruct every snapshot from measurements, then decompose
+  2A  sparse-recover the measured block's range, then decompose
   2B  decompose the measured pair, sparse-recover only the modes
 """
 
@@ -21,9 +21,8 @@ import numpy as np
 from csdmd.pipelines import ExperimentConfig, run_path
 from csdmd.systems import make_fourier_lti
 
-# A reduced-size instance so every pathway (including the per-snapshot
-# reconstruction in 2A) runs in seconds: 32 x 32 grid, three waves,
-# sixty snapshots.
+# A reduced-size instance so every pathway runs in well under a second:
+# 32 x 32 grid, three waves, sixty snapshots.
 system = make_fourier_lti(nx=32, ny=32, K=3, dt=0.01, m=60, seed=42)
 print("planted wavenumbers:", system.wavenumbers)
 print("planted rates:      ", np.round(system.mu, 4))

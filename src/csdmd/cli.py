@@ -221,6 +221,8 @@ def _cmd_compare(args):
     amps_a, _ = io_mod.read_matrix(args.a, "amplitudes")
     Ma, _ = io_mod.read_matrix(args.a, "modes")
     Mb, _ = io_mod.read_matrix(args.b, "modes")
+    if Ma.shape[0] != Mb.shape[0]:
+        raise DimensionError(f"modes of {Ma.shape[0]} and {Mb.shape[0]} states cannot be aligned")
     rows, aligns, un_a, un_b = compare_spectra(la[:, 0], Ma, lb[:, 0], Mb, amps_a[:, 0])
     report = {
         "schema": io_mod.REPORT_SCHEMA,

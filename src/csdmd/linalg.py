@@ -96,14 +96,10 @@ def canonical_phase(M):
     Eigenvectors and mode shapes are defined up to a complex scalar; fixing
     the phase makes outputs reproducible across runs and platforms.
     """
-    M = np.array(M, dtype=complex, copy=True)
-    for j in range(M.shape[1]):
-        col = M[:, j]
-        k = int(np.argmax(np.abs(col)))
-        a = col[k]
-        if np.abs(a) > 0:
-            M[:, j] = col * (np.abs(a) / a)
-    return M
+    M = np.asarray(M, dtype=complex)
+    a = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]
+    # one factor per column; a zero column keeps the factor 1
+    return M * np.divide(np.abs(a), a, out=np.ones_like(a), where=np.abs(a) > 0)[None, :]
 
 
 def eig_dense(A):

@@ -5,7 +5,7 @@ decomposition runs:
 
   1A  full-state snapshots, full-state decomposition (the reference)
   1B  compress first, decompose the small pair, lift modes with full X'
-  2A  reconstruct every snapshot from measurements, then decompose
+  2A  sparse-recover the measured block's range, then decompose
   2B  decompose the measured pair, sparse-recover only the r modes
 
 1A and 1B are one core, dmd.lifted_dmd: 1B lifts the measured pair's
@@ -35,8 +35,8 @@ from .dmd import (
     pair_eigenvalues,
 )
 from .errors import DimensionError
-from .linalg import DEFAULT_TRUNCATION_TOL
-from .recovery import RecoveryConfig, RecoveredMode, recover_modes
+from .linalg import DEFAULT_TRUNCATION_TOL, gram_svd
+from .recovery import RecoveryConfig, RecoveredMode, SensingOperator, cosamp, recover_modes
 from .sensing import SparseBasis, make_measurement, mutual_coherence
 from .systems import (
     DoubleGyreParams,
@@ -45,6 +45,7 @@ from .systems import (
     generate_gyre_snapshots,
 )
 
+# used only by the benchmark's 2A replica; they go with ROADMAP step 1b
 PATH_2A_MAX_N = 4096
 PATH_2A_MAX_M = 64
 # An invariance check's mode deviation tracks eps (sigma_0 / sigma_r)^2, so
@@ -155,35 +156,31 @@ def _residual_rows(diagnostics):
 
 
 def run_2a(measured, C, grid, sparsity_K, truncation_tol, timings=None):
-    """Pathway 2A: CoSaMP-reconstruct every distinct measured snapshot on
+    """Pathway 2A: CoSaMP-reconstruct the measured block S = U sigma V^H on
     the grid, then decompose the reconstruction (its real part when the
-    measured pair is real).  Raises the first failed column's
-    ZeroInput or NoProgress.  Limited to n <= PATH_2A_MAX_N and
-    m <= PATH_2A_MAX_M, since it runs one sparse solve per snapshot, m+1
-    for a time series."""
-    psi = SparseBasis(grid)
-    if C.n > PATH_2A_MAX_N or measured.m > PATH_2A_MAX_M:
-        raise DimensionError(
-            f"snapshot reconstruction limited to n<={PATH_2A_MAX_N}, "
-            f"m<={PATH_2A_MAX_M}; got n={C.n}, m={measured.m}"
-        )
-    rcfg = RecoveryConfig(sparsity_K=sparsity_K)
-    # every C is real, so the true snapshot of real measured data is real:
-    # its real part is no worse, and Atilde stays real
-    real = np.isrealobj(measured.S)
-
-    def reconstruct(Y):
-        fields, diags = recover_modes(Y, C, psi, rcfg)
-        failed = [d for d in diags if not isinstance(d, RecoveredMode)]
-        if failed:
-            raise failed[0]
-        return fields.real if real else fields
-
+    measured pair is real).  DMD sees the data only through its row and
+    column spaces, and the snapshots share one sparse support, so one joint
+    recovery Z of the r columns of U sigma (from the Gram of S on its short
+    side) stands in for every snapshot: the reconstruction is Psi Z V^H.
+    Raises the joint recovery's ZeroInput or NoProgress."""
+    op = SensingOperator(C, SparseBasis(grid))
+    # the Gram route amplifies last-bit differences by (sigma_0 / sigma_r)^2,
+    # so the fit must not depend on the layout of the caller's block
+    S = np.asfortranarray(measured.S)
+    wide = S.shape[0] < S.shape[1]
     with _timed(timings, "snapshot_recovery_s"):
-        reconstructed = measured.map_snapshots(reconstruct)
+        with np.errstate(over="ignore", invalid="ignore"):
+            svd = gram_svd(S @ S.conj().T if wide else S.conj().T @ S, truncation_tol)
+        U_sigma = svd.V * svd.sigma if wide else S @ svd.V
+        # V^H from S itself: the Gram's V is accurate only to eps (sigma_0 / sigma_r)^2
+        Vh = np.linalg.lstsq(U_sigma, S, rcond=None)[0]
+        Z = cosamp(op, U_sigma, RecoveryConfig(sparsity_K=sparsity_K)).spatial
+        # every C is real, so the true snapshot of real measured data is real:
+        # its real part is no worse, and Atilde stays real
+        block = (Z.real if np.isrealobj(S) else Z) @ Vh
     with _timed(timings, "reconstructed_dmd_s"):
-        result = exact_dmd(reconstructed, truncation_tol)
-    return result
+        pair = SnapshotPair.from_block(block, measured.lag, measured.dt, grid)
+        return exact_dmd(pair, truncation_tol)
 
 
 def run_2b(measured, C, grid, sparsity_K, truncation_tol, timings=None):

@@ -2,7 +2,8 @@
 
 The workhorse is a complex-valued CoSaMP: identify candidate support from
 the adjoint proxy, solve least squares on the merged support, prune to the
-K largest coefficients, repeat until the residual is small or stalls.
+K largest coefficients, repeat until the residual is small or stalls.  A
+block is recovered as one row-sparse target (Tropp, Gilbert & Strauss 2006).
 """
 
 import warnings
@@ -39,7 +40,7 @@ class RecoveryConfig:
 
 @dataclass(frozen=True)
 class RecoveredMode:
-    """Sparse coefficients, their spatial synthesis, and solver diagnostics."""
+    """Sparse coefficients (n x r for a block), their synthesis, and solver diagnostics."""
 
     coeffs: np.ndarray
     spatial: np.ndarray
@@ -74,7 +75,9 @@ class SensingOperator:
 
 
 def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
-    """Recover a K-sparse coefficient vector from y ~ A s.
+    """Recover a K-sparse coefficient vector from y ~ A s, or a K-row-sparse
+    n x r block from a p x r block y: by row norms, one solve with r
+    right-hand sides, and the Frobenius residual.
 
     A is read only through ``adjoint`` and ``columns`` on the merged
     support, once each per iteration.  Keeps the best iterate seen so far,
@@ -103,6 +106,7 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
         )
 
     top = min(2 * K, n)
+    magnitudes = np.abs if y.ndim == 1 else (lambda v: np.linalg.norm(v, axis=1))
     support = best_support = np.array([], dtype=int)
     best_coef = np.array([], dtype=complex)
     best_res = np.inf
@@ -110,14 +114,14 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
     residual = y.copy()
     iters = 0
     for iters in range(1, MAX_ITERS + 1):
-        proxy = np.abs(A_apply.adjoint(residual))
+        proxy = magnitudes(A_apply.adjoint(residual))
         # union1d sorts, so the 2K largest need no order among themselves
         candidates = np.argpartition(proxy, -top)[-top:]
         merged = np.union1d(support, candidates)
         AT = A_apply.columns(merged)
         G = AT.conj().T @ AT + TIKHONOV_FLOOR * np.eye(len(merged))
         coef = np.linalg.solve(G, AT.conj().T @ y)
-        keep = np.argsort(np.abs(coef))[-K:]
+        keep = np.argsort(magnitudes(coef))[-K:]
         support = merged[keep]
         residual = y - AT[:, keep] @ coef[keep]
         rel = np.linalg.norm(residual) / ynorm
@@ -136,7 +140,7 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
             f"residual {best_res:.3f} after {iters} iterations; "
             "too few measurements or target not sparse"
         )
-    coeffs = np.zeros(n, dtype=complex)
+    coeffs = np.zeros((n,) + y.shape[1:], dtype=complex)
     coeffs[best_support] = best_coef
     return RecoveredMode(
         coeffs=coeffs,
@@ -149,11 +153,11 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
 def recover_modes(Y, C: MeasurementMatrix, psi: SparseBasis, cfg):
     """Recover full-state fields from a p x k block Y of measured columns.
 
-    Each column (a measured DMD mode in 2B, a measured snapshot in 2A) is
-    an independent CoSaMP problem; a failed column does not abort the
-    rest.  Returns the n x k recovered fields, zero where recovery failed,
-    and one diagnostic per column: its RecoveredMode, or the ZeroInput or
-    NoProgress exception it raised.
+    Each column (a measured DMD mode in 2B) is an independent CoSaMP
+    problem; a failed column does not abort the rest.  Returns the n x k
+    recovered fields, zero where recovery failed, and one diagnostic per
+    column: its RecoveredMode, or the ZeroInput or NoProgress exception it
+    raised.
     """
     op = SensingOperator(C, psi)
     fields = np.zeros((C.n, Y.shape[1]), dtype=complex)

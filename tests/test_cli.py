@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from csdmd import io, recovery
+from csdmd import io, pipelines
 from csdmd.cli import HANDLERS, _read_pair, build_parser, main
 from csdmd.dmd import SnapshotPair
 from csdmd.errors import (
@@ -288,29 +288,31 @@ def test_malformed_view_is_a_configuration_error(tmp_path, capsys, damage):
     assert "configuration error in dmd" in capsys.readouterr().err
 
 
-def test_snapshot_reconstruction_from_files_solves_each_snapshot_once(
+def test_snapshot_reconstruction_from_files_solves_the_measured_range_once(
     workspace, tmp_path, monkeypatch
 ):
-    # cdmd writes a measured series, so 2A runs m+1 solves, not 2m
+    # cdmd writes a measured series of m+1 = 21 snapshots; 2A recovers only
+    # the rank-4 range of that 24 x 21 block, in one joint solve
     comp = tmp_path / "comp"
     assert main(
         ["cdmd", "--snapshots", str(workspace / "data"), "--measure", "pixel",
          "-p", "24", "--seed", "9", "--tol", "1e-6", "--out", str(comp)]
     ) == 0
-    solves = []
-    cosamp = recovery.cosamp
+    assert read_matrix(str(comp), "Y")[0].shape == (24, 20)
+    shapes = []
+    cosamp = pipelines.cosamp
 
     def counted(op, y, cfg):
-        solves.append(1)
+        shapes.append(np.shape(y))
         return cosamp(op, y, cfg)
 
-    monkeypatch.setattr(recovery, "cosamp", counted)
+    monkeypatch.setattr(pipelines, "cosamp", counted)
     assert main(
         ["csdmd", "--measured", str(comp), "--measure-file",
          str(comp / "measure.json"), "--sparsity", "4", "--tol", "1e-6",
          "--reconstruct-snapshots", "--out", str(tmp_path / "recon")]
     ) == 0
-    assert len(solves) == 21
+    assert shapes == [(24, 4)]
 
 
 def test_compare_result_with_itself(workspace):
@@ -320,6 +322,23 @@ def test_compare_result_with_itself(workspace):
     report = json.loads(out.read_text())
     assert report["max_abs_delta"] == 0.0
     assert min(report["mode_alignments"]) >= 1.0 - 1e-12
+
+
+def test_compare_refuses_results_of_different_state_sizes(workspace, tmp_path, capsys):
+    # a 16 x 16 fit against an 8 x 8 one: no mode pair can be aligned
+    data, small = str(tmp_path / "data"), str(tmp_path / "small")
+    assert main(["gen", "example1", "--nx", "8", "--ny", "8", "--k", "2", "--dt", "0.05",
+                 "--t1", "1.0", "--seed", "3", "--out", data]) == 0
+    assert main(["dmd", "--snapshots", data, "--tol", "1e-6", "--out", small]) == 0
+    capsys.readouterr()
+    out = tmp_path / "cmp.json"
+    for a, b, sizes in ((workspace / "full", small, "256 and 64"),
+                        (small, workspace / "full", "64 and 256")):
+        assert main(["compare", "--a", str(a), "--b", str(b), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error in compare: modes of {sizes} states cannot be aligned\n"
+        )
+    assert not out.exists()
 
 
 def test_pixel_measure_file_roundtrip(workspace):
@@ -639,8 +658,8 @@ def test_numerical_failure_exit_code(workspace, tmp_path, capsys):
 
 
 def test_failing_snapshot_reconstruction_exit_code(tmp_path, capsys):
-    # 24 pixels cannot pin down 10-sparse snapshots: the first snapshot
-    # CoSaMP gives up on names the failure
+    # 24 pixels cannot pin down 10-row-sparse snapshots: the joint CoSaMP
+    # on the measured range gives up, and its residual names the failure
     data, comp = tmp_path / "data", tmp_path / "comp"
     assert main(
         ["gen", "example1", "--nx", "64", "--ny", "64", "--k", "5", "--t1", "0.64",
@@ -657,7 +676,7 @@ def test_failing_snapshot_reconstruction_exit_code(tmp_path, capsys):
          "--out", str(tmp_path / "o")]
     ) == 3
     assert capsys.readouterr().err == (
-        "numerical failure in csdmd: residual 0.507 after 5 iterations; "
+        "numerical failure in csdmd: residual 0.824 after 6 iterations; "
         "too few measurements or target not sparse\n"
     )
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from csdmd.errors import ConvergenceError, DimensionError, ZeroInput
-from csdmd.linalg import GRAM_TOL_FLOOR, eig_dense, svd_econ, thin_product
+from csdmd.linalg import GRAM_TOL_FLOOR, canonical_phase, eig_dense, svd_econ, thin_product
 
 
 def char_poly_coeffs(A):
@@ -238,6 +238,35 @@ def test_eig_residual_and_normalization():
 def test_eig_dimension_guards():
     with pytest.raises(DimensionError):
         eig_dense(np.ones((3, 4)))
+
+
+def columnwise_canonical_phase(M):
+    """Reference: rescale column by column so that its largest-magnitude
+    entry is real positive; a zero column is left as it is."""
+    M = np.array(M, dtype=complex, copy=True)
+    for j in range(M.shape[1]):
+        a = M[np.argmax(np.abs(M[:, j])), j]
+        if np.abs(a) > 0:
+            M[:, j] = M[:, j] * (np.abs(a) / a)
+    return M
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 5), (30, 7), (7, 30), (200, 200)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_canonical_phase_matches_the_columnwise_rescale(shape, order):
+    # the same products, so the same bits and the same memory layout; a zero
+    # last column (when there are two or more) is left as it is, with no 0/0
+    # warning
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    M = np.asarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), order=order)
+    M[:, 1:][:, -1:] = 0
+    for X in (M, M.real, M[:, :1]):
+        got, ref = canonical_phase(X), columnwise_canonical_phase(X)
+        assert got.flags.c_contiguous == ref.flags.c_contiguous
+        assert got.tobytes(order="A") == ref.tobytes(order="A")
+    top = np.abs(M).argmax(axis=0)
+    lead = canonical_phase(M)[top, np.arange(shape[1])][np.abs(M).max(axis=0) > 0]
+    assert np.all(lead.real > 0) and np.all(np.abs(lead.imag) <= 1e-15 * lead.real)
 
 
 def test_eig_conjugate_pairs_put_positive_imag_first():

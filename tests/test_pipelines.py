@@ -10,14 +10,14 @@ import json
 import numpy as np
 import pytest
 
-from csdmd import recovery
+from csdmd import pipelines
 from csdmd.dmd import (
     SnapshotPair,
     exact_dmd,
     measure_pair,
     pair_eigenvalues,
 )
-from csdmd.errors import BadDimensions, DimensionError
+from csdmd.errors import BadDimensions, DimensionError, NoProgress
 from csdmd.pipelines import (
     ExperimentConfig,
     run_2a,
@@ -204,10 +204,23 @@ def test_snapshot_reconstruction_default_sparsity(seed):
     assert max(row["abs_delta"] for row in report.truth_table) <= 1e-6
 
 
+def count_joint_solves(monkeypatch):
+    """The shape of each target run_2a hands to cosamp, in call order."""
+    shapes = []
+    cosamp = pipelines.cosamp
+
+    def counted(op, y, cfg):
+        shapes.append(np.shape(y))
+        return cosamp(op, y, cfg)
+
+    monkeypatch.setattr(pipelines, "cosamp", counted)
+    return shapes
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
 def test_dense_measurement_keeps_the_shift(kind, monkeypatch):
     # a separate C X' differs from C X by ~1e-15 in the shared columns at
-    # this small p, which made 2A solve 2m problems
+    # this small p, which would give the measured block 2m columns
     data, _ = generate_fourier_lti(make_fourier_lti(nx=32, ny=32, K=2, m=20, seed=11))
     C = make_measurement(kind, 32, data.n, seed=2)
     measured = measure_pair(C, data)
@@ -216,16 +229,10 @@ def test_dense_measurement_keeps_the_shift(kind, monkeypatch):
     CS = C.payload @ data.S
     np.testing.assert_array_equal(measured.X, CS[:, : data.m])
     np.testing.assert_array_equal(measured.Xp, CS[:, 1:])
-    solves = []
-    cosamp = recovery.cosamp
-
-    def counted(op, y, cfg):
-        solves.append(1)
-        return cosamp(op, y, cfg)
-
-    monkeypatch.setattr(recovery, "cosamp", counted)
-    run_2a(measured, C, data.grid, 4, 1e-6)
-    assert len(solves) == data.m + 1
+    shapes = count_joint_solves(monkeypatch)
+    result = run_2a(measured, C, data.grid, 4, 1e-6)
+    # one joint solve on the p x r measured range, not one per snapshot
+    assert result.rank == 4 and shapes == [(C.p, 4)]
 
 
 def test_snapshot_reconstruction_of_real_measurements_is_real():
@@ -240,10 +247,11 @@ def test_snapshot_reconstruction_of_real_measurements_is_real():
     assert set(lambdas) == {z.conjugate() for z in lambdas}
 
 
-def test_snapshot_reconstruction_solves_each_distinct_snapshot_once(monkeypatch):
+def test_snapshot_reconstruction_solves_the_measured_range_once(monkeypatch):
     # a time series has m+1 distinct snapshots; permuting the columns of
     # the pair breaks the shift, leaving 2m of them.  measure_pair keeps
-    # the shift bit for bit.
+    # the shift bit for bit.  Either way 2A recovers only the rank-4 range
+    # of the measured block, in one joint solve.
     data, _ = generate_fourier_lti(make_fourier_lti(nx=32, ny=32, K=2, m=20, seed=11))
     C = make_measurement("pixel", 100, data.n, seed=2)
     measured = measure_pair(C, data)
@@ -251,21 +259,42 @@ def test_snapshot_reconstruction_solves_each_distinct_snapshot_once(monkeypatch)
     permuted = SnapshotPair(
         X=measured.X[:, reverse], Xp=measured.Xp[:, reverse], dt=data.dt
     )
-    solves = []
-    cosamp = recovery.cosamp
-
-    def counted(op, y, cfg):
-        solves.append(1)
-        return cosamp(op, y, cfg)
-
-    monkeypatch.setattr(recovery, "cosamp", counted)
+    assert (measured.S.shape[1], permuted.S.shape[1]) == (data.m + 1, 2 * data.m)
+    shapes = count_joint_solves(monkeypatch)
     spectra = []
-    for pair, expected in ((measured, data.m + 1), (permuted, 2 * data.m)):
-        solves.clear()
+    for pair in (measured, permuted):
+        shapes.clear()
         spectra.append(run_2a(pair, C, data.grid, 4, 1e-6).lambdas)
-        assert len(solves) == expected
+        assert shapes == [(C.p, 4)]
     pairs, un_a, un_b = pair_eigenvalues(*spectra)
     assert not un_a and not un_b and max(d for _, _, d in pairs) <= 1e-6
+
+
+def test_snapshot_reconstruction_ignores_the_block_layout():
+    # run_path measures into a C-order block, the CLI reads an F-order one;
+    # the Gram route would amplify their last-bit differences
+    data, _ = generate_fourier_lti(make_fourier_lti(nx=32, ny=32, K=2, m=20, seed=0))
+    C = make_measurement("pixel", 100, data.n, seed=1)
+    measured = measure_pair(C, data)
+    spectra = [
+        run_2a(SnapshotPair.series(layout(measured.S), data.dt), C, data.grid, 4, 1e-7).lambdas
+        for layout in (np.ascontiguousarray, np.asfortranarray)
+    ]
+    assert spectra[0].tobytes() == spectra[1].tobytes()
+
+
+def test_desk_scale_snapshot_reconstruction_meets_the_truth_bounds():
+    # 128 x 128, m = 200: past the n <= 4096, m <= 64 limit the per-snapshot
+    # route had; one joint solve meets criterion 2's bounds
+    cfg = ExperimentConfig(
+        system=make_fourier_lti(nx=128, ny=128, K=5, m=200, seed=1),
+        path="2A", measurement_kind="gaussian", p=112, measurement_seed=2,
+        sparsity_K=10,
+    )
+    report = run_path(cfg)
+    assert report.ranks["result"] == 10 and len(report.truth_table) == 10
+    assert max(row["abs_delta"] for row in report.truth_table) <= 1e-6
+    assert min(report.truth_alignments) >= 0.99
 
 
 def test_paper_scale_gyre_mode_recovery():
@@ -282,13 +311,15 @@ def test_paper_scale_gyre_mode_recovery():
     assert min(report.mode_alignments) >= 0.95
 
 
-def test_snapshot_reconstruction_size_guard():
+def test_snapshot_reconstruction_of_a_large_random_block_fails_numerically():
+    # 2A has no size limit: 16 Gaussian measurements of a random 1024 x 65
+    # pair are not 2-row-sparse, so the joint recovery gives up
     data = random_consistent_pair(1024, 65, seed=5, grid=(32, 32))
     cfg = ExperimentConfig(
         system=data, path="2A", measurement_kind="gaussian", p=16,
         measurement_seed=0, sparsity_K=2,
     )
-    with pytest.raises(BadDimensions):
+    with pytest.raises(NoProgress):
         run_path(cfg)
 
 

@@ -267,3 +267,46 @@ def test_recover_modes_records_failures_without_aborting():
     assert np.all(modes[:, 1] == 0)
     assert np.any(modes[:, 0] != 0)
 
+
+
+def test_vector_recovery_is_pinned():
+    # a 5-sparse target with a budget of 4 runs six iterations to a stall;
+    # the block route must leave the vector route's support, coefficients
+    # and iteration count as they were
+    op, y, _ = planted_instance(256, 40, 5, seed=3)
+    mode = cosamp(op, y, RecoveryConfig(sparsity_K=4))
+    support = np.flatnonzero(mode.coeffs)
+    assert support.tolist() == [21, 46, 60, 204] and mode.iters == 6
+    np.testing.assert_allclose(
+        mode.coeffs[support],
+        [-0.2319323776429327 - 0.281287418151559j,
+         3.322999516642001 - 1.0551505512044574j,
+         -0.8652130762727606 - 0.668046346107954j,
+         -2.0199861291444745 - 0.352630794340883j],
+        rtol=1e-12,
+    )
+    np.testing.assert_allclose(mode.residual, 0.0640306686563349, rtol=1e-12)
+
+
+def test_row_sparse_block_on_a_shared_support_is_recovered_exactly():
+    # four columns on one 3-atom support, with unrelated coefficients: one
+    # joint solve, with one batched adjoint per iteration, returns them all
+    rng = np.random.default_rng(41)
+    psi = SparseBasis((16, 16))
+    C = make_measurement("gaussian", 24, 256, seed=1041)
+    support = np.sort(rng.choice(256, size=3, replace=False))
+    truth = np.zeros((256, 4), dtype=complex)
+    truth[support] = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    Y = apply_measurement(C, apply_basis(psi, truth, "forward"))
+    mode = cosamp(SensingOperator(C, psi), Y, RecoveryConfig(sparsity_K=3))
+    assert mode.coeffs.shape == mode.spatial.shape == (256, 4)
+    np.testing.assert_array_equal(np.flatnonzero(mode.coeffs.any(axis=1)), support)
+    np.testing.assert_allclose(mode.coeffs, truth, atol=1e-8)
+    np.testing.assert_allclose(mode.spatial, apply_basis(psi, truth, "forward"), atol=1e-8)
+    assert mode.residual <= 1e-8
+
+
+def test_zero_block_rejected():
+    op = DenseOperator(np.eye(4))
+    with pytest.raises(ZeroInput):
+        cosamp(op, np.zeros((4, 3)), RecoveryConfig(sparsity_K=1))
