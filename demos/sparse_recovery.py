@@ -74,7 +74,7 @@ C = make_measurement("pixel", p, data.n, seed=11)
 measured = measure_pair(C, data)  # one C S over the m+1 distinct snapshots
 projected = exact_dmd(measured, truncation_tol=1e-4)
 recovered, diags = recover_modes(
-    projected.Phi, C, SparseBasis(params.grid), RecoveryConfig(sparsity_K=30)
+    projected.Phi, SensingOperator(C, SparseBasis(params.grid)), RecoveryConfig(sparsity_K=30)
 )
 
 pairs, _, _ = pair_eigenvalues(

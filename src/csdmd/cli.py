@@ -28,7 +28,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TRUNCATION_TOL
 from .pipelines import INVARIANCE_TOL_FLOOR, run_2a, run_2b, verify_invariance_suite
-from .sensing import MeasurementMatrix, SparseBasis, make_measurement, mutual_coherence
+from .sensing import MeasurementMatrix, make_measurement
 from .systems import (
     DoubleGyreParams,
     add_fourier_noise,
@@ -210,9 +210,9 @@ def _cmd_csdmd(args):
     if args.reconstruct_snapshots:
         return _write_fit(args, run_2a(measured, C, grid, args.sparsity, args.tol), grid,
                           path="2A")
-    result, residuals = run_2b(measured, C, grid, args.sparsity, args.tol)
+    result, residuals, coherence = run_2b(measured, C, grid, args.sparsity, args.tol)
     return _write_fit(args, result, grid, path="2B", sparsity_K=args.sparsity,
-                      coherence=mutual_coherence(C, SparseBasis(grid)), recovery=residuals)
+                      coherence=coherence, recovery=residuals)
 
 
 def _cmd_compare(args):

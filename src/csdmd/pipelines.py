@@ -185,16 +185,17 @@ def run_2a(measured, C, grid, sparsity_K, truncation_tol, timings=None):
 
 def run_2b(measured, C, grid, sparsity_K, truncation_tol, timings=None):
     """Pathway 2B: decompose the measured pair, then CoSaMP-recover only its
-    r modes on the grid.  Returns the result and one residual row per mode;
-    a mode whose recovery failed is a zero column with an error row."""
-    psi = SparseBasis(grid)
+    r modes on the grid.  Returns the result, one residual row per mode (a
+    mode whose recovery failed is a zero column with an error row) and the
+    mutual coherence of C and the basis, read from the one operator."""
     with _timed(timings, "projected_dmd_s"):
         projected = exact_dmd(measured, truncation_tol)
     with _timed(timings, "mode_recovery_s"):
+        op = SensingOperator(C, SparseBasis(grid))
         recovered, diags = recover_modes(
-            projected.Phi, C, psi, RecoveryConfig(sparsity_K=sparsity_K)
+            projected.Phi, op, RecoveryConfig(sparsity_K=sparsity_K)
         )
-    return replace(projected, Phi=recovered), _residual_rows(diags)
+    return replace(projected, Phi=recovered), _residual_rows(diags), op.coherence
 
 
 def run_path(cfg: ExperimentConfig) -> ExperimentReport:
@@ -232,7 +233,7 @@ def run_path(cfg: ExperimentConfig) -> ExperimentReport:
         if cfg.path == "2A":
             result = run_2a(measured, C, data.grid, K, cfg.truncation_tol, timings)
         else:
-            result, report.recovery_residuals = run_2b(
+            result, report.recovery_residuals, report.coherence = run_2b(
                 measured, C, data.grid, K, cfg.truncation_tol, timings
             )
     elif cfg.path != "1A":
@@ -260,7 +261,7 @@ def run_path(cfg: ExperimentConfig) -> ExperimentReport:
             for a, b, d in rows
         ]
 
-    if C is not None and data.grid is not None:
+    if report.coherence is None and C is not None and data.grid is not None:
         report.coherence = mutual_coherence(C, SparseBasis(data.grid))
 
     report.timings = timings

@@ -17,8 +17,8 @@ from .sensing import (
     SparseBasis,
     adjoint_measurement,
     apply_basis,
-    apply_measurement,
     basis_atoms,
+    coherence_table,
 )
 
 MAX_ITERS = 50
@@ -49,15 +49,19 @@ class RecoveredMode:
 
 
 class SensingOperator:
-    """The composite operator (measure after basis synthesis).
+    """The composite operator (measure after basis synthesis), and its
+    mutual coherence.
 
-    Never materialized: the adjoint goes through the FFT, and closed-form
-    columns are built only on the small candidate supports CoSaMP uses.
+    The adjoint goes through the FFT.  For a dense C, the columns on
+    CoSaMP's candidate supports are gathered from the half-plane table of
+    sensing.coherence_table: column (ky, kx) is the conjugate of table
+    entry (ky, kx), or for kx > nx//2 table entry (-ky, -kx) itself, as C
+    is real.  For the pixel kind they are closed-form atoms at the sampled
+    rows, so no pixels-by-grid array is formed.
     """
 
     def __init__(self, C: MeasurementMatrix, psi: SparseBasis):
-        if C.n != psi.n:
-            raise DimensionError(f"measurement n={C.n} != basis n={psi.n}")
+        self.coherence, self.table = coherence_table(C, psi)
         self.C = C
         self.psi = psi
         self.shape = (C.p, C.n)
@@ -66,9 +70,13 @@ class SensingOperator:
         return apply_basis(self.psi, adjoint_measurement(self.C, y), "inverse")
 
     def columns(self, idx):
-        if self.C.kind == "pixel":
+        if self.table is None:
             return basis_atoms(self.psi, idx, self.C.indices)
-        return apply_measurement(self.C, basis_atoms(self.psi, idx))
+        nx, ny = self.psi.grid
+        ky, kx = np.divmod(np.asarray(idx), nx)
+        mirror = kx > nx // 2
+        cols = self.table[:, np.where(mirror, -ky % ny, ky), np.where(mirror, nx - kx, kx)]
+        return np.where(mirror, cols, cols.conj())
 
     def synthesize(self, coeffs):
         return apply_basis(self.psi, coeffs, "forward")
@@ -150,24 +158,49 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
     )
 
 
-def recover_modes(Y, C: MeasurementMatrix, psi: SparseBasis, cfg):
+def _conjugate_twin(mode: RecoveredMode, psi: SparseBasis) -> RecoveredMode:
+    """The recovery of conj(y) given mode, the recovery of y: C is real, so
+    the conjugate field fits conj(y) as well, with coefficients s'(k) =
+    conj s(-k) and the same residual and iterations."""
+    nx, ny = psi.grid
+    ky, kx = np.divmod(np.arange(psi.n), nx)
+    mirror = (-ky % ny) * nx + (-kx % nx)
+    return RecoveredMode(
+        coeffs=mode.coeffs[mirror].conj(),
+        spatial=mode.spatial.conj(),
+        residual=mode.residual,
+        iters=mode.iters,
+    )
+
+
+def recover_modes(Y, op: SensingOperator, cfg):
     """Recover full-state fields from a p x k block Y of measured columns.
 
     Each column (a measured DMD mode in 2B) is an independent CoSaMP
-    problem; a failed column does not abort the rest.  Returns the n x k
-    recovered fields, zero where recovery failed, and one diagnostic per
-    column: its RecoveredMode, or the ZeroInput or NoProgress exception it
-    raised.
+    problem; a failed column does not abort the rest.  A complex column
+    that is exactly the conjugate of an earlier one (the measured modes of
+    a real pair come in such pairs) is not solved again: it takes the
+    conjugate of the earlier column's recovery, or the same exception.
+    Returns the n x k recovered fields, zero where recovery failed, and one
+    diagnostic per column: its RecoveredMode, or the ZeroInput or
+    NoProgress exception it raised.
     """
-    op = SensingOperator(C, psi)
-    fields = np.zeros((C.n, Y.shape[1]), dtype=complex)
+    fields = np.zeros((op.C.n, Y.shape[1]), dtype=complex)
     diagnostics = []
     for j, y in enumerate(Y.T):
-        try:
-            diag = cosamp(op, y, cfg)
-        except (ZeroInput, NoProgress) as exc:
-            diag = exc
+        twin = None
+        if np.any(y.imag):  # a real or zero column is its own conjugate: always solved
+            twin = next((i for i in range(j) if np.array_equal(y, Y[:, i].conj())), None)
+        if twin is not None:
+            diag = diagnostics[twin]
+            if isinstance(diag, RecoveredMode):
+                diag = _conjugate_twin(diag, op.psi)
         else:
+            try:
+                diag = cosamp(op, y, cfg)
+            except (ZeroInput, NoProgress) as exc:
+                diag = exc
+        if isinstance(diag, RecoveredMode):
             fields[:, j] = diag.spatial
         diagnostics.append(diag)
     return fields, diagnostics

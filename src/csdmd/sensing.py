@@ -170,29 +170,33 @@ def basis_atoms(psi: SparseBasis, idx, rows=None):
     return table(ky, ny)[iy] * (table(kx, nx)[ix] / np.sqrt(psi.n))
 
 
-def mutual_coherence(C: MeasurementMatrix, psi: SparseBasis) -> float:
-    """Largest normalized inner product between measurement rows and basis
-    columns; low values favor sparse recovery.
+def coherence_table(C: MeasurementMatrix, psi: SparseBasis):
+    """mu(C, Psi) and, for a dense C, the half-plane table it is read from.
 
-    Every entry of C Psi has magnitude 1/sqrt(n) for the pixel kind.
-    Otherwise, as the DFT matrix is symmetric, the i-th row of C Psi is the
-    basis synthesis of the i-th measurement row.  The row is real, so that
+    As the DFT matrix is symmetric, the i-th row of C Psi is the basis
+    synthesis of the i-th measurement row.  The row is real, so that
     synthesis is the conjugate of its forward transform, whose Hermitian
-    half (rfft2) holds every magnitude.  The rows go through the
-    FFT 16 at a time, so no p x n complex array is formed.
+    half holds every entry: the table is the p x ny x (nx//2 + 1) complex
+    rfft2 of the rows, about the size of the real payload, in one FFT call.
+    Every entry of C Psi has magnitude 1/sqrt(n) for the pixel kind, which
+    has no table (None).
     """
     if C.n != psi.n:
         raise DimensionError(f"measurement n={C.n} does not match basis n={psi.n}")
     if C.kind == "pixel":
-        return 1.0 / math.sqrt(C.n)
+        return 1.0 / math.sqrt(C.n), None
     nx, ny = psi.grid
-    peak = 0.0
-    for rows in np.array_split(C.payload, -(-C.p // 16)):
-        spectra = np.fft.rfft2(rows.reshape(-1, ny, nx), norm="ortho")
-        entries = np.abs(spectra).reshape(len(rows), -1)
-        row_peak = np.max(entries, axis=1) / np.linalg.norm(rows, axis=1)
-        peak = max(peak, float(np.max(row_peak)))
-    return peak
+    table = np.fft.rfft2(C.payload.reshape(C.p, ny, nx), norm="ortho")
+    row_peak = np.max(np.abs(table).reshape(C.p, -1), axis=1) / np.linalg.norm(C.payload, axis=1)
+    return float(np.max(row_peak)), table
+
+
+def mutual_coherence(C: MeasurementMatrix, psi: SparseBasis) -> float:
+    """Largest normalized inner product between measurement rows and basis
+    columns; low values favor sparse recovery.  Read from the half-plane
+    table of coherence_table, which SensingOperator also keeps.
+    """
+    return coherence_table(C, psi)[0]
 
 
 def recommended_measurements(K, n, safety=1.5) -> int:

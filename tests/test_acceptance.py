@@ -94,7 +94,7 @@ def test_criterion_2_planted_waves_recovered(large_scale, kind):
     )
     projected = exact_dmd(measured, 1e-6)
     recovered, diags = recover_modes(
-        projected.Phi, C, SparseBasis(data.grid), RecoveryConfig(sparsity_K=5)
+        projected.Phi, SensingOperator(C, SparseBasis(data.grid)), RecoveryConfig(sparsity_K=5)
     )
     assert all(isinstance(d, RecoveredMode) for d in diags)
 
@@ -254,7 +254,7 @@ def test_criterion_7_noise_tolerance(large_scale):
     )
     projected = exact_dmd(measured, tol)
     recovered, _ = recover_modes(
-        projected.Phi, C, SparseBasis(data.grid), RecoveryConfig(sparsity_K=5)
+        projected.Phi, SensingOperator(C, SparseBasis(data.grid)), RecoveryConfig(sparsity_K=5)
     )
 
     worst_align = 1.0

@@ -880,3 +880,47 @@ def test_compare_agrees_with_run_path(tmp_path):
     for key, unmatched in (("unmatched_a", report.unmatched_reference),
                            ("unmatched_b", report.unmatched_result)):
         np.testing.assert_allclose([z(e) for e in cmp[key]], unmatched, atol=1e-12)
+
+
+def test_sparse_recovery_run_transforms_the_measurement_once(workspace, tmp_path, monkeypatch):
+    # the operator's half-plane table gives both CoSaMP's columns and the
+    # coherence: one rfft2 of all 20 rows of C (more than one 16-row block)
+    data, comp, sparse = str(workspace / "data"), str(tmp_path / "comp"), tmp_path / "sparse"
+    assert main(
+        ["cdmd", "--snapshots", data, "--measure", "gaussian", "-p", "20",
+         "--seed", "5", "--tol", "1e-6", "--out", comp]
+    ) == 0
+    shapes = []
+    rfft2 = np.fft.rfft2
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return rfft2(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft2", counted)
+    assert main(
+        ["csdmd", "--measured", comp, "--measure-file", os.path.join(comp, "measure.json"),
+         "--sparsity", "2", "--tol", "1e-6", "--out", str(sparse)]
+    ) == 0
+    monkeypatch.undo()
+    assert shapes == [(20, 16, 16)]
+    summary = json.loads((sparse / "result.json").read_text())
+
+    # a conjugate pair of modes shares one solve, so its two rows agree
+    lambdas, _ = read_matrix(str(sparse), "lambdas")
+    rows = summary["recovery"]
+    for j, lam in enumerate(lambdas[:, 0]):
+        k = int(np.argmin(np.abs(lambdas[:, 0] - lam.conj())))
+        assert {**rows[k], "mode": j} == rows[j]
+    assert any(lam.imag != 0 for lam in lambdas[:, 0])
+
+    X, side = read_matrix(data, "X")
+    Xp, _ = read_matrix(data, "Xp")
+    report = run_path(
+        ExperimentConfig(
+            system=SnapshotPair(X=X, Xp=Xp, dt=side["dt"], grid=tuple(side["grid"])),
+            path="2B", measurement_kind="gaussian", p=20, measurement_seed=5,
+            sparsity_K=2, truncation_tol=1e-6,
+        )
+    )
+    assert report.coherence == summary["coherence"]

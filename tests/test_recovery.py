@@ -244,7 +244,7 @@ def test_recover_modes_matches_columnwise_calls():
         cols.append(apply_measurement(C, apply_basis(psi, truth, "forward")))
     Y = np.column_stack(cols)
     cfg = RecoveryConfig(sparsity_K=3)
-    modes, diags = recover_modes(Y, C, psi, cfg)
+    modes, diags = recover_modes(Y, op, cfg)
     assert modes.shape == (256, 3)
     for j in range(3):
         single = cosamp(op, Y[:, j], cfg)
@@ -259,7 +259,7 @@ def test_recover_modes_records_failures_without_aborting():
     bad = rng.standard_normal(16)
     Y = np.column_stack([y, bad, y])
     cfg = RecoveryConfig(sparsity_K=1)
-    modes, diags = recover_modes(Y, op.C, op.psi, cfg)
+    modes, diags = recover_modes(Y, op, cfg)
     assert isinstance(diags[1], NoProgress)
     assert isinstance(diags[0], RecoveredMode) and isinstance(diags[2], RecoveredMode)
     np.testing.assert_allclose(diags[0].coeffs, truth, atol=1e-8)
@@ -267,6 +267,54 @@ def test_recover_modes_records_failures_without_aborting():
     assert np.all(modes[:, 1] == 0)
     assert np.any(modes[:, 0] != 0)
 
+
+def count_solves(monkeypatch):
+    """The targets recover_modes hands to cosamp, in call order."""
+    targets = []
+    solve = recovery.cosamp
+
+    def counted(op, y, cfg):
+        targets.append(y)
+        return solve(op, y, cfg)
+
+    monkeypatch.setattr(recovery, "cosamp", counted)
+    return targets
+
+
+def test_conjugate_twins_are_solved_once(monkeypatch):
+    op, y, _ = planted_instance(256, 40, 3, seed=8)
+    psi = op.psi
+    # a real field: coefficients a at k and conj(a) at -k (the -1 mod 16 row and column)
+    hermitian = np.zeros(256, dtype=complex)
+    hermitian[[2 * 16 + 3, 14 * 16 + 13]] = [1.5 - 0.5j, 1.5 + 0.5j]
+    real = apply_measurement(op.C, apply_basis(psi, hermitian, "forward").real)
+    Y = np.column_stack([y, y.conj(), real, np.zeros(40)])
+    targets = count_solves(monkeypatch)
+    modes, diags = recover_modes(Y, op, RecoveryConfig(sparsity_K=3))
+    # the real and the zero column are their own conjugates: both are solved
+    assert len(targets) == 3 and isinstance(diags[3], ZeroInput)
+    assert [np.array_equal(t, col) for t, col in zip(targets, Y.T[[0, 2, 3]])] == [True] * 3
+    assert sum(np.any(t) for t in targets) == 2
+    partner, twin = diags[0], diags[1]
+    np.testing.assert_array_equal(twin.spatial, partner.spatial.conj())
+    np.testing.assert_array_equal(modes[:, 1], modes[:, 0].conj())
+    np.testing.assert_allclose(apply_basis(psi, twin.coeffs, "forward"), twin.spatial,
+                               rtol=0, atol=1e-14)
+    assert (twin.residual, twin.iters) == (partner.residual, partner.iters)
+    assert isinstance(diags[2], RecoveredMode)
+    np.testing.assert_allclose(diags[2].spatial.imag, 0, atol=1e-12)
+
+
+def test_twin_of_a_failed_column_records_the_same_failure(monkeypatch):
+    op, _, _ = planted_instance(256, 16, 1, seed=5)
+    rng = np.random.default_rng(6)
+    bad = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    targets = count_solves(monkeypatch)
+    Y = np.column_stack([bad, bad.conj()])
+    modes, diags = recover_modes(Y, op, RecoveryConfig(sparsity_K=1))
+    assert len(targets) == 1
+    assert isinstance(diags[0], NoProgress) and type(diags[1]) is type(diags[0])
+    assert not modes.any()
 
 
 def test_vector_recovery_is_pinned():

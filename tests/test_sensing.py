@@ -18,6 +18,7 @@ from csdmd.sensing import (
     adjoint_measurement,
     apply_basis,
     apply_measurement,
+    basis_atoms,
     make_measurement,
     mutual_coherence,
     recommended_measurements,
@@ -261,6 +262,21 @@ def test_real_payload_coherence_matches_complex_synthesis(grid, kind):
     C = make_measurement(kind, 20, n, seed=n)
     psi = SparseBasis(grid)
     assert abs(mutual_coherence(C, psi) - synthesis_coherence(C, psi)) <= 1e-15
+
+
+@pytest.mark.parametrize("grid", [(8, 8), (9, 7), (7, 10), (16, 5), (1, 6), (6, 1)])
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "unitary"])
+def test_table_columns_match_the_measured_atoms(grid, kind):
+    # every column, in shuffled order, read from the half-plane table or
+    # its mirror; odd nx, non-square and one-row grids included
+    n = grid[0] * grid[1]
+    C = make_measurement(kind, (n + 1) // 2, n, seed=n)
+    psi = SparseBasis(grid)
+    op = SensingOperator(C, psi)
+    idx = np.random.default_rng(n).permutation(n)
+    expected = apply_measurement(C, basis_atoms(psi, idx))
+    np.testing.assert_allclose(op.columns(idx), expected, rtol=0, atol=1e-13)
+    assert op.coherence == mutual_coherence(C, psi)
 
 
 def test_gaussian_coherence_regression():
