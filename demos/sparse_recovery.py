@@ -13,8 +13,14 @@ import numpy as np
 
 from csdmd.dmd import exact_dmd, measure_pair, mode_alignment, pair_eigenvalues
 from csdmd.errors import NoProgress
-from csdmd.recovery import RecoveryConfig, SensingOperator, cosamp, recover_modes
-from csdmd.sensing import SparseBasis, apply_basis, apply_measurement, make_measurement
+from csdmd.recovery import RecoveryConfig, cosamp, recover_modes
+from csdmd.sensing import (
+    SensingOperator,
+    SparseBasis,
+    apply_basis,
+    apply_measurement,
+    make_measurement,
+)
 from csdmd.systems import DoubleGyreParams, generate_gyre_snapshots
 
 # --- one instance, fully visible -------------------------------------

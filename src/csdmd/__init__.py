@@ -32,12 +32,12 @@ from .pipelines import (
 from .recovery import (
     RecoveredMode,
     RecoveryConfig,
-    SensingOperator,
     cosamp,
     recover_modes,
 )
 from .sensing import (
     MeasurementMatrix,
+    SensingOperator,
     SparseBasis,
     apply_basis,
     apply_measurement,

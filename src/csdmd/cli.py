@@ -25,10 +25,11 @@ from .errors import (
     NoProgress,
     RankCollapse,
     ZeroInput,
+    check_count,
 )
 from .linalg import DEFAULT_TRUNCATION_TOL
 from .pipelines import INVARIANCE_TOL_FLOOR, run_2a, run_2b, verify_invariance_suite
-from .sensing import MeasurementMatrix, make_measurement
+from .sensing import MeasurementMatrix, check_grid, make_measurement
 from .systems import (
     DoubleGyreParams,
     add_fourier_noise,
@@ -54,7 +55,7 @@ def _read_pair(directory, x="X", xp="Xp", dt=1.0):
     that lag; any other pair is read as two matrices."""
     side, block, first, width = io_mod.locate(directory, x)
     xp_side, xp_block, lag, _ = io_mod.locate(directory, xp)
-    grid = tuple(side["grid"]) if side.get("grid") else None
+    grid = check_grid(side["grid"]) if side.get("grid") else None
     dt = side.get("dt", dt)
     if xp_block == block and first == 0 and xp_side["cols"] == side["cols"] == width - lag:
         S, _ = io_mod.read_matrix(directory, block)
@@ -187,31 +188,30 @@ def _cmd_cdmd(args):
 def _load_measurement(path):
     with open(path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    kind, p, n = meta["kind"], meta["p"], meta["n"]
+    kind, seed = meta["kind"], meta.get("seed")
+    p, n = (check_count(meta[key], f"{key} in {path}", 1) for key in ("p", "n"))
+    if seed is not None:
+        check_count(seed, f"seed in {path}")
     if kind == "pixel" and "indices" in meta:
-        C = MeasurementMatrix(kind, p, n, meta.get("seed"),
-                              indices=np.asarray(meta["indices"]))
+        C = MeasurementMatrix(kind, p, n, seed, indices=np.asarray(meta["indices"]))
     else:
-        C = make_measurement(kind, p, n, meta.get("seed"))
+        C = make_measurement(kind, p, n, seed)
         crc = meta.get("payload_crc32")  # absent in files of older runs
         if crc is not None and crc != zlib.crc32(C.payload):
             raise DimensionError(
-                f"{kind} matrix rebuilt from seed {meta.get('seed')} does not "
+                f"{kind} matrix rebuilt from seed {seed} does not "
                 f"match the payload checksum in {path}"
             )
-    grid = tuple(meta["grid"]) if meta.get("grid") else None
+    grid = check_grid(meta["grid"]) if meta.get("grid") else None
     return C, grid, meta.get("dt", 1.0)
 
 
 def _cmd_csdmd(args):
     C, grid, dt = _load_measurement(args.measure_file)
     measured = _read_pair(args.measured, "Y", "Yp", dt)
-
-    if args.reconstruct_snapshots:
-        return _write_fit(args, run_2a(measured, C, grid, args.sparsity, args.tol), grid,
-                          path="2A")
-    result, residuals, coherence = run_2b(measured, C, grid, args.sparsity, args.tol)
-    return _write_fit(args, result, grid, path="2B", sparsity_K=args.sparsity,
+    path, run = ("2A", run_2a) if args.reconstruct_snapshots else ("2B", run_2b)
+    result, residuals, coherence = run(measured, C, grid, args.sparsity, args.tol)
+    return _write_fit(args, result, grid, path=path, sparsity_K=args.sparsity,
                       coherence=coherence, recovery=residuals)
 
 

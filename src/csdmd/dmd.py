@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, RankCollapse
 from .linalg import DEFAULT_TRUNCATION_TOL, EconSvd, eig_dense, gram_svd, thin_product
-from .sensing import MeasurementMatrix, apply_measurement
+from .sensing import MeasurementMatrix, apply_measurement, check_grid
 
 ZERO_EIG_REL = 1e-12
 
@@ -60,7 +60,7 @@ class SnapshotPair:
     def _wrap(self, S, lag, dt, grid):
         if S.ndim != 2 or S.shape[1] <= lag:
             raise DimensionError(f"a block of shape {S.shape} holds no pair at lag {lag}")
-        if grid is not None and grid[0] * grid[1] != S.shape[0]:
+        if grid is not None and np.prod(check_grid(grid)) != S.shape[0]:
             raise DimensionError(f"grid {grid} does not match row count {S.shape[0]}")
         # a NaN dt would write NaN omegas, and a JSON null reads as None
         if dt is None or not 0 < dt < np.inf:

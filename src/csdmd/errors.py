@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that
+raises one."""
+
+from numbers import Integral
 
 
 class CsdmdError(Exception):
@@ -12,6 +15,15 @@ class DimensionError(CsdmdError):
 
 # the former name of DimensionError, kept for code that imports it
 BadDimensions = DimensionError
+
+
+def check_count(value, what, least=0):
+    """value, if it is an integer >= least (a bool is not); else a
+    DimensionError naming what.  Sizes read from files pass here before any
+    arithmetic or allocation sees them."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise DimensionError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 class RankCollapse(CsdmdError):

@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, check_count
 
 REPORT_SCHEMA = "csdmd-report/1"
 
@@ -95,8 +95,12 @@ def write_view(directory, name, block, first, cols):
 
 
 def _read_sidecar(directory, name):
+    """The sidecar of the matrix name, its rows and cols checked as counts."""
     with open(os.path.join(directory, f"{name}.json"), "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        sidecar = json.load(fh)
+    for key in ("rows", "cols"):
+        check_count(sidecar[key], f"{key} in {name}.json")
+    return sidecar
 
 
 def locate(directory, name):
@@ -106,14 +110,14 @@ def locate(directory, name):
     sidecar = _read_sidecar(directory, name)
     if "block" not in sidecar:
         return sidecar, name, 0, sidecar["cols"]
-    block, first = sidecar["block"], sidecar["first_col"]
+    block, first = sidecar["block"], check_count(sidecar["first_col"], f"first_col in {name}.json")
     try:
         outer = _read_sidecar(directory, block)
     except FileNotFoundError:
         raise DimensionError(f"{name}.json is a view of {block}, which is missing") from None
     rows, cols, dtype = outer["rows"], outer["cols"], outer["dtype"]
-    if "block" in outer or (rows, dtype) != (sidecar["rows"], sidecar["dtype"]) or not (
-        0 <= first <= cols - sidecar["cols"]
+    if "block" in outer or (rows, dtype) != (sidecar["rows"], sidecar["dtype"]) or (
+        first > cols - sidecar["cols"]
     ):
         raise DimensionError(
             f"{name}.json is no run of columns of {block}, a {rows}x{cols} {dtype} "

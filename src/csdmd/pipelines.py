@@ -11,12 +11,12 @@ decomposition runs:
 1A and 1B are one core, dmd.lifted_dmd: 1B lifts the measured pair's
 decomposition through the full pair, and 1A is 1B with the full pair as
 its own measurement.  run_2a and run_2b each run one sparse-recovery
-pathway; the CLI calls them directly.  run_path executes one pathway,
+pathway with one SensingOperator and return its fit, CoSaMP rows and
+coherence; the CLI calls them directly.  run_path executes one pathway,
 auto-runs the reference when full data is available, and assembles a
-comparison report.
+comparison report.  Without planted truth, a sparse pathway needs sparsity_K.
 """
 
-import math
 import os
 import time
 from contextlib import contextmanager
@@ -36,8 +36,8 @@ from .dmd import (
 )
 from .errors import DimensionError
 from .linalg import DEFAULT_TRUNCATION_TOL, gram_svd
-from .recovery import RecoveryConfig, RecoveredMode, SensingOperator, cosamp, recover_modes
-from .sensing import SparseBasis, make_measurement, mutual_coherence
+from .recovery import RecoveryConfig, RecoveredMode, cosamp, recover_modes
+from .sensing import SensingOperator, SparseBasis, make_measurement, mutual_coherence
 from .systems import (
     DoubleGyreParams,
     FourierLtiSystem,
@@ -103,13 +103,14 @@ def _materialize(cfg: ExperimentConfig):
 
 
 def _default_sparsity(cfg, truth):
-    """K planted waves give K-sparse modes (2B) but 2K-sparse real
-    snapshots (2A), since each wave contributes a conjugate pair."""
+    """cfg.sparsity_K, or the sparsity planted truth implies: K planted
+    waves give K-sparse modes (2B) but 2K-sparse real snapshots (2A), since
+    each wave contributes a conjugate pair.  Any other system must name it."""
     if cfg.sparsity_K is not None:
         return cfg.sparsity_K
-    if truth is not None:
-        return (2 if cfg.path == "2A" else 1) * len(truth.mu)
-    return max(1, math.ceil((cfg.p or 3) / 3))
+    if truth is None:
+        raise DimensionError(f"path {cfg.path} needs sparsity_K for a system without planted truth")
+    return (2 if cfg.path == "2A" else 1) * len(truth.mu)
 
 
 def _config_echo(cfg: ExperimentConfig, data: SnapshotPair):
@@ -162,6 +163,8 @@ def run_2a(measured, C, grid, sparsity_K, truncation_tol, timings=None):
     column spaces, and the snapshots share one sparse support, so one joint
     recovery Z of the r columns of U sigma (from the Gram of S on its short
     side) stands in for every snapshot: the reconstruction is Psi Z V^H.
+    Returns the result, one residual row for the joint recovery and the
+    mutual coherence of C and the basis, read from the one operator.
     Raises the joint recovery's ZeroInput or NoProgress."""
     op = SensingOperator(C, SparseBasis(grid))
     # the Gram route amplifies last-bit differences by (sigma_0 / sigma_r)^2,
@@ -174,13 +177,14 @@ def run_2a(measured, C, grid, sparsity_K, truncation_tol, timings=None):
         U_sigma = svd.V * svd.sigma if wide else S @ svd.V
         # V^H from S itself: the Gram's V is accurate only to eps (sigma_0 / sigma_r)^2
         Vh = np.linalg.lstsq(U_sigma, S, rcond=None)[0]
-        Z = cosamp(op, U_sigma, RecoveryConfig(sparsity_K=sparsity_K)).spatial
+        joint = cosamp(op, U_sigma, RecoveryConfig(sparsity_K=sparsity_K))
         # every C is real, so the true snapshot of real measured data is real:
         # its real part is no worse, and Atilde stays real
-        block = (Z.real if np.isrealobj(S) else Z) @ Vh
+        block = (joint.spatial.real if np.isrealobj(S) else joint.spatial) @ Vh
     with _timed(timings, "reconstructed_dmd_s"):
         pair = SnapshotPair.from_block(block, measured.lag, measured.dt, grid)
-        return exact_dmd(pair, truncation_tol)
+        result = exact_dmd(pair, truncation_tol)
+    return result, [{"residual": joint.residual, "iters": joint.iters}], op.coherence
 
 
 def run_2b(measured, C, grid, sparsity_K, truncation_tol, timings=None):
@@ -228,14 +232,11 @@ def run_path(cfg: ExperimentConfig) -> ExperimentReport:
         with _timed(timings, "compressed_dmd_s"):
             result = compressed_dmd(data, C, cfg.truncation_tol)
     elif cfg.path in ("2A", "2B"):
-        measured = measure_pair(C, data)
+        run = run_2a if cfg.path == "2A" else run_2b
         K = _default_sparsity(cfg, truth)
-        if cfg.path == "2A":
-            result = run_2a(measured, C, data.grid, K, cfg.truncation_tol, timings)
-        else:
-            result, report.recovery_residuals, report.coherence = run_2b(
-                measured, C, data.grid, K, cfg.truncation_tol, timings
-            )
+        result, report.recovery_residuals, report.coherence = run(
+            measure_pair(C, data), C, data.grid, K, cfg.truncation_tol, timings
+        )
     elif cfg.path != "1A":
         raise DimensionError(f"unknown path {cfg.path!r}")
 
@@ -310,8 +311,6 @@ def verify_invariance_suite(
     Returns a list of check dicts; each has name, measured deviations,
     thresholds, and a passed flag.
     """
-    if data.n > 4096:
-        raise DimensionError("invariance suite is for small data (n <= 4096)")
     truncation_tol = max(truncation_tol, INVARIANCE_TOL_FLOOR)
     rng = np.random.default_rng(seed)
     ref = exact_dmd(data, truncation_tol)

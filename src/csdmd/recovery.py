@@ -4,6 +4,9 @@ The workhorse is a complex-valued CoSaMP: identify candidate support from
 the adjoint proxy, solve least squares on the merged support, prune to the
 K largest coefficients, repeat until the residual is small or stalls.  A
 block is recovered as one row-sparse target (Tropp, Gilbert & Strauss 2006).
+The solver reads the composite operator C Psi only through
+sensing.SensingOperator (its adjoint and its columns on a support), which
+is imported here for recover_modes.
 """
 
 import warnings
@@ -12,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NoProgress, ZeroInput
-from .sensing import (
-    MeasurementMatrix,
-    SparseBasis,
-    adjoint_measurement,
-    apply_basis,
-    basis_atoms,
-    coherence_table,
-)
+from .sensing import SensingOperator, SparseBasis
 
 MAX_ITERS = 50
 RESIDUAL_TOL = 1e-6
@@ -46,40 +42,6 @@ class RecoveredMode:
     spatial: np.ndarray
     residual: float
     iters: int
-
-
-class SensingOperator:
-    """The composite operator (measure after basis synthesis), and its
-    mutual coherence.
-
-    The adjoint goes through the FFT.  For a dense C, the columns on
-    CoSaMP's candidate supports are gathered from the half-plane table of
-    sensing.coherence_table: column (ky, kx) is the conjugate of table
-    entry (ky, kx), or for kx > nx//2 table entry (-ky, -kx) itself, as C
-    is real.  For the pixel kind they are closed-form atoms at the sampled
-    rows, so no pixels-by-grid array is formed.
-    """
-
-    def __init__(self, C: MeasurementMatrix, psi: SparseBasis):
-        self.coherence, self.table = coherence_table(C, psi)
-        self.C = C
-        self.psi = psi
-        self.shape = (C.p, C.n)
-
-    def adjoint(self, y):
-        return apply_basis(self.psi, adjoint_measurement(self.C, y), "inverse")
-
-    def columns(self, idx):
-        if self.table is None:
-            return basis_atoms(self.psi, idx, self.C.indices)
-        nx, ny = self.psi.grid
-        ky, kx = np.divmod(np.asarray(idx), nx)
-        mirror = kx > nx // 2
-        cols = self.table[:, np.where(mirror, -ky % ny, ky), np.where(mirror, nx - kx, kx)]
-        return np.where(mirror, cols, cols.conj())
-
-    def synthesize(self, coeffs):
-        return apply_basis(self.psi, coeffs, "forward")
 
 
 def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:

@@ -1,11 +1,12 @@
-"""Measurement operators, the sparse basis, and sampling diagnostics.
+"""Measurement operators, the sparse basis, C Psi, and sampling diagnostics.
 
 Measurements map a length-n state to p << n observations.  Random
 Gaussian and Bernoulli ensembles are scaled to near-unit row norm so the
 composite operator (measurement after basis synthesis) acts close to an
 isometry on sparse vectors; single-pixel measurement is plain row
 selection.  The sparse basis is the unitary 2-d discrete Fourier
-transform on the state grid.
+transform on the state grid.  SensingOperator, the composite C Psi that
+sparse recovery reads, also reports its mutual coherence.
 """
 
 import math
@@ -14,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, check_count
 
 KINDS = ("gaussian", "bernoulli", "pixel", "unitary")
 
@@ -110,6 +111,16 @@ def adjoint_measurement(C: MeasurementMatrix, Y):
     return C.payload.T @ Y
 
 
+def check_grid(grid):
+    """grid as a tuple (nx, ny), if it holds two integers >= 1; else a
+    DimensionError."""
+    if not isinstance(grid, (tuple, list)) or len(grid) != 2:
+        raise DimensionError(f"a grid is two integers (nx, ny), got {grid!r}")
+    for size in grid:
+        check_count(size, f"a side of grid {grid!r}", 1)
+    return tuple(grid)
+
+
 @dataclass(frozen=True)
 class SparseBasis:
     """Unitary 2-d DFT synthesis basis on an (nx, ny) grid, checked on
@@ -125,6 +136,7 @@ class SparseBasis:
     def __post_init__(self):
         if self.grid is None:
             raise DimensionError("the sparse basis needs grid metadata")
+        check_grid(self.grid)
 
     @property
     def n(self):
@@ -170,33 +182,54 @@ def basis_atoms(psi: SparseBasis, idx, rows=None):
     return table(ky, ny)[iy] * (table(kx, nx)[ix] / np.sqrt(psi.n))
 
 
-def coherence_table(C: MeasurementMatrix, psi: SparseBasis):
-    """mu(C, Psi) and, for a dense C, the half-plane table it is read from.
+class SensingOperator:
+    """The composite operator C Psi (measure after basis synthesis) and its
+    mutual coherence: the largest normalized inner product between
+    measurement rows and basis columns; low values favor sparse recovery.
 
-    As the DFT matrix is symmetric, the i-th row of C Psi is the basis
-    synthesis of the i-th measurement row.  The row is real, so that
-    synthesis is the conjugate of its forward transform, whose Hermitian
-    half holds every entry: the table is the p x ny x (nx//2 + 1) complex
+    As the DFT matrix is symmetric, row i of C Psi is the basis synthesis
+    of measurement row i.  The row is real, so that synthesis is the
+    conjugate of its forward transform, whose Hermitian half holds every
+    entry: for a dense C, the table is the p x ny x (nx//2 + 1) complex
     rfft2 of the rows, about the size of the real payload, in one FFT call.
-    Every entry of C Psi has magnitude 1/sqrt(n) for the pixel kind, which
-    has no table (None).
+    The coherence is read from it, and column (ky, kx) is the conjugate of
+    table entry (ky, kx), or for kx > nx//2 entry (-ky, -kx) itself.  The
+    pixel kind has no table (None): every entry of C Psi has magnitude
+    1/sqrt(n), and its columns are closed-form atoms at the sampled rows,
+    so no pixels-by-grid array is formed.  The adjoint goes through the FFT.
     """
-    if C.n != psi.n:
-        raise DimensionError(f"measurement n={C.n} does not match basis n={psi.n}")
-    if C.kind == "pixel":
-        return 1.0 / math.sqrt(C.n), None
-    nx, ny = psi.grid
-    table = np.fft.rfft2(C.payload.reshape(C.p, ny, nx), norm="ortho")
-    row_peak = np.max(np.abs(table).reshape(C.p, -1), axis=1) / np.linalg.norm(C.payload, axis=1)
-    return float(np.max(row_peak)), table
+
+    def __init__(self, C: MeasurementMatrix, psi: SparseBasis):
+        if C.n != psi.n:
+            raise DimensionError(f"measurement n={C.n} does not match basis n={psi.n}")
+        self.C, self.psi, self.shape = C, psi, (C.p, C.n)
+        if C.kind == "pixel":
+            self.coherence, self.table = 1.0 / math.sqrt(C.n), None
+            return
+        nx, ny = psi.grid
+        table = np.fft.rfft2(C.payload.reshape(C.p, ny, nx), norm="ortho")
+        peak = np.max(np.abs(table).reshape(C.p, -1), axis=1) / np.linalg.norm(C.payload, axis=1)
+        self.coherence, self.table = float(np.max(peak)), table
+
+    def adjoint(self, y):
+        return apply_basis(self.psi, adjoint_measurement(self.C, y), "inverse")
+
+    def columns(self, idx):
+        if self.table is None:
+            return basis_atoms(self.psi, idx, self.C.indices)
+        nx, ny = self.psi.grid
+        ky, kx = np.divmod(np.asarray(idx), nx)
+        mirror = kx > nx // 2
+        cols = self.table[:, np.where(mirror, -ky % ny, ky), np.where(mirror, nx - kx, kx)]
+        return np.where(mirror, cols, cols.conj())
+
+    def synthesize(self, coeffs):
+        return apply_basis(self.psi, coeffs, "forward")
 
 
 def mutual_coherence(C: MeasurementMatrix, psi: SparseBasis) -> float:
-    """Largest normalized inner product between measurement rows and basis
-    columns; low values favor sparse recovery.  Read from the half-plane
-    table of coherence_table, which SensingOperator also keeps.
-    """
-    return coherence_table(C, psi)[0]
+    """mu(C, Psi), as SensingOperator(C, psi) reports it."""
+    return SensingOperator(C, psi).coherence
 
 
 def recommended_measurements(K, n, safety=1.5) -> int:

@@ -23,11 +23,11 @@ from csdmd.pipelines import verify_invariance_suite
 from csdmd.recovery import (
     RecoveredMode,
     RecoveryConfig,
-    SensingOperator,
     cosamp,
     recover_modes,
 )
 from csdmd.sensing import (
+    SensingOperator,
     SparseBasis,
     apply_basis,
     apply_measurement,

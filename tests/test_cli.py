@@ -647,6 +647,33 @@ def test_malformed_pixel_indices_are_a_configuration_error(workspace, tmp_path,
     assert "pixel indices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("lambdas", "rows", -1),
+    ("lambdas", "rows", "256"),
+    ("lambdas", "cols", 31.0),
+    ("Y", "first_col", "0"),
+    ("measure", "p", "20"),
+    ("measure", "seed", -1),
+    ("measure", "grid", [16]),
+    ("measure", "grid", 16),
+])
+def test_malformed_sizes_are_a_configuration_error(workspace, tmp_path, capsys,
+                                                   name, key, value):
+    # sizes read from a sidecar or from measure.json are checked before any
+    # arithmetic or allocation uses them
+    comp = tmp_path / "comp"
+    _dense_cdmd(workspace, comp)
+    _set_sidecar(comp, name, **{key: value})
+    if name == "lambdas":  # a plain matrix of the fit, as compare reads it
+        argv = ["compare", "--a", str(comp), "--b", str(comp), "--out", str(tmp_path / "c")]
+    else:
+        argv = ["csdmd", "--measured", str(comp), "--measure-file", str(comp / "measure.json"),
+                "--sparsity", "2", "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error in {argv[0]}: ")
+
+
 def test_numerical_failure_exit_code(workspace, tmp_path, capsys):
     # one measurement row cannot carry a rank-4 system
     code = main(
@@ -699,14 +726,6 @@ def test_every_package_error_maps_to_an_exit_code(error, monkeypatch, capsys):
     else:
         assert code == 2
         assert capsys.readouterr().err == "configuration error in compare: boom\n"
-
-
-def test_verify_size_guard(tmp_path, capsys):
-    big = np.ones((4097, 3))
-    write_matrix(str(tmp_path), "X", big, dt=1.0)
-    write_matrix(str(tmp_path), "Xp", big, dt=1.0)
-    assert main(["verify", "--snapshots", str(tmp_path)]) == 2
-    assert "configuration error in verify" in capsys.readouterr().err
 
 
 def test_gyre_generation(tmp_path):
@@ -882,9 +901,13 @@ def test_compare_agrees_with_run_path(tmp_path):
         np.testing.assert_allclose([z(e) for e in cmp[key]], unmatched, atol=1e-12)
 
 
-def test_sparse_recovery_run_transforms_the_measurement_once(workspace, tmp_path, monkeypatch):
+@pytest.mark.parametrize("path", ["2B", "2A"])
+def test_sparse_recovery_run_transforms_the_measurement_once(workspace, tmp_path, monkeypatch,
+                                                            path):
     # the operator's half-plane table gives both CoSaMP's columns and the
-    # coherence: one rfft2 of all 20 rows of C (more than one 16-row block)
+    # coherence: one rfft2 of all 20 rows of C per run, in the CLI and in
+    # run_path alike.  Each of the two planted waves is a conjugate pair in
+    # the real snapshots 2A recovers, so 2A needs twice 2B's sparsity.
     data, comp, sparse = str(workspace / "data"), str(tmp_path / "comp"), tmp_path / "sparse"
     assert main(
         ["cdmd", "--snapshots", data, "--measure", "gaussian", "-p", "20",
@@ -898,29 +921,38 @@ def test_sparse_recovery_run_transforms_the_measurement_once(workspace, tmp_path
         return rfft2(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft2", counted)
+    K, extra = (4, ["--reconstruct-snapshots"]) if path == "2A" else (2, [])
     assert main(
         ["csdmd", "--measured", comp, "--measure-file", os.path.join(comp, "measure.json"),
-         "--sparsity", "2", "--tol", "1e-6", "--out", str(sparse)]
+         "--sparsity", str(K), "--tol", "1e-6", "--out", str(sparse), *extra]
     ) == 0
-    monkeypatch.undo()
     assert shapes == [(20, 16, 16)]
     summary = json.loads((sparse / "result.json").read_text())
+    assert (summary["path"], summary["sparsity_K"]) == (path, K)
 
+    X, side = read_matrix(data, "X")
+    Xp, _ = read_matrix(data, "Xp")
+    shapes.clear()
+    report = run_path(
+        ExperimentConfig(
+            system=SnapshotPair(X=X, Xp=Xp, dt=side["dt"], grid=tuple(side["grid"])),
+            path=path, measurement_kind="gaussian", p=20, measurement_seed=5,
+            sparsity_K=K, truncation_tol=1e-6,
+        )
+    )
+    monkeypatch.undo()
+    assert shapes == [(20, 16, 16)]
+    assert report.coherence == summary["coherence"]
+
+    rows = summary["recovery"]
+    if path == "2A":
+        # one joint recovery of the measured range, one row
+        assert len(rows) == len(report.recovery_residuals) == 1
+        assert set(rows[0]) == {"residual", "iters"}
+        return
     # a conjugate pair of modes shares one solve, so its two rows agree
     lambdas, _ = read_matrix(str(sparse), "lambdas")
-    rows = summary["recovery"]
     for j, lam in enumerate(lambdas[:, 0]):
         k = int(np.argmin(np.abs(lambdas[:, 0] - lam.conj())))
         assert {**rows[k], "mode": j} == rows[j]
     assert any(lam.imag != 0 for lam in lambdas[:, 0])
-
-    X, side = read_matrix(data, "X")
-    Xp, _ = read_matrix(data, "Xp")
-    report = run_path(
-        ExperimentConfig(
-            system=SnapshotPair(X=X, Xp=Xp, dt=side["dt"], grid=tuple(side["grid"])),
-            path="2B", measurement_kind="gaussian", p=20, measurement_seed=5,
-            sparsity_K=2, truncation_tol=1e-6,
-        )
-    )
-    assert report.coherence == summary["coherence"]

@@ -30,6 +30,7 @@ from csdmd.systems import (
     DoubleGyreParams,
     FourierLtiSystem,
     generate_fourier_lti,
+    generate_gyre_snapshots,
     make_fourier_lti,
 )
 
@@ -211,6 +212,17 @@ def test_snapshot_reconstruction_default_sparsity(seed):
     assert max(row["abs_delta"] for row in report.truth_table) <= 4 * floor
 
 
+@pytest.mark.parametrize("path", ["2A", "2B"])
+def test_sparse_pathway_without_planted_truth_needs_a_sparsity(path):
+    # no truth to take K from, so it must be given, as the CLI's --sparsity is
+    cfg = ExperimentConfig(
+        system=random_consistent_pair(64, 10, seed=0, grid=(8, 8)), path=path,
+        measurement_kind="pixel", p=32, measurement_seed=0,
+    )
+    with pytest.raises(DimensionError, match="sparsity_K"):
+        run_path(cfg)
+
+
 def count_joint_solves(monkeypatch):
     """The shape of each target run_2a hands to cosamp, in call order."""
     shapes = []
@@ -237,7 +249,7 @@ def test_dense_measurement_keeps_the_shift(kind, monkeypatch):
     np.testing.assert_array_equal(measured.X, CS[:, : data.m])
     np.testing.assert_array_equal(measured.Xp, CS[:, 1:])
     shapes = count_joint_solves(monkeypatch)
-    result = run_2a(measured, C, data.grid, 4, 1e-6)
+    result, _, _ = run_2a(measured, C, data.grid, 4, 1e-6)
     # one joint solve on the p x r measured range, not one per snapshot
     assert result.rank == 4 and shapes == [(C.p, 4)]
 
@@ -247,7 +259,7 @@ def test_snapshot_reconstruction_of_real_measurements_is_real():
     # reconstructions, so Atilde is real and eigenvalues pair up exactly
     data, _ = generate_fourier_lti(make_fourier_lti(nx=32, ny=32, K=2, m=20, seed=11))
     C = make_measurement("pixel", 100, data.n, seed=2)
-    result = run_2a(measure_pair(C, data), C, data.grid, 4, 1e-6)
+    result, _, _ = run_2a(measure_pair(C, data), C, data.grid, 4, 1e-6)
     assert result.rank == 4
     assert not np.iscomplexobj(result.Atilde)
     lambdas = result.lambdas.tolist()
@@ -271,7 +283,7 @@ def test_snapshot_reconstruction_solves_the_measured_range_once(monkeypatch):
     spectra = []
     for pair in (measured, permuted):
         shapes.clear()
-        spectra.append(run_2a(pair, C, data.grid, 4, 1e-6).lambdas)
+        spectra.append(run_2a(pair, C, data.grid, 4, 1e-6)[0].lambdas)
         assert shapes == [(C.p, 4)]
     pairs, un_a, un_b = pair_eigenvalues(*spectra)
     assert not un_a and not un_b and max(d for _, _, d in pairs) <= 1e-6
@@ -284,7 +296,7 @@ def test_snapshot_reconstruction_ignores_the_block_layout():
     C = make_measurement("pixel", 100, data.n, seed=1)
     measured = measure_pair(C, data)
     spectra = [
-        run_2a(SnapshotPair.series(layout(measured.S), data.dt), C, data.grid, 4, 1e-7).lambdas
+        run_2a(SnapshotPair.series(layout(measured.S), data.dt), C, data.grid, 4, 1e-7)[0].lambdas
         for layout in (np.ascontiguousarray, np.asfortranarray)
     ]
     assert spectra[0].tobytes() == spectra[1].tobytes()
@@ -404,7 +416,8 @@ def test_invariance_suite_on_planted_waves():
         assert c["passed"], (c["name"], c["eig_dev"], c["mode_dev"])
 
 
-def test_invariance_suite_size_guard():
-    big = SnapshotPair(X=np.ones((4097, 3)), Xp=np.ones((4097, 3)), dt=1.0)
-    with pytest.raises(DimensionError):
-        verify_invariance_suite(big)
+def test_invariance_suite_passes_on_a_128_by_64_double_gyre():
+    data = generate_gyre_snapshots(DoubleGyreParams(grid=(128, 64)))
+    assert data.n == 8192
+    for c in verify_invariance_suite(data):
+        assert c["passed"], (c["name"], c["eig_dev"], c["mode_dev"])

@@ -13,11 +13,16 @@ from csdmd.errors import NoProgress, ZeroInput
 from csdmd.recovery import (
     RecoveredMode,
     RecoveryConfig,
-    SensingOperator,
     cosamp,
     recover_modes,
 )
-from csdmd.sensing import SparseBasis, apply_basis, apply_measurement, make_measurement
+from csdmd.sensing import (
+    SensingOperator,
+    SparseBasis,
+    apply_basis,
+    apply_measurement,
+    make_measurement,
+)
 
 
 class DenseOperator:

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from csdmd.errors import BadDimensions, DimensionError
-from csdmd.recovery import SensingOperator
 from csdmd.sensing import (
     MeasurementMatrix,
+    SensingOperator,
     SparseBasis,
     adjoint_measurement,
     apply_basis,
