@@ -3,6 +3,10 @@ variants plus sparse mode recovery."""
 
 from types import ModuleType as _ModuleType
 
+# numpy loads numpy.fft and numpy.ma (np.unique's) on first use; loaded mid-run,
+# their module objects split the heap between freed blocks and raise peak RSS
+import numpy.fft as _numpy_fft, numpy.ma as _numpy_ma  # noqa: E401,F401
+
 from .dmd import (
     DmdResult,
     SnapshotPair,

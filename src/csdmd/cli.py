@@ -29,7 +29,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TRUNCATION_TOL
 from .pipelines import INVARIANCE_TOL_FLOOR, run_2a, run_2b, verify_invariance_suite
-from .sensing import MeasurementMatrix, check_grid, make_measurement
+from .sensing import MeasurementMatrix, SensingOperator, SparseBasis, check_grid, make_measurement
 from .systems import (
     DoubleGyreParams,
     add_fourier_noise,
@@ -209,10 +209,11 @@ def _load_measurement(path):
 def _cmd_csdmd(args):
     C, grid, dt = _load_measurement(args.measure_file)
     measured = _read_pair(args.measured, "Y", "Yp", dt)
+    op = SensingOperator(C, SparseBasis(grid))
     path, run = ("2A", run_2a) if args.reconstruct_snapshots else ("2B", run_2b)
-    result, residuals, coherence = run(measured, C, grid, args.sparsity, args.tol)
+    result, residuals = run(measured, op, args.sparsity, args.tol)
     return _write_fit(args, result, grid, path=path, sparsity_K=args.sparsity,
-                      coherence=coherence, recovery=residuals)
+                      coherence=op.coherence, recovery=residuals)
 
 
 def _cmd_compare(args):

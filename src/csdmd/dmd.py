@@ -13,6 +13,7 @@ DMD after Tu et al., 2014); no n-row U is ever formed.
 """
 
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
@@ -62,9 +63,9 @@ class SnapshotPair:
             raise DimensionError(f"a block of shape {S.shape} holds no pair at lag {lag}")
         if grid is not None and np.prod(check_grid(grid)) != S.shape[0]:
             raise DimensionError(f"grid {grid} does not match row count {S.shape[0]}")
-        # a NaN dt would write NaN omegas, and a JSON null reads as None
-        if dt is None or not 0 < dt < np.inf:
-            raise DimensionError(f"dt must be finite and positive, got {dt}")
+        # a NaN dt would write NaN omegas; a sidecar's dt may be any JSON value
+        if isinstance(dt, bool) or not isinstance(dt, Real) or not 0 < dt < np.inf:
+            raise DimensionError(f"dt must be finite and positive, got {dt!r}")
         self.S, self.lag, self.dt, self.grid = S, lag, dt, grid
         self.n, self.m = S.shape[0], S.shape[1] - lag
         self.X, self.Xp = S[:, : self.m], S[:, lag:]

@@ -11,8 +11,8 @@ decomposition runs:
 1A and 1B are one core, dmd.lifted_dmd: 1B lifts the measured pair's
 decomposition through the full pair, and 1A is 1B with the full pair as
 its own measurement.  run_2a and run_2b each run one sparse-recovery
-pathway with one SensingOperator and return its fit, CoSaMP rows and
-coherence; the CLI calls them directly.  run_path executes one pathway,
+pathway through the caller's SensingOperator and return its fit and CoSaMP
+rows; the CLI calls them directly.  run_path executes one pathway,
 auto-runs the reference when full data is available, and assembles a
 comparison report.  Without planted truth, a sparse pathway needs sparsity_K.
 """
@@ -37,7 +37,7 @@ from .dmd import (
 from .errors import DimensionError
 from .linalg import DEFAULT_TRUNCATION_TOL, gram_svd
 from .recovery import RecoveryConfig, RecoveredMode, cosamp, recover_modes
-from .sensing import SensingOperator, SparseBasis, make_measurement, mutual_coherence
+from .sensing import SensingOperator, SparseBasis, make_measurement
 from .systems import (
     DoubleGyreParams,
     FourierLtiSystem,
@@ -102,15 +102,15 @@ def _materialize(cfg: ExperimentConfig):
     raise DimensionError(f"unsupported system type {type(sys).__name__}")
 
 
-def _default_sparsity(cfg, truth):
+def _default_sparsity(cfg):
     """cfg.sparsity_K, or the sparsity planted truth implies: K planted
     waves give K-sparse modes (2B) but 2K-sparse real snapshots (2A), since
     each wave contributes a conjugate pair.  Any other system must name it."""
     if cfg.sparsity_K is not None:
         return cfg.sparsity_K
-    if truth is None:
+    if not isinstance(cfg.system, FourierLtiSystem):
         raise DimensionError(f"path {cfg.path} needs sparsity_K for a system without planted truth")
-    return (2 if cfg.path == "2A" else 1) * len(truth.mu)
+    return (2 if cfg.path == "2A" else 1) * len(cfg.system.mu)
 
 
 def _config_echo(cfg: ExperimentConfig, data: SnapshotPair):
@@ -156,17 +156,15 @@ def _residual_rows(diagnostics):
     return rows
 
 
-def run_2a(measured, C, grid, sparsity_K, truncation_tol, timings=None):
+def run_2a(measured, op, sparsity_K, truncation_tol, timings=None):
     """Pathway 2A: CoSaMP-reconstruct the measured block S = U sigma V^H on
     the grid, then decompose the reconstruction (its real part when the
     measured pair is real).  DMD sees the data only through its row and
     column spaces, and the snapshots share one sparse support, so one joint
     recovery Z of the r columns of U sigma (from the Gram of S on its short
     side) stands in for every snapshot: the reconstruction is Psi Z V^H.
-    Returns the result, one residual row for the joint recovery and the
-    mutual coherence of C and the basis, read from the one operator.
-    Raises the joint recovery's ZeroInput or NoProgress."""
-    op = SensingOperator(C, SparseBasis(grid))
+    op is the SensingOperator C Psi.  Returns the result and one residual
+    row for the joint recovery.  Raises its ZeroInput or NoProgress."""
     # the Gram route amplifies last-bit differences by (sigma_0 / sigma_r)^2,
     # so the fit must not depend on the layout of the caller's block
     S = np.asfortranarray(measured.S)
@@ -182,24 +180,23 @@ def run_2a(measured, C, grid, sparsity_K, truncation_tol, timings=None):
         # its real part is no worse, and Atilde stays real
         block = (joint.spatial.real if np.isrealobj(S) else joint.spatial) @ Vh
     with _timed(timings, "reconstructed_dmd_s"):
-        pair = SnapshotPair.from_block(block, measured.lag, measured.dt, grid)
+        pair = SnapshotPair.from_block(block, measured.lag, measured.dt, op.psi.grid)
         result = exact_dmd(pair, truncation_tol)
-    return result, [{"residual": joint.residual, "iters": joint.iters}], op.coherence
+    return result, [{"residual": joint.residual, "iters": joint.iters}]
 
 
-def run_2b(measured, C, grid, sparsity_K, truncation_tol, timings=None):
+def run_2b(measured, op, sparsity_K, truncation_tol, timings=None):
     """Pathway 2B: decompose the measured pair, then CoSaMP-recover only its
-    r modes on the grid.  Returns the result, one residual row per mode (a
-    mode whose recovery failed is a zero column with an error row) and the
-    mutual coherence of C and the basis, read from the one operator."""
+    r modes through op, the SensingOperator C Psi.  Returns the result and
+    one residual row per mode (a mode whose recovery failed is a zero
+    column with an error row)."""
     with _timed(timings, "projected_dmd_s"):
         projected = exact_dmd(measured, truncation_tol)
     with _timed(timings, "mode_recovery_s"):
-        op = SensingOperator(C, SparseBasis(grid))
         recovered, diags = recover_modes(
             projected.Phi, op, RecoveryConfig(sparsity_K=sparsity_K)
         )
-    return replace(projected, Phi=recovered), _residual_rows(diags), op.coherence
+    return replace(projected, Phi=recovered), _residual_rows(diags)
 
 
 def run_path(cfg: ExperimentConfig) -> ExperimentReport:
@@ -208,18 +205,25 @@ def run_path(cfg: ExperimentConfig) -> ExperimentReport:
     The full-state reference decomposition is always run alongside when
     full data exists; eigenvalue and mode tables compare the pathway
     output against it, and against planted ground truth when the system
-    provides one.
+    provides one.  A config that cannot run is refused before any work.
     """
+    if cfg.path not in ("1A", "1B", "2A", "2B"):
+        raise DimensionError(f"unknown path {cfg.path!r}")
+    if cfg.path != "1A" and (cfg.measurement_kind is None or cfg.p is None):
+        raise DimensionError(f"path {cfg.path} requires a measurement config")
+    K = _default_sparsity(cfg) if cfg.path in ("2A", "2B") else None
+
     timings = {}
     with _timed(timings, "generate_s"):
         data, truth = _materialize(cfg)
 
-    needs_measurement = cfg.path in ("1B", "2A", "2B")
-    C = None
-    if needs_measurement:
-        if cfg.measurement_kind is None or cfg.p is None:
-            raise DimensionError(f"path {cfg.path} requires a measurement config")
+    C = op = None
+    if cfg.path != "1A":
         C = make_measurement(cfg.measurement_kind, cfg.p, data.n, cfg.measurement_seed)
+        # one C Psi per run: the sparse pathways recover through it, and
+        # every measured pathway on a grid reports its coherence
+        if K is not None or data.grid is not None:
+            op = SensingOperator(C, SparseBasis(data.grid))
 
     with _timed(timings, "reference_dmd_s"):
         reference = exact_dmd(data, cfg.truncation_tol)
@@ -233,14 +237,12 @@ def run_path(cfg: ExperimentConfig) -> ExperimentReport:
             result = compressed_dmd(data, C, cfg.truncation_tol)
     elif cfg.path in ("2A", "2B"):
         run = run_2a if cfg.path == "2A" else run_2b
-        K = _default_sparsity(cfg, truth)
-        result, report.recovery_residuals, report.coherence = run(
-            measure_pair(C, data), C, data.grid, K, cfg.truncation_tol, timings
+        result, report.recovery_residuals = run(
+            measure_pair(C, data), op, K, cfg.truncation_tol, timings
         )
-    elif cfg.path != "1A":
-        raise DimensionError(f"unknown path {cfg.path!r}")
 
     report.ranks["result"] = result.rank
+    report.coherence = None if op is None else op.coherence
 
     if result is not reference:
         rows, report.mode_alignments, un_ref, un_res = compare_spectra(
@@ -261,9 +263,6 @@ def run_path(cfg: ExperimentConfig) -> ExperimentReport:
             {"lambda_true": a, "lambda_recovered": b, "abs_delta": d}
             for a, b, d in rows
         ]
-
-    if report.coherence is None and C is not None and data.grid is not None:
-        report.coherence = mutual_coherence(C, SparseBasis(data.grid))
 
     report.timings = timings
     if cfg.out_dir:
@@ -329,39 +328,33 @@ def verify_invariance_suite(
             }
         )
 
-    def compare(name, other, mode_map=None):
-        pairs, unmatched_a, unmatched_b = pair_eigenvalues(
-            ref.lambdas, other.lambdas, ref.amplitudes
-        )
+    perm = rng.permutation(data.m)
+    P, _ = np.linalg.qr(rng.standard_normal((data.m, data.m)))
+
+    to_pod = lambda M: U.conj().T @ M
+    fwd = lambda M: np.fft.fft(M, axis=0, norm="ortho")
+    right = lambda f: SnapshotPair(f(data.X), f(data.Xp), data.dt, data.grid)
+    # each transformed pair is built when its check runs and dropped after
+    # its fit, so one transformed copy of the data is resident at a time
+    for name, build, mode_map in (
+        ("right_permutation", lambda: right(lambda M: M[:, perm]), None),
+        ("right_unitary", lambda: right(lambda M: M @ P), None),
+        ("left_dft", lambda: data.map_snapshots(fwd), fwd),
+        ("left_pod", lambda: data.map_snapshots(to_pod), to_pod),
+    ):
+        if name == "left_pod":
+            # the data's own orthonormal (POD) basis, from LAPACK so the
+            # checks do not lean on the Gram route they check
+            U = np.linalg.svd(data.X, full_matrices=False)[0][:, : ref.rank]
+        other = exact_dmd(build(), truncation_tol)
+        pairs, un_ref, un_other = pair_eigenvalues(ref.lambdas, other.lambdas, ref.amplitudes)
         ref_modes = ref.Phi if mode_map is None else mode_map(ref.Phi)
         eig_dev = max((d for _, _, d in pairs), default=np.inf)
         mode_dev = max(
             (_phase_aligned_gap(other.Phi[:, j], ref_modes[:, i]) for i, j, _ in pairs),
             default=0.0,
         )
-        record(name, eig_dev, mode_dev, matched=not unmatched_a and not unmatched_b)
-
-    # column permutation
-    perm = rng.permutation(data.m)
-    permuted = SnapshotPair(data.X[:, perm], data.Xp[:, perm], data.dt, data.grid)
-    compare("right_permutation", exact_dmd(permuted, truncation_tol))
-
-    # random right-unitary mixing of columns
-    P, _ = np.linalg.qr(rng.standard_normal((data.m, data.m)))
-    mixed = SnapshotPair(data.X @ P, data.Xp @ P, data.dt, data.grid)
-    compare("right_unitary", exact_dmd(mixed, truncation_tol))
-
-    # unitary DFT applied to every snapshot
-    fwd = lambda M: np.fft.fft(M, axis=0, norm="ortho")
-    spectral = data.map_snapshots(fwd)
-    compare("left_dft", exact_dmd(spectral, truncation_tol), mode_map=fwd)
-
-    # projection onto the data's own orthonormal (POD) basis, from LAPACK
-    # so the checks do not lean on the Gram route they check
-    U = np.linalg.svd(data.X, full_matrices=False)[0][:, : ref.rank]
-    to_pod = lambda M: U.conj().T @ M
-    pod = data.map_snapshots(to_pod)
-    compare("left_pod", exact_dmd(pod, truncation_tol), mode_map=to_pod)
+        record(name, eig_dev, mode_dev, matched=not un_ref and not un_other)
 
     # operator identity C A_full = A_measured C on a small projected copy
     d = min(32, ref.rank)

@@ -250,7 +250,8 @@ def _set_sidecar(directory, name, **changes):
 
 @pytest.mark.parametrize("damage", [
     "missing_block", "negative_first_col", "first_col_past_block",
-    "rows", "dtype", "view_of_view", "payload_size", "null_dt",
+    "rows", "dtype", "view_of_view", "payload_size", "null_dt", "string_dt", "list_dt",
+    "true_dt",
 ])
 def test_malformed_view_is_a_configuration_error(tmp_path, capsys, damage):
     data = tmp_path / "data"
@@ -271,15 +272,17 @@ def test_malformed_view_is_a_configuration_error(tmp_path, capsys, damage):
         _set_sidecar(data, "Xp", dtype="c128")
     elif damage == "view_of_view":
         _set_sidecar(data, "Xp", block="X", first_col=0)
-    elif damage == "null_dt":
-        # a non-finite dt is written as null; the matrix reads, its pair does not
-        _set_sidecar(data, "X", dt=None)
+    elif damage.endswith("_dt"):
+        # a sidecar's dt is any JSON value: null (how a non-finite dt is
+        # written), a string, a list or true; the matrix reads, its pair does not
+        dt = {"null_dt": None, "string_dt": "fast", "list_dt": [1], "true_dt": True}[damage]
+        _set_sidecar(data, "X", dt=dt)
     else:
         blob = (data / "snapshots.bin").read_bytes()
         (data / "snapshots.bin").write_bytes(blob[:-8])
     with pytest.raises(DimensionError):
         _read_pair(str(data))
-    if damage != "null_dt":
+    if not damage.endswith("_dt"):
         with pytest.raises(DimensionError):
             read_matrix(str(data), "Xp" if damage in ("first_col_past_block", "dtype",
                                                       "view_of_view") else "X")

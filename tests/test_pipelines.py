@@ -6,6 +6,7 @@ every compressed or reconstructed variant, and an identity measurement
 """
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from csdmd.pipelines import (
     run_path,
     verify_invariance_suite,
 )
-from csdmd.sensing import make_measurement
+from csdmd.sensing import SensingOperator, SparseBasis, make_measurement
 from csdmd.systems import (
     DoubleGyreParams,
     FourierLtiSystem,
@@ -223,6 +224,47 @@ def test_sparse_pathway_without_planted_truth_needs_a_sparsity(path):
         run_path(cfg)
 
 
+@pytest.mark.parametrize("path, system", [
+    ("3C", "waves"), ("2A", "gyre"), ("2B", "pair"),
+], ids=["unknown-path", "2A-gyre-without-sparsity", "2B-pair-without-sparsity"])
+def test_run_path_refuses_a_bad_config_before_any_work(monkeypatch, path, system):
+    # neither the data nor the reference fit is made for a config that
+    # cannot run: the refusal needs only the config
+    system = {
+        "waves": make_fourier_lti(nx=16, ny=16, K=2, m=20, seed=0),
+        "gyre": DoubleGyreParams(grid=(16, 8)),
+        "pair": random_consistent_pair(64, 10, seed=0, grid=(8, 8)),
+    }[system]
+    work = []
+    for name in ("exact_dmd", "_materialize"):
+        step = getattr(pipelines, name)
+        monkeypatch.setattr(pipelines, name,
+                            lambda *a, step=step, name=name: work.append(name) or step(*a))
+    cfg = ExperimentConfig(system=system, path=path, measurement_kind="pixel", p=32,
+                           measurement_seed=0)
+    with pytest.raises(DimensionError, match="unknown path" if path == "3C" else "sparsity_K"):
+        run_path(cfg)
+    assert work == []
+
+
+def test_compressed_run_path_reads_its_coherence_from_the_one_operator(monkeypatch):
+    # 2A and 2B recover through the operator; 1B builds it for its coherence
+    built = []
+
+    class Counted(SensingOperator):
+        def __init__(self, C, psi):
+            built.append((C, psi))
+            super().__init__(C, psi)
+
+    monkeypatch.setattr(pipelines, "SensingOperator", Counted)
+    report = run_path(ExperimentConfig(
+        system=make_fourier_lti(nx=16, ny=16, K=2, m=20, seed=0), path="1B",
+        measurement_kind="gaussian", p=60, measurement_seed=1, truncation_tol=1e-6,
+    ))
+    assert len(built) == 1
+    assert report.coherence == SensingOperator(*built[0]).coherence
+
+
 def count_joint_solves(monkeypatch):
     """The shape of each target run_2a hands to cosamp, in call order."""
     shapes = []
@@ -249,7 +291,7 @@ def test_dense_measurement_keeps_the_shift(kind, monkeypatch):
     np.testing.assert_array_equal(measured.X, CS[:, : data.m])
     np.testing.assert_array_equal(measured.Xp, CS[:, 1:])
     shapes = count_joint_solves(monkeypatch)
-    result, _, _ = run_2a(measured, C, data.grid, 4, 1e-6)
+    result, _ = run_2a(measured, SensingOperator(C, SparseBasis(data.grid)), 4, 1e-6)
     # one joint solve on the p x r measured range, not one per snapshot
     assert result.rank == 4 and shapes == [(C.p, 4)]
 
@@ -259,7 +301,8 @@ def test_snapshot_reconstruction_of_real_measurements_is_real():
     # reconstructions, so Atilde is real and eigenvalues pair up exactly
     data, _ = generate_fourier_lti(make_fourier_lti(nx=32, ny=32, K=2, m=20, seed=11))
     C = make_measurement("pixel", 100, data.n, seed=2)
-    result, _, _ = run_2a(measure_pair(C, data), C, data.grid, 4, 1e-6)
+    op = SensingOperator(C, SparseBasis(data.grid))
+    result, _ = run_2a(measure_pair(C, data), op, 4, 1e-6)
     assert result.rank == 4
     assert not np.iscomplexobj(result.Atilde)
     lambdas = result.lambdas.tolist()
@@ -279,11 +322,12 @@ def test_snapshot_reconstruction_solves_the_measured_range_once(monkeypatch):
         X=measured.X[:, reverse], Xp=measured.Xp[:, reverse], dt=data.dt
     )
     assert (measured.S.shape[1], permuted.S.shape[1]) == (data.m + 1, 2 * data.m)
+    op = SensingOperator(C, SparseBasis(data.grid))
     shapes = count_joint_solves(monkeypatch)
     spectra = []
     for pair in (measured, permuted):
         shapes.clear()
-        spectra.append(run_2a(pair, C, data.grid, 4, 1e-6)[0].lambdas)
+        spectra.append(run_2a(pair, op, 4, 1e-6)[0].lambdas)
         assert shapes == [(C.p, 4)]
     pairs, un_a, un_b = pair_eigenvalues(*spectra)
     assert not un_a and not un_b and max(d for _, _, d in pairs) <= 1e-6
@@ -295,8 +339,9 @@ def test_snapshot_reconstruction_ignores_the_block_layout():
     data, _ = generate_fourier_lti(make_fourier_lti(nx=32, ny=32, K=2, m=20, seed=0))
     C = make_measurement("pixel", 100, data.n, seed=1)
     measured = measure_pair(C, data)
+    op = SensingOperator(C, SparseBasis(data.grid))
     spectra = [
-        run_2a(SnapshotPair.series(layout(measured.S), data.dt), C, data.grid, 4, 1e-7)[0].lambdas
+        run_2a(SnapshotPair.series(layout(measured.S), data.dt), op, 4, 1e-7)[0].lambdas
         for layout in (np.ascontiguousarray, np.asfortranarray)
     ]
     assert spectra[0].tobytes() == spectra[1].tobytes()
@@ -421,3 +466,20 @@ def test_invariance_suite_passes_on_a_128_by_64_double_gyre():
     assert data.n == 8192
     for c in verify_invariance_suite(data):
         assert c["passed"], (c["name"], c["eig_dev"], c["mode_dev"])
+
+
+def test_invariance_suite_holds_one_transformed_copy_at_a_time():
+    # each transformed pair is built when its check runs and released after
+    # its fit.  What is left of the traced peak, ~4.3 times the series bytes,
+    # is one right-side pair with its two products stacked, or the left-DFT
+    # check's complex copy and the Gram's conjugate of it; holding every
+    # copy to the end read 8.2
+    data = generate_gyre_snapshots(DoubleGyreParams(grid=(128, 64)))
+    tracemalloc.start()
+    try:
+        checks = verify_invariance_suite(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c["passed"] for c in checks] == [True] * 5
+    assert peak / data.S.nbytes <= 5
