@@ -35,7 +35,7 @@ from .dmd import (
     pair_eigenvalues,
 )
 from .errors import DimensionError
-from .linalg import DEFAULT_TRUNCATION_TOL, gram_svd
+from .linalg import DEFAULT_TRUNCATION_TOL, gram_svd, thin_product
 from .recovery import RecoveryConfig, RecoveredMode, cosamp, recover_modes
 from .sensing import SensingOperator, SparseBasis, make_measurement
 from .systems import (
@@ -158,13 +158,13 @@ def _residual_rows(diagnostics):
 
 def run_2a(measured, op, sparsity_K, truncation_tol, timings=None):
     """Pathway 2A: CoSaMP-reconstruct the measured block S = U sigma V^H on
-    the grid, then decompose the reconstruction (its real part when the
-    measured pair is real).  DMD sees the data only through its row and
-    column spaces, and the snapshots share one sparse support, so one joint
-    recovery Z of the r columns of U sigma (from the Gram of S on its short
-    side) stands in for every snapshot: the reconstruction is Psi Z V^H.
-    op is the SensingOperator C Psi.  Returns the result and one residual
-    row for the joint recovery.  Raises its ZeroInput or NoProgress."""
+    the grid as Z V^H, one joint recovery Z of the r columns of U sigma (from
+    the Gram of S on its short side; its real part for a real S), since the
+    snapshots share one sparse support.  DMD is invariant to left isometries,
+    so with Z = Q R the fit of Z V^H is exact DMD of the r-row pair R V^H,
+    its modes mapped through Q: no n-row block is formed.  op is the
+    SensingOperator C Psi.  Returns the result and one residual row for the
+    joint recovery.  Raises its ZeroInput or NoProgress."""
     # the Gram route amplifies last-bit differences by (sigma_0 / sigma_r)^2,
     # so the fit must not depend on the layout of the caller's block
     S = np.asfortranarray(measured.S)
@@ -178,11 +178,11 @@ def run_2a(measured, op, sparsity_K, truncation_tol, timings=None):
         joint = cosamp(op, U_sigma, RecoveryConfig(sparsity_K=sparsity_K))
         # every C is real, so the true snapshot of real measured data is real:
         # its real part is no worse, and Atilde stays real
-        block = (joint.spatial.real if np.isrealobj(S) else joint.spatial) @ Vh
+        Q, R = np.linalg.qr(joint.spatial.real if np.isrealobj(S) else joint.spatial)
     with _timed(timings, "reconstructed_dmd_s"):
-        pair = SnapshotPair.from_block(block, measured.lag, measured.dt, op.psi.grid)
-        result = exact_dmd(pair, truncation_tol)
-    return result, [{"residual": joint.residual, "iters": joint.iters}]
+        small = exact_dmd(SnapshotPair.from_block(R @ Vh, measured.lag, measured.dt), truncation_tol)
+    rows = [{"residual": joint.residual, "iters": joint.iters}]
+    return replace(small, Phi=thin_product(Q, small.Phi)), rows
 
 
 def run_2b(measured, op, sparsity_K, truncation_tol, timings=None):
@@ -343,9 +343,9 @@ def verify_invariance_suite(
         ("left_pod", lambda: data.map_snapshots(to_pod), to_pod),
     ):
         if name == "left_pod":
-            # the data's own orthonormal (POD) basis, from LAPACK so the
-            # checks do not lean on the Gram route they check
-            U = np.linalg.svd(data.X, full_matrices=False)[0][:, : ref.rank]
+            # the data's own orthonormal (POD) basis, from LAPACK so the checks do not
+            # lean on the Gram route they check; a copy frees LAPACK's whole n x m U
+            U = np.linalg.svd(data.X, full_matrices=False)[0][:, : ref.rank].copy()
         other = exact_dmd(build(), truncation_tol)
         pairs, un_ref, un_other = pair_eigenvalues(ref.lambdas, other.lambdas, ref.amplitudes)
         ref_modes = ref.Phi if mode_map is None else mode_map(ref.Phi)
