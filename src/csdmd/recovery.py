@@ -5,8 +5,11 @@ the adjoint proxy, solve least squares on the merged support, prune to the
 K largest coefficients, repeat until the residual is small or stalls.  A
 block is recovered as one row-sparse target (Tropp, Gilbert & Strauss 2006).
 The solver reads the composite operator C Psi only through
-sensing.SensingOperator (its adjoint and its columns on a support), which
-is imported here for recover_modes.
+sensing.SensingOperator, which is imported here for recover_modes: one
+adjoint per iteration, the Gram on the merged support (for pixel C a
+gather from one FFT of the sampling mask), and the columns of the K kept
+atoms for the residual.  The first adjoint, (C Psi)^H y, is both the
+first proxy and every least-squares right-hand side.
 """
 
 import warnings
@@ -49,8 +52,12 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
     n x r block from a p x r block y: by row norms, one solve with r
     right-hand sides, and the Frobenius residual.
 
-    A is read only through ``adjoint`` and ``columns`` on the merged
-    support, once each per iteration.  Keeps the best iterate seen so far,
+    A is read through ``adjoint``, ``gram`` and ``columns``, once each per
+    iteration: the adjoint of the residual is the proxy (the first one,
+    A^H y, is also the right-hand side), ``gram`` gives A^H A on the merged
+    support for the least-squares step, and ``columns`` gives the K kept
+    atoms for the residual.  An operator without ``gram`` is read through
+    its columns on the merged support.  Keeps the best iterate seen so far,
     so the reported residual is non-increasing over accepted iterations.
     Halts at ``RESIDUAL_TOL``, on stall (relative residual decrease below
     1e-4 across 3 iterations), or after ``MAX_ITERS``.
@@ -77,23 +84,31 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
 
     top = min(2 * K, n)
     magnitudes = np.abs if y.ndim == 1 else (lambda v: np.linalg.norm(v, axis=1))
+
+    def column_gram(idx):
+        # for an operator that offers adjoint and columns only, such as the
+        # timing proxy in bench/tracing.py
+        cols = A_apply.columns(idx)
+        return cols.conj().T @ cols
+
+    gram = getattr(A_apply, "gram", column_gram)
     support = best_support = np.array([], dtype=int)
     best_coef = np.array([], dtype=complex)
     best_res = np.inf
     history = []
-    residual = y.copy()
+    # the first proxy, and on every support the least-squares right-hand side
+    rhs = A_apply.adjoint(y)
     iters = 0
     for iters in range(1, MAX_ITERS + 1):
-        proxy = magnitudes(A_apply.adjoint(residual))
+        proxy = magnitudes(rhs if iters == 1 else A_apply.adjoint(residual))
         # union1d sorts, so the 2K largest need no order among themselves
         candidates = np.argpartition(proxy, -top)[-top:]
         merged = np.union1d(support, candidates)
-        AT = A_apply.columns(merged)
-        G = AT.conj().T @ AT + TIKHONOV_FLOOR * np.eye(len(merged))
-        coef = np.linalg.solve(G, AT.conj().T @ y)
+        G = gram(merged) + TIKHONOV_FLOOR * np.eye(len(merged))
+        coef = np.linalg.solve(G, rhs[merged])
         keep = np.argsort(magnitudes(coef))[-K:]
         support = merged[keep]
-        residual = y - AT[:, keep] @ coef[keep]
+        residual = y - A_apply.columns(support) @ coef[keep]
         rel = np.linalg.norm(residual) / ynorm
         if rel < best_res:
             best_res, best_support, best_coef = rel, support, coef[keep]

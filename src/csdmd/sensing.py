@@ -168,18 +168,19 @@ def basis_atoms(psi: SparseBasis, idx, rows=None):
 
     Atom k = ky*nx + kx at row iy*nx + ix is
     exp(2 pi i (kx ix / nx + ky iy / ny)) / sqrt(n), taken from an nx x |S|
-    and an ny x |S| table of roots of unity.  The phases are reduced mod nx
-    (mod ny) as integers, so large grids keep full accuracy.
+    and an ny x |S| table of roots of unity (the nx roots scaled by
+    1/sqrt(n) before the gather).  The phases are reduced mod nx (mod ny)
+    as integers, so large grids keep full accuracy.
     """
     nx, ny = psi.grid
     ky, kx = np.divmod(np.asarray(idx), nx)
     iy, ix = np.divmod(np.arange(psi.n) if rows is None else np.asarray(rows), nx)
 
-    def table(k, size):
-        roots = np.exp(2j * np.pi * np.arange(size) / size)
+    def table(k, size, scale=1.0):
+        roots = np.exp(2j * np.pi * np.arange(size) / size) / scale
         return roots[np.outer(np.arange(size), k) % size]
 
-    return table(ky, ny)[iy] * (table(kx, nx)[ix] / np.sqrt(psi.n))
+    return table(ky, ny)[iy] * table(kx, nx, np.sqrt(psi.n))[ix]
 
 
 class SensingOperator:
@@ -187,32 +188,50 @@ class SensingOperator:
     mutual coherence: the largest normalized inner product between
     measurement rows and basis columns; low values favor sparse recovery.
 
-    As the DFT matrix is symmetric, row i of C Psi is the basis synthesis
-    of measurement row i.  The row is real, so that synthesis is the
-    conjugate of its forward transform, whose Hermitian half holds every
-    entry: for a dense C, the table is the p x ny x (nx//2 + 1) complex
-    rfft2 of the rows, about the size of the real payload, in one FFT call.
-    The coherence is read from it, and column (ky, kx) is the conjugate of
-    table entry (ky, kx), or for kx > nx//2 entry (-ky, -kx) itself.  The
-    pixel kind has no table (None): every entry of C Psi has magnitude
+    Recovery reads it through ``adjoint`` (C Psi)^H y, which goes through
+    the FFT, ``gram(idx)``, the Gram (C Psi)^H (C Psi) on a support, and
+    ``columns(idx)``.  As the DFT matrix is symmetric, row i of C Psi is
+    the basis synthesis of measurement row i.  The row is real, so that
+    synthesis is the conjugate of its forward transform, whose Hermitian
+    half holds every entry: for a dense C, the table is the
+    p x ny x (nx//2 + 1) complex rfft2 of the rows, about the size of the
+    real payload, in one FFT call.  The coherence is read from it, column
+    (ky, kx) is the conjugate of table entry (ky, kx), or for kx > nx//2
+    entry (-ky, -kx) itself, and the Gram is the product of the columns.
+
+    The pixel kind has no table (None): every entry of C Psi has magnitude
     1/sqrt(n), and its columns are closed-form atoms at the sampled rows,
-    so no pixels-by-grid array is formed.  The adjoint goes through the FFT.
+    so no pixels-by-grid array is formed.  Its Gram Psi^H diag(mask) Psi
+    is 2-d circulant: entry (k, l) is H[(ly - ky) mod ny, (lx - kx) mod nx]
+    for the ny x nx table H = ifft2(mask), built once, so a Gram on a
+    support is a gather and needs no columns.
     """
 
     def __init__(self, C: MeasurementMatrix, psi: SparseBasis):
         if C.n != psi.n:
             raise DimensionError(f"measurement n={C.n} does not match basis n={psi.n}")
         self.C, self.psi, self.shape = C, psi, (C.p, C.n)
-        if C.kind == "pixel":
-            self.coherence, self.table = 1.0 / math.sqrt(C.n), None
-            return
         nx, ny = psi.grid
+        if C.kind == "pixel":
+            mask = np.zeros(C.n)
+            mask[C.indices] = 1.0
+            self.coherence, self.table = 1.0 / math.sqrt(C.n), None
+            self.circulant = np.fft.ifft2(mask.reshape(ny, nx))
+            return
         table = np.fft.rfft2(C.payload.reshape(C.p, ny, nx), norm="ortho")
         peak = np.max(np.abs(table).reshape(C.p, -1), axis=1) / np.linalg.norm(C.payload, axis=1)
         self.coherence, self.table = float(np.max(peak)), table
 
     def adjoint(self, y):
         return apply_basis(self.psi, adjoint_measurement(self.C, y), "inverse")
+
+    def gram(self, idx):
+        if self.table is not None:
+            cols = self.columns(idx)
+            return cols.conj().T @ cols
+        nx, ny = self.psi.grid
+        ky, kx = np.divmod(np.asarray(idx), nx)
+        return self.circulant[(ky - ky[:, None]) % ny, (kx - kx[:, None]) % nx]
 
     def columns(self, idx):
         if self.table is None:

@@ -30,7 +30,7 @@ from csdmd.pipelines import (
     run_path,
     verify_invariance_suite,
 )
-from csdmd.sensing import make_measurement
+from csdmd.sensing import SparseBasis, apply_basis, make_measurement
 from csdmd.systems import (
     DoubleGyreParams,
     add_fourier_noise,
@@ -508,6 +508,52 @@ def test_verify_passes_on_the_double_gyre(tmp_path, capsys):
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
         assert len(lines) == 5
         assert all(ln.startswith("pass") for ln in lines)
+
+
+# 2B on a 128 x 64 gyre with 800 pixels and --sparsity 30, as recovered by
+# CoSaMP with its Gram formed from the support columns: per-mode residual,
+# iterations and coefficient support
+GYRE_2B_RECOVERY = [
+    (0.027205839855696377, 6, [1, 2, 3, 4, 124, 125, 126, 127, 129, 130, 254, 255, 257, 383,
+                               385, 511, 513, 639, 767, 7553, 7681, 7807, 7809, 7935, 7937,
+                               8063, 8065, 8066, 8190, 8191]),
+    (0.07703193965324237, 7, [1, 2, 3, 4, 5, 6, 122, 123, 124, 125, 126, 127, 129, 130, 131,
+                              253, 254, 255, 257, 258, 383, 7937, 8062, 8063, 8065, 8066,
+                              8067, 8189, 8190, 8191]),
+    (0.06162186452996886, 6, [1, 2, 3, 4, 5, 123, 124, 125, 126, 127, 129, 130, 131, 253, 254,
+                              255, 257, 258, 382, 383, 7937, 7938, 8062, 8063, 8065, 8066,
+                              8067, 8189, 8190, 8191]),
+    (0.05335952354426967, 6, [0, 1, 2, 3, 4, 124, 125, 126, 127, 128, 129, 130, 131, 253, 254,
+                              255, 257, 258, 382, 383, 7937, 7938, 8062, 8063, 8064, 8065,
+                              8066, 8189, 8190, 8191]),
+    (0.0680052615521906, 6, [1, 2, 3, 4, 5, 123, 124, 125, 126, 127, 129, 130, 131, 253, 254,
+                             255, 257, 258, 382, 383, 7937, 7938, 8062, 8063, 8065, 8066,
+                             8067, 8189, 8190, 8191]),
+]
+
+
+def test_gyre_2b_recovery_is_pinned(tmp_path):
+    # the pixel Gram is a gather from the mask's circulant table now; the
+    # residuals and iterations stay, and a support may only trade an atom k
+    # for its conjugate -k, which ties with it on a real target
+    data, comp, out = (str(tmp_path / name) for name in ("gyre", "comp", "sparse"))
+    assert main(["gen", "gyre", "--nx", "128", "--ny", "64", "--out", data]) == 0
+    assert main(["cdmd", "--snapshots", data, "--measure", "pixel", "-p", "800",
+                 "--seed", "2", "--tol", "1e-4", "--out", comp]) == 0
+    assert main(["csdmd", "--measured", comp, "--measure-file", f"{comp}/measure.json",
+                 "--sparsity", "30", "--tol", "1e-4", "--out", out]) == 0
+    rows = json.loads((tmp_path / "sparse" / "result.json").read_text())["recovery"]
+    psi = SparseBasis((128, 64))
+    coeffs = apply_basis(psi, read_matrix(out, "modes")[0], "inverse")
+    ky, kx = np.divmod(np.arange(psi.n), 128)
+    pair = np.minimum(np.arange(psi.n), (-ky % 64) * 128 + (-kx % 128))
+    assert len(rows) == len(GYRE_2B_RECOVERY)
+    for row, s, (residual, iters, support) in zip(rows, coeffs.T, GYRE_2B_RECOVERY):
+        np.testing.assert_allclose(row["residual"], residual, rtol=1e-9)
+        assert row["iters"] == iters
+        got = np.flatnonzero(np.abs(s) > 1e-9 * np.abs(s).max())
+        assert len(got) == len(support)
+        assert sorted(pair[got]) == sorted(pair[support])
 
 
 def test_verify_tol_defaults_to_the_invariance_floor():

@@ -5,10 +5,12 @@ coefficient vector, push it through the measurement operator, and demand
 the solver return exactly that support and those values.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from csdmd import recovery
+from csdmd import recovery, sensing
 from csdmd.errors import NoProgress, ZeroInput
 from csdmd.recovery import (
     RecoveredMode,
@@ -26,7 +28,7 @@ from csdmd.sensing import (
 
 
 class DenseOperator:
-    """An explicit matrix as a recovery operator: the four members cosamp
+    """An explicit matrix as a recovery operator: the five members cosamp
     may use."""
 
     def __init__(self, A):
@@ -35,6 +37,10 @@ class DenseOperator:
 
     def adjoint(self, y):
         return self.A.conj().T @ y
+
+    def gram(self, idx):
+        cols = self.A[:, idx]
+        return cols.conj().T @ cols
 
     def columns(self, idx):
         return self.A[:, idx]
@@ -119,27 +125,30 @@ def test_reported_residual_monotone_in_iteration_budget(monkeypatch):
         prev = mode.residual
 
 
-class CountingOperator:
-    """A recovery operator with only the four members cosamp may use."""
+class CountingOperator(DenseOperator):
+    """Counts the adjoint and Gram calls and the atoms of each columns call."""
 
     def __init__(self, A):
-        self.A = A
-        self.shape = A.shape
-        self.calls = {"adjoint": 0, "columns": 0}
+        super().__init__(A)
+        self.calls = {"adjoint": 0, "gram": 0}
+        self.atoms = []
 
     def adjoint(self, y):
         self.calls["adjoint"] += 1
-        return self.A.conj().T @ y
+        return super().adjoint(y)
+
+    def gram(self, idx):
+        self.calls["gram"] += 1
+        return super().gram(idx)
 
     def columns(self, idx):
-        self.calls["columns"] += 1
-        return self.A[:, idx]
-
-    def synthesize(self, coeffs):
-        return coeffs
+        self.atoms.append(len(idx))
+        return super().columns(idx)
 
 
 def test_cosamp_reads_only_adjoint_and_support_columns():
+    # the first adjoint is both the first proxy and every least-squares
+    # right-hand side; the residual reads the K kept atoms only
     rng = np.random.default_rng(33)
     A = rng.standard_normal((40, 128)) / np.sqrt(40)
     truth = np.zeros(128, dtype=complex)
@@ -147,7 +156,24 @@ def test_cosamp_reads_only_adjoint_and_support_columns():
     op = CountingOperator(A)
     mode = cosamp(op, A @ truth, RecoveryConfig(sparsity_K=3))
     np.testing.assert_allclose(mode.coeffs, truth, atol=1e-8)
-    assert op.calls == {"adjoint": mode.iters, "columns": mode.iters}
+    assert mode.iters > 1
+    assert op.calls == {"adjoint": mode.iters, "gram": mode.iters}
+    assert op.atoms == [3] * mode.iters
+
+
+def test_an_operator_without_gram_is_read_through_its_columns():
+    # a wrapper that offers adjoint and columns only gets the same recovery
+    rng = np.random.default_rng(33)
+    A = rng.standard_normal((40, 128)) / np.sqrt(40)
+    truth = np.zeros(128, dtype=complex)
+    truth[[5, 60, 99]] = [1.5, -2.0 + 1j, 0.7j]
+    op = DenseOperator(A)
+    bare = SimpleNamespace(shape=op.shape, adjoint=op.adjoint, columns=op.columns,
+                           synthesize=op.synthesize)
+    cfg = RecoveryConfig(sparsity_K=3)
+    mode, reference = cosamp(bare, A @ truth, cfg), cosamp(op, A @ truth, cfg)
+    np.testing.assert_array_equal(mode.coeffs, reference.coeffs)
+    assert (mode.residual, mode.iters) == (reference.residual, reference.iters)
 
 
 class SpyOperator(DenseOperator):
@@ -162,9 +188,9 @@ class SpyOperator(DenseOperator):
         self.proxies.append(np.abs(proxy))
         return proxy
 
-    def columns(self, idx):
+    def gram(self, idx):
         self.merged.append(set(idx.tolist()))
-        return super().columns(idx)
+        return super().gram(idx)
 
 
 def test_candidates_are_the_2k_largest_proxy_entries():
@@ -185,6 +211,23 @@ def test_candidates_are_the_2k_largest_proxy_entries():
         # the rest of the merged support is the previous kept support
         assert top <= merged and merged - top <= previous
         previous = merged
+
+
+def test_pixel_recovery_asks_basis_atoms_for_the_kept_atoms_only(monkeypatch):
+    # the pixel Gram is a gather from the mask's circulant table, so closed-
+    # form atoms are built for the K-atom residual alone
+    op, y, truth = planted_instance(256, 80, 4, seed=2, kind="pixel")
+    asked = []
+    atoms = sensing.basis_atoms
+
+    def spied(psi, idx, rows=None):
+        asked.append(len(idx))
+        return atoms(psi, idx, rows)
+
+    monkeypatch.setattr(sensing, "basis_atoms", spied)
+    mode = cosamp(op, y, RecoveryConfig(sparsity_K=4))
+    np.testing.assert_allclose(mode.coeffs, truth, atol=1e-8)
+    assert asked == [4] * mode.iters
 
 
 def test_candidates_cover_a_basis_smaller_than_2k():

@@ -279,6 +279,37 @@ def test_table_columns_match_the_measured_atoms(grid, kind):
     assert op.coherence == mutual_coherence(C, psi)
 
 
+@pytest.mark.parametrize("grid, p", [((7, 5), 12), ((12, 9), 40), ((512, 256), 2500)])
+def test_pixel_gram_is_the_product_of_its_columns(grid, p):
+    # the gather from H = ifft2(mask): odd, non-square and paper-scale grids,
+    # with atoms in shuffled order and a repeated atom
+    n = grid[0] * grid[1]
+    op = SensingOperator(make_measurement("pixel", p, n, seed=p), SparseBasis(grid))
+    assert op.table is None
+    idx = np.random.default_rng(n).choice(n, size=min(n, 90), replace=False)
+    idx = np.append(idx, idx[0])
+    cols = op.columns(idx)
+    G = op.gram(idx)
+    assert G.shape == (len(idx), len(idx))
+    assert np.max(np.abs(G - cols.conj().T @ cols)) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
+def test_dense_gram_is_the_product_of_its_columns(kind):
+    grid = (12, 9)
+    C = make_measurement(kind, 40, 108, seed=4)
+    op = SensingOperator(C, SparseBasis(grid))
+    idx = np.random.default_rng(4).permutation(108)[:50]
+    cols = op.columns(idx)
+    np.testing.assert_array_equal(op.gram(idx), cols.conj().T @ cols)
+
+
+def test_pixel_gram_of_every_pixel_is_the_identity():
+    op = SensingOperator(make_measurement("pixel", 35, 35, seed=1), SparseBasis((7, 5)))
+    idx = np.random.default_rng(1).permutation(35)
+    np.testing.assert_allclose(op.gram(idx), np.eye(35), rtol=0, atol=1e-15)
+
+
 def test_gaussian_coherence_regression():
     psi = SparseBasis((16, 16))
     C = make_measurement("gaussian", 64, 256, seed=5)
