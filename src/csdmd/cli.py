@@ -51,15 +51,15 @@ CONFIG_ERRORS = (CsdmdError, FileNotFoundError, json.JSONDecodeError, KeyError)
 def _read_pair(directory, x="X", xp="Xp", dt=1.0):
     """The pair stored as the matrices x and xp (dt from x's sidecar, if
     there).  When x and xp are views of one block at columns 0 and lag, and
-    the block ends with xp, the block is read once and holds the pair at
-    that lag; any other pair is read as two matrices."""
+    the block ends with xp, the pair at that lag is held over an
+    io.PanelReader of the block, checked here and read by the fit in row
+    panels; any other pair is read whole, as two matrices."""
     side, block, first, width = io_mod.locate(directory, x)
     xp_side, xp_block, lag, _ = io_mod.locate(directory, xp)
     grid = check_grid(side["grid"]) if side.get("grid") else None
     dt = side.get("dt", dt)
     if xp_block == block and first == 0 and xp_side["cols"] == side["cols"] == width - lag:
-        S, _ = io_mod.read_matrix(directory, block)
-        return SnapshotPair.from_block(S, lag, dt, grid)
+        return SnapshotPair.from_block(io_mod.PanelReader(directory, block), lag, dt, grid)
     X, _ = io_mod.read_matrix(directory, x)
     Xp, _ = io_mod.read_matrix(directory, xp)
     return SnapshotPair(X=X, Xp=Xp, dt=dt, grid=grid)
@@ -208,7 +208,8 @@ def _load_measurement(path):
 
 def _cmd_csdmd(args):
     C, grid, dt = _load_measurement(args.measure_file)
-    measured = _read_pair(args.measured, "Y", "Yp", dt)
+    # a measured block is small; 2A factors it whole
+    measured = _read_pair(args.measured, "Y", "Yp", dt).load()
     op = SensingOperator(C, SparseBasis(grid))
     path, run = ("2A", run_2a) if args.reconstruct_snapshots else ("2B", run_2b)
     result, residuals = run(measured, op, args.sparsity, args.tol)
@@ -240,7 +241,7 @@ def _cmd_compare(args):
 
 
 def _cmd_verify(args):
-    pair = _read_pair(args.snapshots)
+    pair = _read_pair(args.snapshots).load()
     checks = verify_invariance_suite(pair, seed=args.seed, truncation_tol=args.tol)
     all_ok = True
     for chk in checks:

@@ -6,10 +6,13 @@ returns its leading eigenstructure: eigenvalues (discrete and continuous
 time), spatial modes, and initial amplitudes.  One core, lifted_dmd, runs
 the decomposition on a measured pair Y = C X and lifts the modes back to
 full state space through the full shifted snapshots; exact DMD is the case
-where the measured pair is the full pair.  The fit reads the measured
-block once, through its Gram matrix on the short side (m x m for a tall
-block, p x p for a wide one), and the lift reads the full X' once (exact
-DMD after Tu et al., 2014); no n-row U is ever formed.
+where the measured pair is the full pair.  The core reads a pair's block
+only in fixed-height row panels, in memory or on disk (io.PanelReader), in
+two passes: the first sums the Gram matrix on the measured block's short
+side (m x m for a tall block; a wide one, p x p, is small and read whole),
+the second stacks the lift X' V sigma^-1 and x_0 and, for a measured pair,
+sums the rank check's two energies (exact DMD after Tu et al., 2014).  No
+n-row U, and no whole n x (m+1) block, is formed.
 """
 
 from dataclasses import dataclass, replace
@@ -18,17 +21,23 @@ from numbers import Real
 import numpy as np
 
 from .errors import DimensionError, RankCollapse
+from .io import PANEL_ROWS, PanelReader
 from .linalg import DEFAULT_TRUNCATION_TOL, EconSvd, eig_dense, gram_svd, thin_product
-from .sensing import MeasurementMatrix, apply_measurement, check_grid
+from .sensing import MeasurementMatrix, check_grid, measure_panels
 
 ZERO_EIG_REL = 1e-12
+# a complex panel is conjugated this many columns at a time, so the Gram's
+# conjugate copy is a sliver of a panel, not the panel
+CONJ_COLUMNS = 16
 
 
 class SnapshotPair:
     """Snapshot matrix X and its one-step-shifted counterpart X', held in
     one block S that stores each distinct snapshot once: X = S[:, :m] and
     X' = S[:, lag:].  A time series [x_0 ... x_m] has lag 1 and m+1
-    columns; any other pair has lag m and S = [X, X'].
+    columns; any other pair has lag m and S = [X, X'].  S is an array, or
+    an io.PanelReader over a block on disk, which the fit reads in row
+    panels and load() reads whole.
 
     Columns are state vectors at successive, evenly spaced times.  The
     optional grid records the 2-d spatial shape (nx, ny) with nx*ny rows.
@@ -53,13 +62,14 @@ class SnapshotPair:
 
     @classmethod
     def from_block(cls, S, lag, dt, grid=None):
-        """The pair X = S[:, :m], X' = S[:, lag:] over S itself."""
+        """The pair X = S[:, :m], X' = S[:, lag:] over S itself (an array or
+        an io.PanelReader)."""
         pair = cls.__new__(cls)
-        pair._wrap(np.asarray(S), lag, dt, grid)
+        pair._wrap(S if isinstance(S, PanelReader) else np.asarray(S), lag, dt, grid)
         return pair
 
     def _wrap(self, S, lag, dt, grid):
-        if S.ndim != 2 or S.shape[1] <= lag:
+        if len(S.shape) != 2 or S.shape[1] <= lag:
             raise DimensionError(f"a block of shape {S.shape} holds no pair at lag {lag}")
         if grid is not None and np.prod(check_grid(grid)) != S.shape[0]:
             raise DimensionError(f"grid {grid} does not match row count {S.shape[0]}")
@@ -68,7 +78,28 @@ class SnapshotPair:
             raise DimensionError(f"dt must be finite and positive, got {dt!r}")
         self.S, self.lag, self.dt, self.grid = S, lag, dt, grid
         self.n, self.m = S.shape[0], S.shape[1] - lag
-        self.X, self.Xp = S[:, : self.m], S[:, lag:]
+
+    @property
+    def X(self):
+        return self.S[:, : self.m]
+
+    @property
+    def Xp(self):
+        return self.S[:, self.lag :]
+
+    def load(self):
+        """This pair with its block in memory: a block on disk is read whole."""
+        if isinstance(self.S, PanelReader):
+            return SnapshotPair.from_block(self.S.read(), self.lag, self.dt, self.grid)
+        return self
+
+    def panels(self):
+        """(start, P) for each run of io.PANEL_ROWS rows of S (fewer in the
+        last), P holding rows start ... start+len(P)-1; a panel read from
+        disk is overwritten by the next one."""
+        if isinstance(self.S, PanelReader):
+            return self.S.panels()
+        return ((start, self.S[start : start + PANEL_ROWS]) for start in range(0, self.n, PANEL_ROWS))
 
     def map_snapshots(self, f, grid=None):
         """The pair of f(S) at the same lag.  f maps the n x k block S to an
@@ -101,25 +132,61 @@ class DmdResult:
 def measure_pair(C: MeasurementMatrix, pair: SnapshotPair) -> SnapshotPair:
     """The measured pair Y = C X, Y' = C X', as C S at the pair's lag, so a
     time series is measured once per distinct snapshot and stays a series.
-    Rows are measurements, so the result carries no grid."""
-    return pair.map_snapshots(lambda S: apply_measurement(C, S))
+    S is measured in its row panels.  Rows are measurements, so the result
+    carries no grid."""
+    Y = measure_panels(C, pair.n, pair.panels())
+    return SnapshotPair.from_block(Y, pair.lag, pair.dt)
 
 
-def _check_rank(X, svd: EconSvd, truncation_tol):
-    """Raise RankCollapse if X keeps more than truncation_tol times its
-    leading energy outside the measured row space span(svd.V).  The check
-    compares energies, resolved down to about eps, so it takes the
-    requested tolerance, not the SVD's applied one (floored on singular
-    values)."""
-    # with G = (X V)^H (X V): lost = |X|_F^2 - tr G >= sigma_r(X)^2 and
-    # lambda_max(G) <= sigma_0(X)^2, so a dropped sigma_r(X) above
-    # sqrt(tol) sigma_0(X) always raises
-    XV = thin_product(X, svd.V)
-    G = XV.conj().T @ XV
+def _gram(pair: SnapshotPair):
+    """Y^H [Y, Y'] summed over the pair's row panels: for a series the one
+    Gram S^H S.  A complex panel is conjugated CONJ_COLUMNS columns at a
+    time."""
+    G = None
+    for _, P in pair.panels():
+        Y = P if pair.lag == 1 else P[:, : pair.m]
+        if np.iscomplexobj(P):
+            part = np.vstack([Y[:, j : j + CONJ_COLUMNS].conj().T @ P
+                              for j in range(0, Y.shape[1], CONJ_COLUMNS)])
+        else:
+            part = Y.T @ P
+        G = part if G is None else G + part
+    return G
+
+
+def _lift(full: SnapshotPair, V_sigma, V=None):
+    """One pass over the full pair's row panels: B = X' V_sigma and x_0,
+    stacked panel by panel, and, given V, the rank check's (X V)^H (X V)
+    and |X|_F^2, summed."""
+    n, m, lag = full.n, full.m, full.lag
+    dtype = np.result_type(full.S.dtype, V_sigma.dtype)
+    B = np.empty((n, V_sigma.shape[1]), dtype, order="F")
+    x0 = np.empty(n, full.S.dtype)
+    G, energy = None, 0.0
+    for start, P in full.panels():
+        rows = slice(start, start + len(P))
+        B[rows] = thin_product(P[:, lag:], V_sigma)
+        x0[rows] = P[:, 0]
+        if V is not None:
+            X = P[:, :m]
+            XV = thin_product(X, V)
+            G = XV.conj().T @ XV if G is None else G + XV.conj().T @ XV
+            # einsum over real views: norm() would copy a strided X whole
+            parts = (X.real, X.imag) if np.iscomplexobj(X) else (X,)
+            energy += sum(np.einsum("ij,ij->", part, part) for part in parts)
+    return B, x0, G, energy
+
+
+def _check_rank(G, energy, svd: EconSvd, truncation_tol):
+    """Raise RankCollapse if X, of energy |X|_F^2, keeps more than
+    truncation_tol times its leading energy outside the measured row space
+    span(svd.V), given G = (X V)^H (X V).  The check compares energies,
+    resolved down to about eps, so it takes the requested tolerance, not
+    the SVD's applied one (floored on singular values)."""
+    # lost = |X|_F^2 - tr G >= sigma_r(X)^2 and lambda_max(G) <= sigma_0(X)^2,
+    # so a dropped sigma_r(X) above sqrt(tol) sigma_0(X) always raises
     top = np.linalg.eigvalsh(G)[-1]
-    # einsum over real views: norm() would copy a strided X whole
-    parts = (X.real, X.imag) if np.iscomplexobj(X) else (X,)
-    lost = sum(np.einsum("ij,ij->", P, P) for P in parts) - np.trace(G).real
+    lost = energy - np.trace(G).real
     if lost > truncation_tol * top:
         raise RankCollapse(
             f"measured rank {svd.rank} leaves relative energy "
@@ -179,16 +246,27 @@ def lifted_dmd(
     U = Y V sigma^-1 in r x r space.  A wide Y gives an orthonormal U from
     Y Y^H, V = Y^H U sigma^-1 and Atilde = U^H Y' V sigma^-1.  The lift
     B = X' V sigma^-1 gives the modes B W and the amplitudes
-    W^-1 lstsq(B, x_0).  Exact DMD is the case where full is measured;
-    otherwise the rank check runs before the eigensolve."""
+    W^-1 lstsq(B, x_0).
+
+    Blocks are read in row panels, in two passes.  The first sums the tall
+    Gram over the panels of Y; the second, over the panels of the full
+    pair, stacks B and x_0 and, when full is not measured, sums the rank
+    check's (X V)^H X V and |X|_F^2; the check runs before the eigensolve.
+    Numerically zero eigenvalues take their modes from X V sigma^-1 W
+    instead, in a third pass over the full pair that runs only when such
+    an eigenvalue exists."""
     if measured.m < 2:
         raise DimensionError("need at least 2 snapshot columns")
-    S, m, lag, Y = measured.S, measured.m, measured.lag, measured.X
+    m, lag = measured.m, measured.lag
     wide = measured.n < m
     with np.errstate(over="ignore", invalid="ignore"):
-        # one Gram, on Y's short side: Y Y^H (p x p, all of it kept by [:m, :m]),
-        # or Y^H [Y, Y'], which for a series is the one Gram S^H S
-        G = Y @ Y.conj().T if wide else (S if lag == 1 else Y).conj().T @ S
+        if wide:
+            # Y Y^H is p x p, all of it kept by [:m, :m]; a block wider than
+            # tall is small, so it is read whole
+            S = measured.load().S
+            G = S[:, :m] @ S[:, :m].conj().T
+        else:
+            G = _gram(measured)
     svd = gram_svd(G[:m, :m], truncation_tol)
     if wide:
         # U^H [Y, Y'] in one product: V sigma = Y^H U, and Atilde from U^H Y'
@@ -200,18 +278,20 @@ def lifted_dmd(
         V_sigma = svd.V / svd.sigma
         L = np.linalg.cholesky(V_sigma.conj().T @ G[:m, :m] @ V_sigma)
         Atilde = np.linalg.solve(L, V_sigma.conj().T @ G[:m, lag:] @ V_sigma)
-    if full is not measured:
-        _check_rank(full.X, svd, truncation_tol)
+    checked = full is not measured
+    B, x0, G_XV, energy = _lift(full, V_sigma, svd.V if checked else None)
+    if checked:
+        _check_rank(G_XV, energy, svd, truncation_tol)
     lambdas, W = eig_dense(Atilde)
-    B = thin_product(full.Xp, V_sigma)
     Phi = thin_product(B, W)
     # numerically zero eigenvalues fall back to X V sigma^-1 W, the basis lifted
     # through X, and b to lstsq on Phi; <= so lam_max = 0 does too
     lam_max = np.max(np.abs(lambdas)) if len(lambdas) else 0.0
     dead = np.abs(lambdas) <= ZERO_EIG_REL * lam_max
-    x0 = full.X[:, 0]
     if np.any(dead):
-        Phi[:, dead] = thin_product(thin_product(full.X, V_sigma), W[:, dead])
+        for start, P in full.panels():
+            lifted = thin_product(P[:, : full.m], V_sigma)
+            Phi[start : start + len(P), dead] = thin_product(lifted, W[:, dead])
         b, *_ = np.linalg.lstsq(Phi, x0.astype(complex), rcond=None)
     else:
         b = np.linalg.solve(W, np.linalg.lstsq(B, x0, rcond=None)[0])

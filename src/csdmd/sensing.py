@@ -77,19 +77,38 @@ def make_measurement(kind, p, n, seed=None) -> MeasurementMatrix:
 def apply_measurement(C: MeasurementMatrix, X):
     """Compute Y = C X for a matrix or single vector X."""
     X = np.asarray(X)
-    rows = X.shape[0]
+    return measure_panels(C, X.shape[0], [(0, X)])
+
+
+def measure_panels(C: MeasurementMatrix, rows, panels):
+    """Compute Y = C X for the rows-row X given as (start, P) row panels, P
+    holding rows start ... start+len(P)-1 of X: a pixel C gathers its rows
+    from each panel, a dense C sums C[:, start:start+len(P)] P."""
     if rows != C.n:
         raise DimensionError(f"operand has {rows} rows, measurement expects {C.n}")
-    if C.kind == "pixel":
-        return X[C.indices]
-    if np.iscomplexobj(X):
-        # one real GEMM on the interleaved (re, im) pairs, column 2j Re x_j
-        # and column 2j+1 Im x_j, so the real payload is never cast to
-        # complex (a 2x larger copy per call)
-        flat = np.ascontiguousarray(X).reshape(rows, -1)
-        Y = C.payload @ flat.view(flat.real.dtype)
-        return Y.view(flat.dtype).reshape((C.p,) + X.shape[1:])
-    return C.payload @ X
+    Y = None
+    for start, P in panels:
+        if C.kind == "pixel":
+            if Y is None:
+                Y = np.empty((C.p,) + P.shape[1:], P.dtype, order="F")
+            lo, hi = np.searchsorted(C.indices, (start, start + len(P)))
+            Y[lo:hi] = P[C.indices[lo:hi] - start]
+            continue
+        block = C.payload[:, start : start + len(P)]
+        if np.iscomplexobj(P):
+            # one real GEMM on the interleaved (re, im) pairs, column 2j Re x_j
+            # and column 2j+1 Im x_j, so the real payload is never cast to
+            # complex (a 2x larger copy per call)
+            flat = np.ascontiguousarray(P).reshape(len(P), -1)
+            part = (block @ flat.view(flat.real.dtype)).view(flat.dtype)
+            part = part.reshape((C.p,) + P.shape[1:])
+        else:
+            part = block @ P
+        if Y is None:
+            Y = part
+        else:
+            Y += part
+    return Y
 
 
 def adjoint_measurement(C: MeasurementMatrix, Y):

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from csdmd import dmd
 from csdmd.dmd import (
     SnapshotPair,
     advance_modes,
@@ -22,6 +23,7 @@ from csdmd.dmd import (
     pair_eigenvalues,
 )
 from csdmd.errors import DimensionError, RankCollapse, ZeroInput
+from csdmd.io import PANEL_ROWS, PanelReader, read_matrix, write_matrix
 from csdmd.linalg import GRAM_TOL_FLOOR, eig_dense, gram_svd, svd_econ
 from csdmd.sensing import apply_measurement, make_measurement
 from csdmd.systems import (
@@ -121,12 +123,15 @@ def test_pixel_measurement_gathers_each_distinct_snapshot_once(monkeypatch):
     data, _ = generate_fourier_lti(make_fourier_lti(nx=16, ny=16, K=2, m=20, seed=1))
     C = make_measurement("pixel", 40, data.n, seed=2)
     shapes = []
+    panels = data.panels
 
-    def recording(C, S):
-        shapes.append(S.shape)
-        return apply_measurement(C, S)
+    def recording():
+        for start, P in panels():
+            shapes.append(P.shape)
+            yield start, P
 
-    monkeypatch.setattr("csdmd.dmd.apply_measurement", recording)
+    # the measurement reads the pair's block in row panels, each row once
+    monkeypatch.setattr(data, "panels", recording)
     measured = measure_pair(C, data)
     assert shapes == [(data.n, data.m + 1)]
     np.testing.assert_array_equal(measured.X, data.X[C.indices])
@@ -201,6 +206,40 @@ def test_compressed_zero_eigenvalue_lifts_to_full_state():
     for i, j, dist in pairs:
         assert dist < 1e-10
         assert mode_alignment(ref.Phi[:, i], result.Phi[:, j]) > 1 - 1e-10
+
+
+def test_zero_eigenvalue_modes_are_lifted_panel_by_panel(tmp_path):
+    # over 2 panels and a short one: exact and compressed DMD both lift a
+    # zero eigenvalue's mode through X, X V sigma^-1 W, in a third pass over
+    # the panels, and a block on disk gives the same bits as the same
+    # column-major block in memory
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((2 * PANEL_ROWS + 5, 6))
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    Xp = X @ Q @ np.diag([0.0, 0.9, 0.8, 0.7, 0.6, 0.5]) @ Q.T
+    data = SnapshotPair(X=X, Xp=Xp, dt=1.0)
+    write_matrix(tmp_path, "S", data.S)
+    on_disk = SnapshotPair.from_block(PanelReader(tmp_path, "S"), data.lag, 1.0)
+    ref = exact_dmd(data)
+    dead = np.abs(ref.lambdas) < 1e-12
+    assert dead.sum() == 1
+    V_sigma = ref.svd_used.V / ref.svd_used.sigma
+    np.testing.assert_allclose(ref.Phi[:, dead], X @ V_sigma @ ref.W[:, dead], rtol=0, atol=1e-12)
+    C = make_measurement("gaussian", 32, data.n, seed=4)
+    result = compressed_dmd(data, C)
+    dead = np.abs(result.lambdas) < 1e-12
+    assert dead.sum() == 1
+    V_sigma = result.svd_used.V / result.svd_used.sigma
+    np.testing.assert_allclose(result.Phi[:, dead], X @ V_sigma @ result.W[:, dead],
+                               rtol=0, atol=1e-12)
+    pairs, un_a, un_b = pair_eigenvalues(ref.lambdas, result.lambdas)
+    assert not un_a and not un_b
+    for i, j, dist in pairs:
+        assert dist < 1e-10
+        assert mode_alignment(ref.Phi[:, i], result.Phi[:, j]) > 1 - 1e-10
+    in_memory = SnapshotPair.from_block(np.asfortranarray(data.S), data.lag, 1.0)
+    for fit in (lambda pair: exact_dmd(pair), lambda pair: compressed_dmd(pair, C)):
+        assert fit(in_memory).Phi.tobytes() == fit(on_disk).Phi.tobytes()
 
 
 def test_fourier_system_truth_recovery():
@@ -467,6 +506,53 @@ def test_core_allocates_no_copy_of_the_snapshot_block():
         finally:
             tracemalloc.stop()
         assert peak < data.S.nbytes / 4
+
+
+def test_complex_fit_conjugates_no_copy_of_the_snapshot_block():
+    # the unitary DFT of the 16384 x 201 waves is a complex series of the
+    # same rank; its Gram conjugates a few columns of one panel at a time,
+    # where S^H S conjugated the whole block first
+    system = make_fourier_lti(nx=128, ny=128, K=5, dt=0.01, m=200, seed=2)
+    real, _ = generate_fourier_lti(system)
+    data = real.map_snapshots(lambda S: np.fft.fft(S, axis=0, norm="ortho"))
+    assert data.S.shape == (16384, 201) and np.iscomplexobj(data.S)
+    tracemalloc.start()
+    try:
+        result = exact_dmd(data, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.rank == 10
+    assert peak < data.S.nbytes / 4
+
+
+def _block(rows, lag, dtype, seed=0):
+    """A rows x (m+1) series (lag 1) or rows x 2m pair (lag m), m = 8, of
+    rank 5 plus a small full-rank part, so the fit keeps a nontrivial rank."""
+    rng = np.random.default_rng(seed)
+    cols = 9 if lag == 1 else 16
+    draw = lambda *shape: rng.standard_normal(shape).astype(dtype) * (
+        1 if dtype is float else np.exp(2j * np.pi * rng.random(shape)))
+    return draw(rows, 5) @ draw(5, cols) + 1e-3 * draw(rows, cols)
+
+
+@pytest.mark.parametrize("rows", [1000, 2 * PANEL_ROWS + 123])
+@pytest.mark.parametrize("lag", [1, 8])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_block_sources_agree_bit_for_bit(tmp_path, rows, lag, dtype):
+    # a block in memory and the same block on disk, read in panels, give the
+    # same Gram, eigenvalues and modes to the last bit, under exact and
+    # compressed DMD: both sources yield the same fixed-height panels
+    write_matrix(tmp_path, "S", _block(rows, lag, dtype))
+    in_memory = SnapshotPair.from_block(read_matrix(tmp_path, "S")[0], lag, 0.1)
+    on_disk = SnapshotPair.from_block(PanelReader(tmp_path, "S"), lag, 0.1)
+    assert dmd._gram(in_memory).tobytes() == dmd._gram(on_disk).tobytes()
+    C = make_measurement("pixel", 200, rows, seed=1)
+    for fit in (lambda pair: exact_dmd(pair, 1e-6), lambda pair: compressed_dmd(pair, C, 1e-6)):
+        a, b = fit(in_memory), fit(on_disk)
+        assert a.rank == b.rank >= 5
+        for name in ("lambdas", "Phi", "amplitudes"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
 def _sigma_rule_raises(X, Y, tol):

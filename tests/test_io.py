@@ -10,7 +10,9 @@ import pytest
 
 from csdmd.errors import DimensionError
 from csdmd.io import (
+    PANEL_ROWS,
     REPORT_SCHEMA,
+    PanelReader,
     dumps_report,
     locate,
     read_matrix,
@@ -89,6 +91,56 @@ def test_views_read_columns_of_their_block(tmp_path, dtype):
     np.testing.assert_array_equal(read_matrix(tmp_path, "B")[0], S[:, 1:3])
     assert locate(tmp_path, "B")[1:] == ("S", 1, 4)
     assert locate(tmp_path, "S")[1:] == ("S", 0, 4)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_panels_of_a_view_are_its_rows_in_fixed_runs(tmp_path, dtype):
+    # 2 full panels and a short one, of columns 2 ... 6 of a 9-column block
+    rng = np.random.default_rng(5)
+    S = rng.standard_normal((2 * PANEL_ROWS + 37, 9)).astype(dtype)
+    if dtype is complex:
+        S += 1j * rng.standard_normal(S.shape)
+    write_matrix(tmp_path, "S", S)
+    write_view(tmp_path, "V", "S", 2, 5)
+    reader = PanelReader(tmp_path, "V")
+    assert reader.shape == (len(S), 5) and reader.dtype == S.dtype
+    starts, panels = [], []
+    for start, P in reader.panels():
+        assert P.flags.f_contiguous
+        starts.append(start)
+        panels.append(P.copy())
+    assert starts == [0, PANEL_ROWS, 2 * PANEL_ROWS]
+    assert [len(P) for P in panels] == [PANEL_ROWS, PANEL_ROWS, 37]
+    np.testing.assert_array_equal(np.vstack(panels), S[:, 2:7])
+    np.testing.assert_array_equal(reader.read(), S[:, 2:7])
+
+
+def test_a_payload_that_ends_early_is_refused_mid_read(tmp_path):
+    # the size is checked when the reader is made; a file that shrinks
+    # after that ends a read early, which is refused, not returned short
+    write_matrix(tmp_path, "S", np.ones((PANEL_ROWS + 5, 3)))
+    reader = PanelReader(tmp_path, "S")
+    os.truncate(os.path.join(tmp_path, "S.bin"), 8 * (3 * (PANEL_ROWS + 5) - 2))
+    with pytest.raises(DimensionError, match="ended at byte"):
+        reader.read()
+    with pytest.raises(DimensionError, match="ended at byte"):
+        for _ in reader.panels():
+            pass
+
+
+def test_a_reader_reads_the_file_it_checked_and_closes_it(tmp_path):
+    # a payload renamed over the path after the size check is not read, and
+    # the one descriptor closes with the reader
+    S = np.arange(12.0).reshape(4, 3)
+    write_matrix(tmp_path, "S", S)
+    reader = PanelReader(tmp_path, "S")
+    write_matrix(tmp_path, "S", -np.ones((5, 3)))
+    np.testing.assert_array_equal(reader.read(), S)
+    np.testing.assert_array_equal(np.vstack([P.copy() for _, P in reader.panels()]), S)
+    fd = reader._fd
+    del reader
+    with pytest.raises(OSError):
+        os.fstat(fd)
 
 
 def test_size_mismatch_detected(tmp_path):

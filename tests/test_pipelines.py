@@ -536,10 +536,11 @@ def test_invariance_suite_passes_on_a_128_by_64_double_gyre():
 
 def test_invariance_suite_holds_one_transformed_copy_at_a_time():
     # each transformed pair is built when its check runs and released after
-    # its fit.  What is left of the traced peak, ~4.3 times the series bytes,
-    # is one right-side pair with its two products stacked, or the left-DFT
-    # check's complex copy and the Gram's conjugate of it; holding every
-    # copy to the end read 8.2
+    # its fit.  What is left of the traced peak, ~4.2 times the series bytes,
+    # is the left-DFT check's np.fft.fft call (a complex copy of the series
+    # and its complex result); its fit, which conjugates a few columns of
+    # one row panel at a time, peaks at ~2.4.  Holding every copy to the end
+    # read 8.2
     data = generate_gyre_snapshots(DoubleGyreParams(grid=(128, 64)))
     tracemalloc.start()
     try:

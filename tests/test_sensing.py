@@ -20,6 +20,7 @@ from csdmd.sensing import (
     apply_measurement,
     basis_atoms,
     make_measurement,
+    measure_panels,
     mutual_coherence,
     recommended_measurements,
 )
@@ -130,6 +131,26 @@ def test_apply_matches_dense_multiply():
         np.testing.assert_allclose(
             apply_measurement(C, X), dense_matrix(C) @ X, atol=1e-12
         )
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "pixel"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_row_panels_measure_as_the_whole_operand(kind, dtype):
+    # C X from runs of 16 rows (the last short, one holding no sampled row)
+    # is the whole product: a pixel gather bit for bit, a dense sum to rounding
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((70, 5)).astype(dtype)
+    if dtype is complex:
+        X += 1j * rng.standard_normal(X.shape)
+    C = (make_measurement("gaussian", 9, 70, seed=2) if kind == "gaussian" else
+         MeasurementMatrix("pixel", 4, 70, indices=np.array([3, 5, 40, 69])))
+    Y = measure_panels(C, 70, ((start, X[start : start + 16]) for start in range(0, 70, 16)))
+    if kind == "pixel":
+        np.testing.assert_array_equal(Y, X[C.indices])
+    else:
+        np.testing.assert_allclose(Y, dense_matrix(C) @ X, rtol=0, atol=1e-12)
+    with pytest.raises(DimensionError, match="69 rows"):
+        measure_panels(C, 69, [(0, X[:69])])
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "unitary"])
