@@ -8,11 +8,12 @@ the decomposition on a measured pair Y = C X and lifts the modes back to
 full state space through the full shifted snapshots; exact DMD is the case
 where the measured pair is the full pair.  The core reads a pair's block
 only in fixed-height row panels, in memory or on disk (io.PanelReader), in
-two passes: the first sums the Gram matrix on the measured block's short
-side (m x m for a tall block; a wide one, p x p, is small and read whole),
-the second stacks the lift X' V sigma^-1 and x_0 and, for a measured pair,
-sums the rank check's two energies (exact DMD after Tu et al., 2014).  No
-n-row U, and no whole n x (m+1) block, is formed.
+two sweeps: the first sums the Gram matrix on the measured block's short
+side (m x m for a tall block; a wide one, p x p, is small and read whole)
+or measures the full pair; the second, after the r x r eigensolve, lifts
+the modes X' V sigma^-1 W, updates the R factor of [Phi, x_0] for the
+amplitudes and, for a measured pair, sums the rank check's two energies,
+so the check follows the eigensolve (exact DMD after Tu et al., 2014).
 """
 
 from dataclasses import dataclass, replace
@@ -80,12 +81,19 @@ class SnapshotPair:
         self.n, self.m = S.shape[0], S.shape[1] - lag
 
     @property
+    def block(self):
+        """S as an array; a block on disk is refused: load() reads it whole."""
+        if isinstance(self.S, PanelReader):
+            raise DimensionError("the pair's block is on disk: load() reads it whole")
+        return self.S
+
+    @property
     def X(self):
-        return self.S[:, : self.m]
+        return self.block[:, : self.m]
 
     @property
     def Xp(self):
-        return self.S[:, self.lag :]
+        return self.block[:, self.lag :]
 
     def load(self):
         """This pair with its block in memory: a block on disk is read whole."""
@@ -105,7 +113,7 @@ class SnapshotPair:
         """The pair of f(S) at the same lag.  f maps the n x k block S to an
         n' x k block in one call, so work on the snapshots of a time series
         runs m+1 times, not 2m.  grid labels the rows of the result."""
-        return SnapshotPair.from_block(f(self.S), self.lag, self.dt, grid)
+        return SnapshotPair.from_block(f(self.block), self.lag, self.dt, grid)
 
 
 @dataclass(frozen=True)
@@ -154,27 +162,28 @@ def _gram(pair: SnapshotPair):
     return G
 
 
-def _lift(full: SnapshotPair, V_sigma, V=None):
-    """One pass over the full pair's row panels: B = X' V_sigma and x_0,
-    stacked panel by panel, and, given V, the rank check's (X V)^H (X V)
-    and |X|_F^2, summed."""
-    n, m, lag = full.n, full.m, full.lag
-    dtype = np.result_type(full.S.dtype, V_sigma.dtype)
-    B = np.empty((n, V_sigma.shape[1]), dtype, order="F")
-    x0 = np.empty(n, full.S.dtype)
-    G, energy = None, 0.0
+def _lift(full: SnapshotPair, V_sigma, W, dead, V=None):
+    """The fit's one pass over the full pair's row panels, after the
+    eigensolve: Phi = X' V_sigma W, with X V_sigma W in the dead columns,
+    the R factor of [Phi, x_0] and, given V, the rank check's
+    (X V)^H (X V) and |X|_F^2."""
+    Phi = np.empty((full.n, W.shape[1]), complex, order="F")
+    R = np.empty((0, W.shape[1] + 1), complex)
+    G, energy = 0, 0.0
     for start, P in full.panels():
         rows = slice(start, start + len(P))
-        B[rows] = thin_product(P[:, lag:], V_sigma)
-        x0[rows] = P[:, 0]
+        Phi[rows] = thin_product(thin_product(P[:, full.lag :], V_sigma), W)
+        X = P[:, : full.m]
+        if dead.any():
+            Phi[rows, dead] = thin_product(thin_product(X, V_sigma), W[:, dead])
+        R = np.linalg.qr(np.vstack([R, np.column_stack([Phi[rows], P[:, 0]])]), mode="r")
         if V is not None:
-            X = P[:, :m]
             XV = thin_product(X, V)
-            G = XV.conj().T @ XV if G is None else G + XV.conj().T @ XV
+            G += XV.conj().T @ XV
             # einsum over real views: norm() would copy a strided X whole
             parts = (X.real, X.imag) if np.iscomplexobj(X) else (X,)
             energy += sum(np.einsum("ij,ij->", part, part) for part in parts)
-    return B, x0, G, energy
+    return Phi, R, G, energy
 
 
 def _check_rank(G, energy, svd: EconSvd, truncation_tol):
@@ -241,20 +250,19 @@ def lifted_dmd(
     """DMD of the measured pair (Y, Y') with modes lifted through the full
     pair (X, X'), from one Gram of Y, on its short side.  A tall Y gives
     sigma and V from G = Y^H Y (gram_svd) and, with G' = Y^H Y',
-    Atilde = R^-H sigma^-1 V^H G' V sigma^-1, R the Cholesky factor of
+    Atilde = L^-1 sigma^-1 V^H G' V sigma^-1, L the Cholesky factor of
     sigma^-1 V^H G V sigma^-1: the thin-QR orthonormalisation of
     U = Y V sigma^-1 in r x r space.  A wide Y gives an orthonormal U from
-    Y Y^H, V = Y^H U sigma^-1 and Atilde = U^H Y' V sigma^-1.  The lift
-    B = X' V sigma^-1 gives the modes B W and the amplitudes
-    W^-1 lstsq(B, x_0).
+    Y Y^H, V = Y^H U sigma^-1 and Atilde = U^H Y' V sigma^-1.
 
-    Blocks are read in row panels, in two passes.  The first sums the tall
-    Gram over the panels of Y; the second, over the panels of the full
-    pair, stacks B and x_0 and, when full is not measured, sums the rank
-    check's (X V)^H X V and |X|_F^2; the check runs before the eigensolve.
-    Numerically zero eigenvalues take their modes from X V sigma^-1 W
-    instead, in a third pass over the full pair that runs only when such
-    an eigenvalue exists."""
+    Blocks are read in row panels, in two sweeps of the full pair: the
+    Gram of Y, when Y is the full pair, or compressed_dmd's measurement,
+    then one lift after Atilde's r x r eigensolve.  The lift writes the
+    modes Phi = X' V sigma^-1 W (X V sigma^-1 W for a numerically zero
+    eigenvalue), updates the R factor of [Phi, x_0], whose leading r rows
+    give the amplitudes lstsq(Phi, x_0), and, when full is not measured,
+    sums the rank check's (X V)^H X V and |X|_F^2, so the check runs after
+    eig_dense."""
     if measured.m < 2:
         raise DimensionError("need at least 2 snapshot columns")
     m, lag = measured.m, measured.lag
@@ -278,23 +286,14 @@ def lifted_dmd(
         V_sigma = svd.V / svd.sigma
         L = np.linalg.cholesky(V_sigma.conj().T @ G[:m, :m] @ V_sigma)
         Atilde = np.linalg.solve(L, V_sigma.conj().T @ G[:m, lag:] @ V_sigma)
-    checked = full is not measured
-    B, x0, G_XV, energy = _lift(full, V_sigma, svd.V if checked else None)
-    if checked:
-        _check_rank(G_XV, energy, svd, truncation_tol)
     lambdas, W = eig_dense(Atilde)
-    Phi = thin_product(B, W)
-    # numerically zero eigenvalues fall back to X V sigma^-1 W, the basis lifted
-    # through X, and b to lstsq on Phi; <= so lam_max = 0 does too
-    lam_max = np.max(np.abs(lambdas)) if len(lambdas) else 0.0
-    dead = np.abs(lambdas) <= ZERO_EIG_REL * lam_max
-    if np.any(dead):
-        for start, P in full.panels():
-            lifted = thin_product(P[:, : full.m], V_sigma)
-            Phi[start : start + len(P), dead] = thin_product(lifted, W[:, dead])
-        b, *_ = np.linalg.lstsq(Phi, x0.astype(complex), rcond=None)
-    else:
-        b = np.linalg.solve(W, np.linalg.lstsq(B, x0, rcond=None)[0])
+    # numerically zero eigenvalues lift through X; <= so lam_max = 0 does too
+    dead = np.abs(lambdas) <= ZERO_EIG_REL * np.abs(lambdas).max()
+    Phi, R, G_XV, energy = _lift(full, V_sigma, W, dead, None if full is measured else svd.V)
+    if full is not measured:
+        _check_rank(G_XV, energy, svd, truncation_tol)
+    # [Phi, x_0] = Q R, so lstsq(Phi, x_0) is lstsq on R's leading r rows
+    b = np.linalg.lstsq(R[: svd.rank, :-1], R[: svd.rank, -1], rcond=None)[0]
     # principal-branch log; zero eigenvalues map to -inf without warning noise
     with np.errstate(divide="ignore", invalid="ignore"):
         omegas = np.log(lambdas.astype(complex)) / full.dt

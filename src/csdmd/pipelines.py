@@ -311,6 +311,9 @@ def verify_invariance_suite(
     thresholds, and a passed flag.
     """
     truncation_tol = max(truncation_tol, INVARIANCE_TOL_FLOOR)
+    # the transforms take the block whole: a block on disk is refused here,
+    # before any fit
+    S, n, m, lag = data.block, data.n, data.m, data.lag
     rng = np.random.default_rng(seed)
     ref = exact_dmd(data, truncation_tol)
     checks = []
@@ -328,17 +331,33 @@ def verify_invariance_suite(
             }
         )
 
-    perm = rng.permutation(data.m)
-    P, _ = np.linalg.qr(rng.standard_normal((data.m, data.m)))
+    perm = rng.permutation(m)
+    P, _ = np.linalg.qr(rng.standard_normal((m, m)))
 
     to_pod = lambda M: U.conj().T @ M
-    fwd = lambda M: np.fft.fft(M, axis=0, norm="ortho")
-    right = lambda f: SnapshotPair(f(data.X), f(data.Xp), data.dt, data.grid)
+    at_lag_m = lambda T: SnapshotPair.from_block(T, m, data.dt, data.grid)
+
+    def unitary():
+        # X P and X' P written straight into one lag-m block, not built
+        # apart and then stacked
+        T = np.empty((n, 2 * m), np.result_type(S, P))
+        np.matmul(data.X, P, out=T[:, :m])
+        np.matmul(data.Xp, P, out=T[:, m:])
+        return at_lag_m(T)
+
+    def fwd(M):
+        # the unitary DFT of each column, 16 columns per call: np.fft.fft
+        # would hold a complex copy of a real M whole beside its result
+        T = np.empty(M.shape, complex)
+        for j in range(0, M.shape[1], 16):
+            T[:, j : j + 16] = np.fft.fft(M[:, j : j + 16], axis=0, norm="ortho")
+        return T
+
     # each transformed pair is built when its check runs and dropped after
     # its fit, so one transformed copy of the data is resident at a time
     for name, build, mode_map in (
-        ("right_permutation", lambda: right(lambda M: M[:, perm]), None),
-        ("right_unitary", lambda: right(lambda M: M @ P), None),
+        ("right_permutation", lambda: at_lag_m(S[:, np.r_[perm, lag + perm]]), None),
+        ("right_unitary", unitary, None),
         ("left_dft", lambda: data.map_snapshots(fwd), fwd),
         ("left_pod", lambda: data.map_snapshots(to_pod), to_pod),
     ):

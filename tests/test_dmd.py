@@ -25,9 +25,11 @@ from csdmd.dmd import (
 from csdmd.errors import DimensionError, RankCollapse, ZeroInput
 from csdmd.io import PANEL_ROWS, PanelReader, read_matrix, write_matrix
 from csdmd.linalg import GRAM_TOL_FLOOR, eig_dense, gram_svd, svd_econ
+from csdmd.pipelines import verify_invariance_suite
 from csdmd.sensing import apply_measurement, make_measurement
 from csdmd.systems import (
     DoubleGyreParams,
+    add_fourier_noise,
     generate_fourier_lti,
     generate_gyre_snapshots,
     make_fourier_lti,
@@ -208,18 +210,25 @@ def test_compressed_zero_eigenvalue_lifts_to_full_state():
         assert mode_alignment(ref.Phi[:, i], result.Phi[:, j]) > 1 - 1e-10
 
 
-def test_zero_eigenvalue_modes_are_lifted_panel_by_panel(tmp_path):
-    # over 2 panels and a short one: exact and compressed DMD both lift a
-    # zero eigenvalue's mode through X, X V sigma^-1 W, in a third pass over
-    # the panels, and a block on disk gives the same bits as the same
-    # column-major block in memory
+def _dying_pair_on_disk(directory):
+    """A lag-m pair over 2 panels and a short one whose propagator has one
+    zero eigenvalue, in memory and written to directory: (X, pair, on-disk
+    pair)."""
     rng = np.random.default_rng(3)
     X = rng.standard_normal((2 * PANEL_ROWS + 5, 6))
     Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     Xp = X @ Q @ np.diag([0.0, 0.9, 0.8, 0.7, 0.6, 0.5]) @ Q.T
     data = SnapshotPair(X=X, Xp=Xp, dt=1.0)
-    write_matrix(tmp_path, "S", data.S)
-    on_disk = SnapshotPair.from_block(PanelReader(tmp_path, "S"), data.lag, 1.0)
+    write_matrix(directory, "S", data.S)
+    return X, data, SnapshotPair.from_block(PanelReader(directory, "S"), data.lag, 1.0)
+
+
+def test_zero_eigenvalue_modes_are_lifted_panel_by_panel(tmp_path):
+    # over 2 panels and a short one: exact and compressed DMD both lift a
+    # zero eigenvalue's mode through X, X V sigma^-1 W, in the same pass
+    # over the panels that lifts the other modes through X', and a block on
+    # disk gives the same bits as the same column-major block in memory
+    X, data, on_disk = _dying_pair_on_disk(tmp_path)
     ref = exact_dmd(data)
     dead = np.abs(ref.lambdas) < 1e-12
     assert dead.sum() == 1
@@ -240,6 +249,45 @@ def test_zero_eigenvalue_modes_are_lifted_panel_by_panel(tmp_path):
     in_memory = SnapshotPair.from_block(np.asfortranarray(data.S), data.lag, 1.0)
     for fit in (lambda pair: exact_dmd(pair), lambda pair: compressed_dmd(pair, C)):
         assert fit(in_memory).Phi.tobytes() == fit(on_disk).Phi.tobytes()
+
+
+def test_a_fit_sweeps_a_block_on_disk_twice(tmp_path, monkeypatch):
+    # exact DMD sums the Gram, compressed DMD measures, and each then lifts
+    # the modes, the zero eigenvalue's too, and the amplitudes in one more
+    # sweep over the panels
+    _, _, on_disk = _dying_pair_on_disk(tmp_path)
+    sweeps = []
+    panels = PanelReader.panels
+
+    def counted(reader):
+        sweeps.append(reader)
+        return panels(reader)
+
+    monkeypatch.setattr(PanelReader, "panels", counted)
+    C = make_measurement("gaussian", 32, on_disk.n, seed=4)
+    for fit in (lambda pair: exact_dmd(pair), lambda pair: compressed_dmd(pair, C)):
+        sweeps.clear()
+        assert np.sum(np.abs(fit(on_disk).lambdas) < 1e-12) == 1
+        assert len(sweeps) == 2
+
+
+def test_a_block_on_disk_is_refused_whole(tmp_path):
+    # a pair over a block on disk is read in panels by a fit; what needs the
+    # whole block is refused with one error that names load(), which is how
+    # it is read whole
+    data = generate_gyre_snapshots(DoubleGyreParams(grid=(16, 8)))
+    write_matrix(tmp_path, "S", data.S)
+    on_disk = SnapshotPair.from_block(PanelReader(tmp_path, "S"), data.lag, data.dt, data.grid)
+    for use in (
+        lambda: on_disk.X,
+        lambda: on_disk.Xp,
+        lambda: on_disk.map_snapshots(lambda S: 2 * S),
+        lambda: verify_invariance_suite(on_disk),
+        lambda: add_fourier_noise(on_disk, 0.1, seed=1),
+    ):
+        with pytest.raises(DimensionError, match=r"load\(\)"):
+            use()
+    assert len(verify_invariance_suite(on_disk.load())) == 5
 
 
 def test_fourier_system_truth_recovery():
@@ -456,6 +504,9 @@ def test_gram_core_matches_an_svd_built_exact_dmd(case):
         assert mode_alignment(Phi[:, i], got.Phi[:, j]) > 1 - 1e-10
         gap = np.linalg.norm(Phi[:, i] * b[i] - got.Phi[:, j] * got.amplitudes[j])
         assert gap <= 1e-9 * scale
+    # the amplitudes are the textbook lstsq on the modes the core returns
+    b_ls = np.linalg.lstsq(got.Phi, full.X[:, 0].astype(complex), rcond=None)[0]
+    assert np.linalg.norm(got.amplitudes - b_ls) <= 1e-12 * np.linalg.norm(b_ls)
 
 
 def test_gram_core_keeps_the_thin_qr_orthonormalisation():
