@@ -29,6 +29,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TRUNCATION_TOL
 from .pipelines import INVARIANCE_TOL_FLOOR, run_2a, run_2b, verify_invariance_suite
+from .recovery import RecoveryConfig
 from .sensing import MeasurementMatrix, SensingOperator, SparseBasis, check_grid, make_measurement
 from .systems import (
     DoubleGyreParams,
@@ -195,6 +196,9 @@ def _load_measurement(path):
     if kind == "pixel" and "indices" in meta:
         C = MeasurementMatrix(kind, p, n, seed, indices=np.asarray(meta["indices"]))
     else:
+        if seed is None:
+            # make_measurement would draw a matrix that never measured the data
+            raise DimensionError(f"{path} holds no seed to rebuild its {kind} matrix from")
         C = make_measurement(kind, p, n, seed)
         crc = meta.get("payload_crc32")  # absent in files of older runs
         if crc is not None and crc != zlib.crc32(C.payload):
@@ -207,25 +211,33 @@ def _load_measurement(path):
 
 
 def _cmd_csdmd(args):
+    recovery = RecoveryConfig(sparsity_K=args.sparsity)
     C, grid, dt = _load_measurement(args.measure_file)
-    # a measured block is small; 2A factors it whole
-    measured = _read_pair(args.measured, "Y", "Yp", dt).load()
+    measured = _read_pair(args.measured, "Y", "Yp", dt)
     op = SensingOperator(C, SparseBasis(grid))
     path, run = ("2A", run_2a) if args.reconstruct_snapshots else ("2B", run_2b)
-    result, residuals = run(measured, op, args.sparsity, args.tol)
+    result, residuals = run(measured, op, recovery, args.tol)
     return _write_fit(args, result, grid, path=path, sparsity_K=args.sparsity,
                       coherence=op.coherence, recovery=residuals)
 
 
+def _read_result(directory):
+    """A result's lambdas, amplitudes and modes, if they hold one count r
+    (r x 1, r x 1 and n x r); else a DimensionError naming directory."""
+    la, amps, modes = (io_mod.read_matrix(directory, name)[0]
+                       for name in ("lambdas", "amplitudes", "modes"))
+    if not la.shape == amps.shape == (len(la), 1) == (modes.shape[1], 1):
+        raise DimensionError(f"result in {directory} holds lambdas {la.shape}, amplitudes "
+                             f"{amps.shape} and modes {modes.shape}: not one count of modes")
+    return la[:, 0], amps[:, 0], modes
+
+
 def _cmd_compare(args):
-    la, _ = io_mod.read_matrix(args.a, "lambdas")
-    lb, _ = io_mod.read_matrix(args.b, "lambdas")
-    amps_a, _ = io_mod.read_matrix(args.a, "amplitudes")
-    Ma, _ = io_mod.read_matrix(args.a, "modes")
-    Mb, _ = io_mod.read_matrix(args.b, "modes")
+    la, amps_a, Ma = _read_result(args.a)
+    lb, _, Mb = _read_result(args.b)
     if Ma.shape[0] != Mb.shape[0]:
         raise DimensionError(f"modes of {Ma.shape[0]} and {Mb.shape[0]} states cannot be aligned")
-    rows, aligns, un_a, un_b = compare_spectra(la[:, 0], Ma, lb[:, 0], Mb, amps_a[:, 0])
+    rows, aligns, un_a, un_b = compare_spectra(la, Ma, lb, Mb, amps_a)
     report = {
         "schema": io_mod.REPORT_SCHEMA,
         "eigen_table": [

@@ -102,15 +102,16 @@ def _materialize(cfg: ExperimentConfig):
     raise DimensionError(f"unsupported system type {type(sys).__name__}")
 
 
-def _default_sparsity(cfg):
-    """cfg.sparsity_K, or the sparsity planted truth implies: K planted
-    waves give K-sparse modes (2B) but 2K-sparse real snapshots (2A), since
-    each wave contributes a conjugate pair.  Any other system must name it."""
+def _default_sparsity(cfg) -> RecoveryConfig:
+    """The recovery config of cfg.sparsity_K, or of the sparsity planted
+    truth implies: K planted waves give K-sparse modes (2B) but 2K-sparse
+    real snapshots (2A), since each wave contributes a conjugate pair.  Any
+    other system must name it."""
     if cfg.sparsity_K is not None:
-        return cfg.sparsity_K
+        return RecoveryConfig(sparsity_K=cfg.sparsity_K)
     if not isinstance(cfg.system, FourierLtiSystem):
         raise DimensionError(f"path {cfg.path} needs sparsity_K for a system without planted truth")
-    return (2 if cfg.path == "2A" else 1) * len(cfg.system.mu)
+    return RecoveryConfig(sparsity_K=(2 if cfg.path == "2A" else 1) * len(cfg.system.mu))
 
 
 def _config_echo(cfg: ExperimentConfig, data: SnapshotPair):
@@ -156,18 +157,19 @@ def _residual_rows(diagnostics):
     return rows
 
 
-def run_2a(measured, op, sparsity_K, truncation_tol, timings=None):
+def run_2a(measured, op, recovery: RecoveryConfig, truncation_tol, timings=None):
     """Pathway 2A: CoSaMP-reconstruct the measured block S = U sigma V^H on
     the grid as Z V^H, one joint recovery Z of the r columns of U sigma (from
     the Gram of S on its short side; its real part for a real S), since the
     snapshots share one sparse support.  DMD is invariant to left isometries,
     so with Z = Q R the fit of Z V^H is exact DMD of the r-row pair R V^H,
     its modes mapped through Q: no n-row block is formed.  op is the
-    SensingOperator C Psi.  Returns the result and one residual row for the
-    joint recovery.  Raises its ZeroInput or NoProgress."""
+    SensingOperator C Psi.  The measured block is small and factored whole:
+    a block on disk is read in.  Returns the result and one residual row for
+    the joint recovery.  Raises its ZeroInput or NoProgress."""
     # the Gram route amplifies last-bit differences by (sigma_0 / sigma_r)^2,
     # so the fit must not depend on the layout of the caller's block
-    S = np.asfortranarray(measured.S)
+    S = np.asfortranarray(measured.load().S)
     wide = S.shape[0] < S.shape[1]
     with _timed(timings, "snapshot_recovery_s"):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -175,7 +177,7 @@ def run_2a(measured, op, sparsity_K, truncation_tol, timings=None):
         U_sigma = svd.V * svd.sigma if wide else S @ svd.V
         # V^H from S itself: the Gram's V is accurate only to eps (sigma_0 / sigma_r)^2
         Vh = np.linalg.lstsq(U_sigma, S, rcond=None)[0]
-        joint = cosamp(op, U_sigma, RecoveryConfig(sparsity_K=sparsity_K))
+        joint = cosamp(op, U_sigma, recovery)
         # every C is real, so the true snapshot of real measured data is real:
         # its real part is no worse, and Atilde stays real
         Q, R = np.linalg.qr(joint.spatial.real if np.isrealobj(S) else joint.spatial)
@@ -185,7 +187,7 @@ def run_2a(measured, op, sparsity_K, truncation_tol, timings=None):
     return replace(small, Phi=thin_product(Q, small.Phi)), rows
 
 
-def run_2b(measured, op, sparsity_K, truncation_tol, timings=None):
+def run_2b(measured, op, recovery: RecoveryConfig, truncation_tol, timings=None):
     """Pathway 2B: decompose the measured pair, then CoSaMP-recover only its
     r modes through op, the SensingOperator C Psi.  Returns the result and
     one residual row per mode (a mode whose recovery failed is a zero
@@ -193,9 +195,7 @@ def run_2b(measured, op, sparsity_K, truncation_tol, timings=None):
     with _timed(timings, "projected_dmd_s"):
         projected = exact_dmd(measured, truncation_tol)
     with _timed(timings, "mode_recovery_s"):
-        recovered, diags = recover_modes(
-            projected.Phi, op, RecoveryConfig(sparsity_K=sparsity_K)
-        )
+        recovered, diags = recover_modes(projected.Phi, op, recovery)
     return replace(projected, Phi=recovered), _residual_rows(diags)
 
 
@@ -211,7 +211,7 @@ def run_path(cfg: ExperimentConfig) -> ExperimentReport:
         raise DimensionError(f"unknown path {cfg.path!r}")
     if cfg.path != "1A" and (cfg.measurement_kind is None or cfg.p is None):
         raise DimensionError(f"path {cfg.path} requires a measurement config")
-    K = _default_sparsity(cfg) if cfg.path in ("2A", "2B") else None
+    recovery = _default_sparsity(cfg) if cfg.path in ("2A", "2B") else None
 
     timings = {}
     with _timed(timings, "generate_s"):
@@ -222,7 +222,7 @@ def run_path(cfg: ExperimentConfig) -> ExperimentReport:
         C = make_measurement(cfg.measurement_kind, cfg.p, data.n, cfg.measurement_seed)
         # one C Psi per run: the sparse pathways recover through it, and
         # every measured pathway on a grid reports its coherence
-        if K is not None or data.grid is not None:
+        if recovery is not None or data.grid is not None:
             op = SensingOperator(C, SparseBasis(data.grid))
 
     with _timed(timings, "reference_dmd_s"):
@@ -238,7 +238,7 @@ def run_path(cfg: ExperimentConfig) -> ExperimentReport:
     elif cfg.path in ("2A", "2B"):
         run = run_2a if cfg.path == "2A" else run_2b
         result, report.recovery_residuals = run(
-            measure_pair(C, data), op, K, cfg.truncation_tol, timings
+            measure_pair(C, data), op, recovery, cfg.truncation_tol, timings
         )
 
     report.ranks["result"] = result.rank

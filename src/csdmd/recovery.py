@@ -13,12 +13,12 @@ first proxy and every least-squares right-hand side.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionError, NoProgress, ZeroInput
-from .sensing import SensingOperator, SparseBasis
+from .sensing import SensingOperator
 
 MAX_ITERS = 50
 RESIDUAL_TOL = 1e-6
@@ -135,21 +135,6 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
     )
 
 
-def _conjugate_twin(mode: RecoveredMode, psi: SparseBasis) -> RecoveredMode:
-    """The recovery of conj(y) given mode, the recovery of y: C is real, so
-    the conjugate field fits conj(y) as well, with coefficients s'(k) =
-    conj s(-k) and the same residual and iterations."""
-    nx, ny = psi.grid
-    ky, kx = np.divmod(np.arange(psi.n), nx)
-    mirror = (-ky % ny) * nx + (-kx % nx)
-    return RecoveredMode(
-        coeffs=mode.coeffs[mirror].conj(),
-        spatial=mode.spatial.conj(),
-        residual=mode.residual,
-        iters=mode.iters,
-    )
-
-
 def recover_modes(Y, op: SensingOperator, cfg):
     """Recover full-state fields from a p x k block Y of measured columns.
 
@@ -171,7 +156,10 @@ def recover_modes(Y, op: SensingOperator, cfg):
         if twin is not None:
             diag = diagnostics[twin]
             if isinstance(diag, RecoveredMode):
-                diag = _conjugate_twin(diag, op.psi)
+                # C is real, so the conjugate field fits conj(y) as well: its
+                # coefficient at k is conj s(-k), its residual and iterations the same
+                mirror = op.psi.conjugate(np.arange(op.psi.n))
+                diag = replace(diag, coeffs=diag.coeffs[mirror].conj(), spatial=diag.spatial.conj())
         else:
             try:
                 diag = cosamp(op, y, cfg)

@@ -162,6 +162,13 @@ class SparseBasis:
         nx, ny = self.grid
         return nx * ny
 
+    def conjugate(self, idx):
+        """The flat index of -k for each flat index k = ky*nx + kx: a real
+        field's coefficient at -k is the conjugate of its coefficient at k."""
+        nx, ny = self.grid
+        ky, kx = np.divmod(np.asarray(idx), nx)
+        return (-ky % ny) * nx + (-kx % nx)
+
 
 def apply_basis(psi: SparseBasis, s, direction="forward"):
     """Apply the basis (or its inverse) to one vector or to matrix columns.
@@ -215,8 +222,8 @@ class SensingOperator:
     half holds every entry: for a dense C, the table is the
     p x ny x (nx//2 + 1) complex rfft2 of the rows, about the size of the
     real payload, in one FFT call.  The coherence is read from it, column
-    (ky, kx) is the conjugate of table entry (ky, kx), or for kx > nx//2
-    entry (-ky, -kx) itself, and the Gram is the product of the columns.
+    k = (ky, kx) is the conjugate of table entry k, or for kx > nx//2 entry
+    psi.conjugate(k) itself, and the Gram is the product of the columns.
 
     The pixel kind has no table (None): every entry of C Psi has magnitude
     1/sqrt(n), and its columns are closed-form atoms at the sampled rows,
@@ -255,10 +262,10 @@ class SensingOperator:
     def columns(self, idx):
         if self.table is None:
             return basis_atoms(self.psi, idx, self.C.indices)
-        nx, ny = self.psi.grid
-        ky, kx = np.divmod(np.asarray(idx), nx)
-        mirror = kx > nx // 2
-        cols = self.table[:, np.where(mirror, -ky % ny, ky), np.where(mirror, nx - kx, kx)]
+        nx = self.psi.grid[0]
+        mirror = np.asarray(idx) % nx > nx // 2
+        ky, kx = np.divmod(np.where(mirror, self.psi.conjugate(idx), idx), nx)
+        cols = self.table[:, ky, kx]
         return np.where(mirror, cols, cols.conj())
 
     def synthesize(self, coeffs):

@@ -44,16 +44,16 @@ class FourierLtiSystem:
         for kx, ky in self.wavenumbers:
             if not (0 <= kx < nx and 0 <= ky < ny):
                 raise BadWavenumber(f"wavenumber ({kx}, {ky}) outside {nx}x{ny} grid")
-            neg = ((-kx) % nx, (-ky) % ny)
-            if (kx, ky) == neg:
+            k = ky * nx + kx
+            neg = int(SparseBasis(self.grid).conjugate(k))
+            if k == neg:
                 raise BadWavenumber(
                     f"wavenumber ({kx}, {ky}) is self-conjugate; cannot carry a "
                     "complex eigenvalue on a real field"
                 )
-            if (kx, ky) in seen or neg in seen:
+            if k in seen or neg in seen:
                 raise BadWavenumber(f"wavenumber ({kx}, {ky}) collides with another")
-            seen.add((kx, ky))
-            seen.add(neg)
+            seen.update((k, neg))
         if len(self.wavenumbers) != self.K:
             raise DimensionError("wavenumber count must equal K")
         if not self.dt > 0 or self.m < 1:
@@ -81,17 +81,18 @@ def make_fourier_lti(nx=128, ny=128, K=5, dt=0.01, m=200, seed=0) -> FourierLtiS
     pairs = (nx * ny - (1 + (nx % 2 == 0)) * (1 + (ny % 2 == 0))) // 2
     if not 1 <= K <= pairs:
         raise DimensionError(f"K={K} outside [1, {pairs}], the wave pairs of a {nx}x{ny} grid")
+    psi = SparseBasis((nx, ny))
     rng = np.random.default_rng(seed)
     chosen = []
     seen = set()
     while len(chosen) < K:
         kx = int(rng.integers(0, nx))
         ky = int(rng.integers(0, ny))
-        neg = ((-kx) % nx, (-ky) % ny)
-        if (kx, ky) == neg or (kx, ky) in seen or neg in seen:
+        k = ky * nx + kx
+        neg = int(psi.conjugate(k))
+        if k == neg or k in seen or neg in seen:
             continue
-        seen.add((kx, ky))
-        seen.add(neg)
+        seen.update((k, neg))
         chosen.append((kx, ky))
     freq = rng.uniform(*FREQ_RANGE, size=K)
     damp = rng.uniform(*DAMP_RANGE, size=K)
@@ -121,15 +122,14 @@ def generate_fourier_lti(sys: FourierLtiSystem):
     -------
     (SnapshotPair, FourierTruth)
     """
-    nx, ny = sys.grid
+    nx = sys.grid[0]
     t = np.arange(sys.m + 1) * sys.dt
     values = sys.init_amps[:, None] * np.exp(sys.mu[:, None] * t[None, :])
 
     # columns 2j, 2j+1: the atoms of k_j and -k_j, index ky * nx + kx
-    idx = []
-    for kx, ky in sys.wavenumbers:
-        idx += [ky * nx + kx, ((-ky) % ny) * nx + (-kx) % nx]
-    atoms = basis_atoms(SparseBasis(sys.grid), idx)
+    psi = SparseBasis(sys.grid)
+    k = [ky * nx + kx for kx, ky in sys.wavenumbers]
+    atoms = basis_atoms(psi, np.column_stack([k, psi.conjugate(k)]).reshape(-1))
     snaps = 2.0 * (atoms[:, ::2] @ values).real
     lambdas = np.exp(np.column_stack([sys.mu, sys.mu.conj()]).reshape(-1) * sys.dt)
 

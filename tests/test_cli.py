@@ -7,6 +7,7 @@ text can be asserted directly.
 import inspect
 import json
 import os
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -28,10 +29,12 @@ from csdmd.linalg import DEFAULT_TRUNCATION_TOL, gram_svd
 from csdmd.pipelines import (
     INVARIANCE_TOL_FLOOR,
     ExperimentConfig,
+    run_2a,
     run_path,
     verify_invariance_suite,
 )
-from csdmd.sensing import SparseBasis, apply_basis, make_measurement
+from csdmd.recovery import RecoveryConfig
+from csdmd.sensing import SensingOperator, SparseBasis, apply_basis, make_measurement
 from csdmd.systems import (
     DoubleGyreParams,
     add_fourier_noise,
@@ -325,6 +328,22 @@ def test_snapshot_reconstruction_from_files_solves_the_measured_range_once(
     assert shapes == [(24, 4)]
 
 
+def test_snapshot_reconstruction_fits_the_pair_on_disk_as_the_loaded_pair(workspace, tmp_path):
+    # csdmd hands 2A the pair over the measured block on disk, as it hands 2B;
+    # run_2a reads the block whole itself
+    comp = tmp_path / "comp"
+    assert main(
+        ["cdmd", "--snapshots", str(workspace / "data"), "--measure", "pixel",
+         "-p", "24", "--seed", "9", "--tol", "1e-6", "--out", str(comp)]
+    ) == 0
+    on_disk = _read_pair(str(comp), "Y", "Yp")
+    assert isinstance(on_disk.S, io.PanelReader)
+    op = SensingOperator(make_measurement("pixel", 24, 256, 9), SparseBasis((16, 16)))
+    fits = [run_2a(pair, op, RecoveryConfig(4), 1e-6)[0] for pair in (on_disk, on_disk.load())]
+    for name in ("lambdas", "amplitudes", "Phi", "Atilde"):
+        assert getattr(fits[0], name).tobytes() == getattr(fits[1], name).tobytes()
+
+
 def test_compare_result_with_itself(workspace):
     full = workspace / "full"
     out = workspace / "self.json"
@@ -348,6 +367,22 @@ def test_compare_refuses_results_of_different_state_sizes(workspace, tmp_path, c
         assert capsys.readouterr().err == (
             f"configuration error in compare: modes of {sizes} states cannot be aligned\n"
         )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["lambdas", "amplitudes", "modes"])
+def test_compare_refuses_a_result_whose_counts_disagree(workspace, tmp_path, capsys, name):
+    # 4 lambdas, 4 amplitudes and 256 x 4 modes, with one of them cut to 3
+    bad = tmp_path / "bad"
+    shutil.copytree(workspace / "full", bad)
+    array, _ = read_matrix(str(bad), name)
+    write_matrix(str(bad), name, array[:, :3] if name == "modes" else array[:3])
+    capsys.readouterr()
+    out = tmp_path / "cmp.json"
+    for a, b in ((workspace / "full", bad), (bad, workspace / "full")):
+        assert main(["compare", "--a", str(a), "--b", str(b), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error in compare: result in {bad} holds")
     assert not out.exists()
 
 
@@ -673,6 +708,53 @@ def test_measure_file_without_checksum_loads(workspace, tmp_path):
         ["csdmd", "--measured", str(comp), "--measure-file", str(old),
          "--sparsity", "2", "--tol", "1e-6", "--out", str(tmp_path / "o")]
     ) == 0
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "pixel"])
+def test_csdmd_refuses_a_measure_file_it_cannot_rebuild(workspace, tmp_path, capsys, kind):
+    # with a null seed, make_measurement would draw a dense matrix, or pixel
+    # rows without their indices, that never measured the data
+    comp = tmp_path / "comp"
+    assert main(
+        ["cdmd", "--snapshots", str(workspace / "data"), "--measure", kind,
+         "-p", "24", "--seed", "9", "--tol", "1e-6", "--out", str(comp)]
+    ) == 0
+    meta = json.loads((comp / "measure.json").read_text())
+    kept = {key: meta.pop(key) for key in ("payload_crc32", "indices") if key in meta}
+    meta["seed"] = None
+    bad = tmp_path / "measure.json"
+    bad.write_text(json.dumps(meta))
+    capsys.readouterr()
+    argv = ["csdmd", "--measured", str(comp), "--measure-file", str(bad), "--sparsity", "2",
+            "--tol", "1e-6", "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error in csdmd: {bad} holds no seed to rebuild its {kind} matrix from\n"
+    )
+    assert not (tmp_path / "o").exists()
+    if kind == "pixel":
+        # the indices alone rebuild a pixel measurement
+        bad.write_text(json.dumps({**meta, **kept}))
+        assert main(argv) == 0
+
+
+@pytest.mark.parametrize("sparsity", ["0", "-2"])
+def test_csdmd_refuses_a_sparsity_below_one_before_reading_the_pair(workspace, tmp_path,
+                                                                    capsys, monkeypatch,
+                                                                    sparsity):
+    comp = tmp_path / "comp"
+    _dense_cdmd(workspace, comp)
+    reads = []
+    monkeypatch.setattr("csdmd.cli._read_pair", lambda *a: reads.append(a) or _read_pair(*a))
+    capsys.readouterr()
+    assert main(
+        ["csdmd", "--measured", str(comp), "--measure-file", str(comp / "measure.json"),
+         "--sparsity", sparsity, "--out", str(tmp_path / "o")]
+    ) == 2
+    assert capsys.readouterr().err == (
+        "configuration error in csdmd: sparsity_K must be >= 1\n"
+    )
+    assert reads == [] and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from csdmd.pipelines import (
     run_path,
     verify_invariance_suite,
 )
+from csdmd.recovery import RecoveryConfig
 from csdmd.sensing import SensingOperator, SparseBasis, make_measurement
 from csdmd.systems import (
     DoubleGyreParams,
@@ -224,12 +225,14 @@ def test_sparse_pathway_without_planted_truth_needs_a_sparsity(path):
         run_path(cfg)
 
 
-@pytest.mark.parametrize("path, system", [
-    ("3C", "waves"), ("2A", "gyre"), ("2B", "pair"),
-], ids=["unknown-path", "2A-gyre-without-sparsity", "2B-pair-without-sparsity"])
-def test_run_path_refuses_a_bad_config_before_any_work(monkeypatch, path, system):
+@pytest.mark.parametrize("path, system, K", [
+    ("3C", "waves", None), ("2A", "gyre", None), ("2B", "pair", None),
+    ("2A", "waves", 0), ("2B", "waves", 0), ("2A", "waves", -2), ("2B", "waves", -2),
+], ids=["unknown-path", "2A-gyre-without-sparsity", "2B-pair-without-sparsity",
+        "2A-sparsity-0", "2B-sparsity-0", "2A-sparsity--2", "2B-sparsity--2"])
+def test_run_path_refuses_a_bad_config_before_any_work(monkeypatch, path, system, K):
     # neither the data nor the reference fit is made for a config that
-    # cannot run: the refusal needs only the config
+    # cannot run: the refusal needs only the config, a sparsity below 1 too
     system = {
         "waves": make_fourier_lti(nx=16, ny=16, K=2, m=20, seed=0),
         "gyre": DoubleGyreParams(grid=(16, 8)),
@@ -241,7 +244,7 @@ def test_run_path_refuses_a_bad_config_before_any_work(monkeypatch, path, system
         monkeypatch.setattr(pipelines, name,
                             lambda *a, step=step, name=name: work.append(name) or step(*a))
     cfg = ExperimentConfig(system=system, path=path, measurement_kind="pixel", p=32,
-                           measurement_seed=0)
+                           measurement_seed=0, sparsity_K=K)
     with pytest.raises(DimensionError, match="unknown path" if path == "3C" else "sparsity_K"):
         run_path(cfg)
     assert work == []
@@ -291,7 +294,8 @@ def test_dense_measurement_keeps_the_shift(kind, monkeypatch):
     np.testing.assert_array_equal(measured.X, CS[:, : data.m])
     np.testing.assert_array_equal(measured.Xp, CS[:, 1:])
     shapes = count_joint_solves(monkeypatch)
-    result, _ = run_2a(measured, SensingOperator(C, SparseBasis(data.grid)), 4, 1e-6)
+    op = SensingOperator(C, SparseBasis(data.grid))
+    result, _ = run_2a(measured, op, RecoveryConfig(4), 1e-6)
     # one joint solve on the p x r measured range, not one per snapshot
     assert result.rank == 4 and shapes == [(C.p, 4)]
 
@@ -302,7 +306,7 @@ def test_snapshot_reconstruction_of_real_measurements_is_real():
     data, _ = generate_fourier_lti(make_fourier_lti(nx=32, ny=32, K=2, m=20, seed=11))
     C = make_measurement("pixel", 100, data.n, seed=2)
     op = SensingOperator(C, SparseBasis(data.grid))
-    result, _ = run_2a(measure_pair(C, data), op, 4, 1e-6)
+    result, _ = run_2a(measure_pair(C, data), op, RecoveryConfig(4), 1e-6)
     assert result.rank == 4
     assert not np.iscomplexobj(result.Atilde)
     lambdas = result.lambdas.tolist()
@@ -327,7 +331,7 @@ def test_snapshot_reconstruction_solves_the_measured_range_once(monkeypatch):
     spectra = []
     for pair in (measured, permuted):
         shapes.clear()
-        spectra.append(run_2a(pair, op, 4, 1e-6)[0].lambdas)
+        spectra.append(run_2a(pair, op, RecoveryConfig(4), 1e-6)[0].lambdas)
         assert shapes == [(C.p, 4)]
     pairs, un_a, un_b = pair_eigenvalues(*spectra)
     assert not un_a and not un_b and max(d for _, _, d in pairs) <= 1e-6
@@ -339,9 +343,9 @@ def test_snapshot_reconstruction_ignores_the_block_layout():
     data, _ = generate_fourier_lti(make_fourier_lti(nx=32, ny=32, K=2, m=20, seed=0))
     C = make_measurement("pixel", 100, data.n, seed=1)
     measured = measure_pair(C, data)
-    op = SensingOperator(C, SparseBasis(data.grid))
+    op, recovery = SensingOperator(C, SparseBasis(data.grid)), RecoveryConfig(4)
     spectra = [
-        run_2a(SnapshotPair.series(layout(measured.S), data.dt), op, 4, 1e-7)[0].lambdas
+        run_2a(SnapshotPair.series(layout(measured.S), data.dt), op, recovery, 1e-7)[0].lambdas
         for layout in (np.ascontiguousarray, np.asfortranarray)
     ]
     assert spectra[0].tobytes() == spectra[1].tobytes()
@@ -358,7 +362,7 @@ def fit_2a_and_rebuild(measured, op, K, tol, monkeypatch):
         return seen[-1][1]
 
     monkeypatch.setattr(pipelines, "cosamp", spied)
-    result, _ = run_2a(measured, op, K, tol)
+    result, _ = run_2a(measured, op, RecoveryConfig(K), tol)
     (U_sigma, joint), = seen
     S = np.asfortranarray(measured.S)
     Vh = np.linalg.lstsq(U_sigma, S, rcond=None)[0]
@@ -403,7 +407,7 @@ def test_desk_scale_snapshot_reconstruction_forms_no_state_sized_block():
     data, measured, op = desk_2a_problem()
     tracemalloc.start()
     try:
-        result, _ = run_2a(measured, op, 10, 1e-6)
+        result, _ = run_2a(measured, op, RecoveryConfig(10), 1e-6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

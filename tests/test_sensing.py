@@ -24,6 +24,7 @@ from csdmd.sensing import (
     mutual_coherence,
     recommended_measurements,
 )
+from csdmd.systems import make_fourier_lti
 
 
 def dft_atom_direct(grid, ky, kx):
@@ -57,6 +58,24 @@ def test_basis_checks_its_grid_and_operands():
         apply_basis(psi, np.ones(16))
     with pytest.raises(DimensionError):
         apply_basis(psi, np.ones(15), "sideways")
+
+
+@pytest.mark.parametrize("grid", [(1, 1), (2, 3), (5, 7), (8, 4), (128, 128)])
+def test_conjugate_maps_each_wavenumber_to_its_negative(grid):
+    nx, ny = grid
+    psi = SparseBasis(grid)
+    k = np.arange(psi.n)
+    mirror = psi.conjugate(k)
+    np.testing.assert_array_equal(psi.conjugate(mirror), k)
+    # the fixed points are the self-conjugate wavenumbers, whose count
+    # make_fourier_lti's bound on the wave pairs is built from
+    fixed = (1 + (nx % 2 == 0)) * (1 + (ny % 2 == 0))
+    assert np.count_nonzero(mirror == k) == fixed
+    with pytest.raises(DimensionError, match=rf"outside \[1, {(psi.n - fixed) // 2}\]"):
+        make_fourier_lti(nx=nx, ny=ny, K=0)
+    # a real field's DFT coefficient at -k is the conjugate of the one at k
+    s = apply_basis(psi, np.random.default_rng(0).standard_normal(psi.n), "inverse")
+    np.testing.assert_allclose(s[mirror], s.conj(), rtol=0, atol=1e-12)
 
 
 def test_dc_atom_is_constant():
