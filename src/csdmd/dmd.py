@@ -328,16 +328,21 @@ def pair_eigenvalues(lambdas_a, lambdas_b, amplitudes_a=None):
     """Greedy nearest-neighbor pairing of two eigenvalue sets.
 
     Reference eigenvalues are processed in order of decreasing amplitude
-    magnitude (when amplitudes are given) so dominant modes claim their
-    nearest counterpart first.  Returns a list of (i, j, distance) for
-    matched pairs plus the indices of unmatched entries on each side.
+    magnitude (when amplitudes are given, one per eigenvalue of a; else a
+    DimensionError) so dominant modes claim their nearest counterpart
+    first.  Returns a list of (i, j, distance) for matched pairs plus the
+    indices of unmatched entries on each side.
     """
     lambdas_a = np.asarray(lambdas_a)
     lambdas_b = np.asarray(lambdas_b)
-    if amplitudes_a is not None and len(amplitudes_a) == len(lambdas_a):
-        order = np.argsort(-np.abs(np.asarray(amplitudes_a)))
-    else:
+    if amplitudes_a is None:
         order = np.argsort(-np.abs(lambdas_a))
+    elif len(amplitudes_a) != len(lambdas_a):
+        raise DimensionError(
+            f"{len(amplitudes_a)} amplitudes for {len(lambdas_a)} eigenvalues"
+        )
+    else:
+        order = np.argsort(-np.abs(np.asarray(amplitudes_a)))
     taken = set()
     pairs = []
     for i in order:

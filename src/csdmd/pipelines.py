@@ -160,7 +160,7 @@ def _residual_rows(diagnostics):
 def run_2a(measured, op, recovery: RecoveryConfig, truncation_tol, timings=None):
     """Pathway 2A: CoSaMP-reconstruct the measured block S = U sigma V^H on
     the grid as Z V^H, one joint recovery Z of the r columns of U sigma (from
-    the Gram of S on its short side; its real part for a real S), since the
+    the Gram of S on its short side; a real field for a real S), since the
     snapshots share one sparse support.  DMD is invariant to left isometries,
     so with Z = Q R the fit of Z V^H is exact DMD of the r-row pair R V^H,
     its modes mapped through Q: no n-row block is formed.  op is the
@@ -178,9 +178,9 @@ def run_2a(measured, op, recovery: RecoveryConfig, truncation_tol, timings=None)
         # V^H from S itself: the Gram's V is accurate only to eps (sigma_0 / sigma_r)^2
         Vh = np.linalg.lstsq(U_sigma, S, rcond=None)[0]
         joint = cosamp(op, U_sigma, recovery)
-        # every C is real, so the true snapshot of real measured data is real:
-        # its real part is no worse, and Atilde stays real
-        Q, R = np.linalg.qr(joint.spatial.real if np.isrealobj(S) else joint.spatial)
+        # a real S gives a real target U sigma, which CoSaMP recovers as a real
+        # field by conjugate pairs, so Atilde stays real
+        Q, R = np.linalg.qr(joint.spatial)
     with _timed(timings, "reconstructed_dmd_s"):
         small = exact_dmd(SnapshotPair.from_block(R @ Vh, measured.lag, measured.dt), truncation_tol)
     rows = [{"residual": joint.residual, "iters": joint.iters}]

@@ -169,6 +169,17 @@ class SparseBasis:
         ky, kx = np.divmod(np.asarray(idx), nx)
         return (-ky % ny) * nx + (-kx % nx)
 
+    def fold(self, idx):
+        """Where each flat index k sits on the rfft2 half plane kx <= nx//2
+        (flat, ny x (nx//2 + 1)), and whether it was mirrored: for
+        kx > nx//2 the plane holds -k, and a real field's coefficient at k
+        is the conjugate of that entry."""
+        nx = self.grid[0]
+        idx = np.asarray(idx)
+        mirror = idx % nx > nx // 2
+        ky, kx = np.divmod(np.where(mirror, self.conjugate(idx), idx), nx)
+        return ky * (nx // 2 + 1) + kx, mirror
+
 
 def apply_basis(psi: SparseBasis, s, direction="forward"):
     """Apply the basis (or its inverse) to one vector or to matrix columns.
@@ -223,7 +234,12 @@ class SensingOperator:
     p x ny x (nx//2 + 1) complex rfft2 of the rows, about the size of the
     real payload, in one FFT call.  The coherence is read from it, column
     k = (ky, kx) is the conjugate of table entry k, or for kx > nx//2 entry
-    psi.conjugate(k) itself, and the Gram is the product of the columns.
+    psi.conjugate(k) itself (the places psi.fold gives), and the Gram is
+    the product of the columns.
+
+    A real target is read through the same half plane: ``real_adjoint``
+    is C^H y, real, by one rfft2, and ``real_synthesize`` the real field
+    of Hermitian coefficients by one irfft2.
 
     The pixel kind has no table (None): every entry of C Psi has magnitude
     1/sqrt(n), and its columns are closed-form atoms at the sampled rows,
@@ -251,6 +267,14 @@ class SensingOperator:
     def adjoint(self, y):
         return apply_basis(self.psi, adjoint_measurement(self.C, y), "inverse")
 
+    def real_adjoint(self, y):
+        """(C Psi)^H y for a real y, on the rfft2 half plane psi.fold indexes:
+        C^H y is real, so its spectrum is Hermitian and the half holds it."""
+        nx, ny = self.psi.grid
+        x = adjoint_measurement(self.C, y)
+        half = np.fft.rfft2(x.reshape((ny, nx) + x.shape[1:]), axes=(0, 1), norm="ortho")
+        return half.reshape((-1,) + x.shape[1:])
+
     def gram(self, idx):
         if self.table is not None:
             cols = self.columns(idx)
@@ -262,14 +286,20 @@ class SensingOperator:
     def columns(self, idx):
         if self.table is None:
             return basis_atoms(self.psi, idx, self.C.indices)
-        nx = self.psi.grid[0]
-        mirror = np.asarray(idx) % nx > nx // 2
-        ky, kx = np.divmod(np.where(mirror, self.psi.conjugate(idx), idx), nx)
-        cols = self.table[:, ky, kx]
+        half, mirror = self.psi.fold(idx)
+        cols = self.table.reshape(self.C.p, -1)[:, half]
         return np.where(mirror, cols, cols.conj())
 
     def synthesize(self, coeffs):
         return apply_basis(self.psi, coeffs, "forward")
+
+    def real_synthesize(self, coeffs):
+        """The real field Psi s of Hermitian coefficients s, read from their
+        half plane kx <= nx//2 by one irfft2."""
+        nx, ny = self.psi.grid
+        half = coeffs.reshape((ny, nx) + coeffs.shape[1:])[:, : nx // 2 + 1]
+        field = np.fft.irfft2(half, s=(ny, nx), axes=(0, 1), norm="ortho")
+        return field.reshape(coeffs.shape)
 
 
 def mutual_coherence(C: MeasurementMatrix, psi: SparseBasis) -> float:

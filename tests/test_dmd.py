@@ -681,6 +681,13 @@ def test_pair_eigenvalues_reports_unmatched():
     assert not un_b
 
 
+def test_pair_eigenvalues_refuses_amplitudes_of_another_length():
+    # ordering by |lambda| in place of the amplitudes would pair silently
+    for amps in ([0.1, 5.0, 1.0], [2.0]):
+        with pytest.raises(DimensionError, match=f"{len(amps)} amplitudes for 2 eigenvalues"):
+            pair_eigenvalues([0.9, 0.5], [0.9, 0.5], amps)
+
+
 def test_compare_spectra_rows_alignments_and_unmatched():
     lam_a = np.array([1.0 + 0j, 0.5, 0.25])
     lam_b = np.array([0.5 + 1e-3, 1.0])

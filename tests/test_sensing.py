@@ -350,6 +350,27 @@ def test_pixel_gram_of_every_pixel_is_the_identity():
     np.testing.assert_allclose(op.gram(idx), np.eye(35), rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("grid", [(8, 6), (7, 5), (9, 4), (2, 3), (1, 6)])
+@pytest.mark.parametrize("kind", ["pixel", "gaussian"])
+def test_half_plane_adjoint_and_synthesis_match_the_full_plane(grid, kind):
+    # odd and even sides: the fold of every wavenumber reads the full-plane
+    # adjoint from the half plane, and the irfft2 of Hermitian coefficients
+    # is the real part of their full synthesis
+    psi = SparseBasis(grid)
+    rng = np.random.default_rng(3)
+    op = SensingOperator(make_measurement(kind, min(5, psi.n), psi.n, seed=3), psi)
+    y = rng.standard_normal((op.C.p, 2))
+    half, mirror = psi.fold(np.arange(psi.n))
+    assert np.all(half < grid[1] * (grid[0] // 2 + 1))
+    folded = op.real_adjoint(y)[half]
+    folded[mirror] = folded[mirror].conj()
+    np.testing.assert_allclose(folded, op.adjoint(y), rtol=0, atol=1e-14)
+    s = apply_basis(psi, rng.standard_normal((psi.n, 2)), "inverse")
+    field = op.real_synthesize(s)
+    assert np.isrealobj(field) and field.shape == s.shape
+    np.testing.assert_allclose(field, op.synthesize(s).real, rtol=0, atol=1e-14)
+
+
 def test_gaussian_coherence_regression():
     psi = SparseBasis((16, 16))
     C = make_measurement("gaussian", 64, 256, seed=5)
