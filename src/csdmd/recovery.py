@@ -254,8 +254,17 @@ def recover_modes(Y, op: SensingOperator, cfg):
     Returns the n x k recovered fields, zero where recovery failed, and one
     diagnostic per column: its RecoveredMode, or the ZeroInput or
     NoProgress exception it raised.
+
+    The fields and the coefficients are two complex column-major n x k
+    blocks made before the first solve, and a RecoveredMode's coeffs and
+    spatial are views of its column (complex, a real field too).  So no
+    n-vector outlives the column that made it, every column's CoSaMP
+    reuses the memory the previous one freed, and io.write_matrix writes
+    the fields without a copy: in a long-running process the heap returns
+    to the same size after every call.
     """
-    fields = np.zeros((op.C.n, Y.shape[1]), dtype=complex)
+    fields = np.zeros((op.C.n, Y.shape[1]), dtype=complex, order="F")
+    coeffs = np.zeros_like(fields)
     diagnostics = []
     for j, y in enumerate(Y.T):
         twin = None
@@ -274,6 +283,7 @@ def recover_modes(Y, op: SensingOperator, cfg):
             except (ZeroInput, NoProgress) as exc:
                 diag = exc
         if isinstance(diag, RecoveredMode):
-            fields[:, j] = diag.spatial
+            coeffs[:, j], fields[:, j] = diag.coeffs, diag.spatial
+            diag = replace(diag, coeffs=coeffs[:, j], spatial=fields[:, j])
         diagnostics.append(diag)
     return fields, diagnostics

@@ -68,7 +68,8 @@ def make_measurement(kind, p, n, seed=None) -> MeasurementMatrix:
         idx = np.sort(rng.choice(n, size=p, replace=False))
         return MeasurementMatrix(kind, p, n, seed, indices=idx)
     if kind == "gaussian":
-        C = rng.standard_normal((p, n)) / np.sqrt(p)
+        C = rng.standard_normal((p, n))
+        C /= np.sqrt(p)  # in place: no second p x n array
     else:  # bernoulli
         C = (rng.integers(0, 2, size=(p, n)) * 2.0 - 1.0) / np.sqrt(p)
     return MeasurementMatrix(kind, p, n, seed, payload=C)
@@ -260,9 +261,13 @@ class SensingOperator:
             self.coherence, self.table = 1.0 / math.sqrt(C.n), None
             self.circulant = np.fft.ifft2(mask.reshape(ny, nx))
             return
-        table = np.fft.rfft2(C.payload.reshape(C.p, ny, nx), norm="ortho")
-        peak = np.max(np.abs(table).reshape(C.p, -1), axis=1) / np.linalg.norm(C.payload, axis=1)
-        self.coherence, self.table = float(np.max(peak)), table
+        # the rfft2 writes straight into the table and the coherence is read
+        # row by row, so next to C only the table is held: no rfft2
+        # intermediate, |table| or C * C of the same size (same values, bit for bit)
+        table = np.empty((C.p, ny, nx // 2 + 1), dtype=complex)
+        np.fft.rfft2(C.payload.reshape(C.p, ny, nx), norm="ortho", out=table)
+        peak = max(np.abs(t).max() / np.sqrt(np.add.reduce(c * c)) for t, c in zip(table, C.payload))
+        self.coherence, self.table = float(peak), table
 
     def adjoint(self, y):
         return apply_basis(self.psi, adjoint_measurement(self.C, y), "inverse")

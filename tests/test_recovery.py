@@ -294,12 +294,15 @@ def test_recover_modes_matches_columnwise_calls():
     Y = np.column_stack(cols)
     cfg = RecoveryConfig(sparsity_K=3)
     modes, diags = recover_modes(Y, op, cfg)
-    assert modes.shape == (256, 3)
+    assert modes.shape == (256, 3) and modes.flags.f_contiguous
     for j in range(3):
         single = cosamp(op, Y[:, j], cfg)
         np.testing.assert_array_equal(diags[j].coeffs, single.coeffs)
         np.testing.assert_allclose(diags[j].coeffs, truths[j], atol=1e-8)
         np.testing.assert_array_equal(modes[:, j], diags[j].spatial)
+        # each recovery lives only in its column of the two blocks
+        assert np.shares_memory(diags[j].spatial, modes[:, j])
+        assert diags[j].coeffs.base is diags[0].coeffs.base
 
 
 def test_recover_modes_records_failures_without_aborting():
