@@ -35,7 +35,7 @@ from .systems import (
     DoubleGyreParams,
     add_fourier_noise,
     generate_fourier_lti,
-    generate_gyre_snapshots,
+    gyre_factors,
     make_fourier_lti,
 )
 
@@ -47,6 +47,11 @@ NUMERICAL_ERRORS = (
 )
 # caught after NUMERICAL_ERRORS: every other package error is a configuration one
 CONFIG_ERRORS = (CsdmdError, FileNotFoundError, json.JSONDecodeError, KeyError)
+# snapshots that gen gyre forms and writes at a time, 4 MiB at the paper
+# grid: a chunk that stays in cache is written from there.  On a 2-core VM
+# (2 MiB L2 per core) a paper-grid gen gyre took 60-67 ms with 2-8 columns
+# and 94 ms with 16
+GEN_CHUNK_COLS = 4
 
 
 def _read_pair(directory, x="X", xp="Xp", dt=1.0):
@@ -66,11 +71,11 @@ def _read_pair(directory, x="X", xp="Xp", dt=1.0):
     return SnapshotPair(X=X, Xp=Xp, dt=dt, grid=grid)
 
 
-def _write_pair(directory, pair, x, xp, block):
-    """The pair as one block file, pair.S, and two view sidecars: x at
-    column 0 and xp at the pair's lag.  A plain x.bin or xp.bin that an
-    older version wrote there is removed: no sidecar points at it now."""
-    io_mod.write_matrix(directory, block, pair.S, grid=pair.grid, dt=pair.dt)
+def _write_views(directory, pair, x, xp, block):
+    """The pair, whose block pair.S is written as the matrix block, as two
+    view sidecars of it: x at column 0 and xp at the pair's lag.  A plain
+    x.bin or xp.bin that an older version wrote there is removed: no
+    sidecar points at it now."""
     io_mod.write_view(directory, x, block, 0, pair.m)
     io_mod.write_view(directory, xp, block, pair.lag, pair.m)
     for name in (x, xp):
@@ -100,6 +105,17 @@ def _write_fit(args, result, grid, **extra):
     return 0
 
 
+def _gyre_columns(P, Q):
+    """The series of systems.gyre_factors, snapshot k the flattened P @ Q[k],
+    as column-major blocks of GEN_CHUNK_COLS snapshots (fewer in the last),
+    each formed in one buffer that the next block overwrites."""
+    buffer = np.empty((min(GEN_CHUNK_COLS, len(Q)), len(P), Q.shape[2]))
+    for start in range(0, len(Q), GEN_CHUNK_COLS):
+        factors = Q[start : start + GEN_CHUNK_COLS]
+        chunk = np.matmul(P, factors, out=buffer[: len(factors)])
+        yield chunk.reshape(len(factors), -1).T
+
+
 def _cmd_gen(args):
     if not (args.dt > 0 and np.isfinite(args.t1)):
         raise DimensionError(f"need dt > 0 and a finite t1, got dt={args.dt}, t1={args.t1}")
@@ -110,6 +126,7 @@ def _cmd_gen(args):
         )
         pair, truth = generate_fourier_lti(sys_cfg)
         pair = add_fourier_noise(pair, args.noise, args.noise_seed)
+        io_mod.write_matrix(args.out, "snapshots", pair.S, grid=pair.grid, dt=pair.dt)
         io_mod.write_matrix(args.out, "truth_lambdas", truth.lambdas)
         io_mod.write_matrix(args.out, "truth_atoms", truth.atoms, grid=sys_cfg.grid)
         meta = {
@@ -135,7 +152,10 @@ def _cmd_gen(args):
             t1=args.t1,
             dt=args.dt,
         )
-        pair = generate_gyre_snapshots(params, args.observable)
+        P, Q, grid = gyre_factors(params, args.observable)
+        io_mod.write_blocks(args.out, "snapshots", _gyre_columns(P, Q), grid=grid, dt=params.dt)
+        # the series over the block as written, with the checks of any pair
+        pair = SnapshotPair.series(io_mod.PanelReader(args.out, "snapshots"), params.dt, grid)
         meta = {
             "system": "double_gyre",
             "nx": args.nx,
@@ -148,7 +168,7 @@ def _cmd_gen(args):
             "dt": args.dt,
             "observable": args.observable,
         }
-    _write_pair(args.out, pair, "X", "Xp", "snapshots")
+    _write_views(args.out, pair, "X", "Xp", "snapshots")
     io_mod.atomic_write_text(
         os.path.join(args.out, "system.json"), io_mod.dumps_report(meta)
     )
@@ -167,7 +187,8 @@ def _cmd_cdmd(args):
     result = lifted_dmd(measured, pair, args.tol)
     # persist the measured pair and the measurement description for the
     # sampling-only pipeline, before _write_fit can refuse --images
-    _write_pair(args.out, measured, "Y", "Yp", "measurements")
+    io_mod.write_matrix(args.out, "measurements", measured.S, grid=measured.grid, dt=measured.dt)
+    _write_views(args.out, measured, "Y", "Yp", "measurements")
     measure_meta = {
         "kind": C.kind,
         "p": C.p,
@@ -177,7 +198,7 @@ def _cmd_cdmd(args):
         "dt": pair.dt,
     }
     if C.kind == "pixel":
-        measure_meta["indices"] = [int(i) for i in C.indices]
+        measure_meta["indices"] = C.indices.tolist()
     else:
         measure_meta["payload_crc32"] = zlib.crc32(C.payload)
     io_mod.atomic_write_text(

@@ -6,10 +6,12 @@ complex matrices interleave real and imaginary parts per entry.  A view
 sidecar names a run of columns of another matrix file, its block, so X and
 X' of a series share one payload.  PanelReader reads a payload whole or in
 fixed-height row panels (PANEL_ROWS rows of every column, one reused
-buffer), so a fit can sum over a block it never holds.  Writes go through
-an atomic rename.
+buffer), so a fit can sum over a block it never holds; write_blocks writes
+one from column blocks as they are formed, so a generator never holds it
+either.  Writes go through an atomic rename.
 """
 
+import contextlib
 import json
 import os
 
@@ -25,16 +27,25 @@ REPORT_SCHEMA = "csdmd-report/1"
 PANEL_ROWS = 4096
 
 
-def atomic_write_bytes(path, payload):
-    """Write a bytes-like payload (bytes, or a C-contiguous array) to path."""
+def atomic_write_bytes(path, payloads):
+    """Write bytes-like payloads (bytes, or C-contiguous arrays), taken in
+    order from an iterable, to path through one temp file and one rename.
+    If a write or the iterable raises, the temp file is removed and path
+    keeps what it held."""
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for payload in payloads:
+                fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def atomic_write_text(path, text: str):
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, [text.encode("utf-8")])
 
 
 def _json_fragment(obj):
@@ -60,6 +71,10 @@ def _json_fragment(obj):
     if isinstance(obj, np.ndarray):
         return _json_fragment(obj.tolist())
     if isinstance(obj, (list, tuple)):
+        # a list of plain ints (pixel indices) in one join; a bool is no
+        # plain int, so True still prints true
+        if all(type(v) is int for v in obj):
+            return "[" + ", ".join(map(str, obj)) + "]"
         return "[" + ", ".join(_json_fragment(v) for v in obj) + "]"
     if isinstance(obj, dict):
         parts = (f"{json.dumps(str(k))}: {_json_fragment(v)}" for k, v in obj.items())
@@ -76,22 +91,41 @@ def dumps_report(obj) -> str:
 def write_matrix(directory, name, M, grid=None, dt=None):
     """Write a matrix as ``name.bin`` plus ``name.json`` sidecar."""
     M = np.asarray(M)
-    if M.ndim == 1:
-        M = M[:, None]
-    dtype, np_dtype = ("c128", "<c16") if np.iscomplexobj(M) else ("f64", "<f8")
-    # the transpose of a column-major block is C-contiguous: its buffer is
-    # the payload, with no copy when M is already column-major
-    payload = np.asfortranarray(M, np_dtype).T
-    sidecar = {"rows": int(M.shape[0]), "cols": int(M.shape[1]), "dtype": dtype}
+    write_blocks(directory, name, [M[:, None] if M.ndim == 1 else M], grid=grid, dt=dt)
+
+
+def write_blocks(directory, name, blocks, grid=None, dt=None):
+    """Write the matrix whose columns are those of the blocks, an iterable
+    of 2-d arrays of one row count and one dtype (real or complex) taken in
+    order, as ``name.bin`` plus ``name.json`` sidecar.  Each block is
+    written as it comes, so the matrix is never held whole."""
+    layout = {}  # rows, cols and dtype of the blocks written so far
+
+    def payloads():
+        for M in blocks:
+            M = np.asarray(M)
+            dtype, np_dtype = ("c128", "<c16") if np.iscomplexobj(M) else ("f64", "<f8")
+            rows = layout.setdefault("rows", M.shape[0])
+            if (M.shape[0], dtype) != (rows, layout.setdefault("dtype", dtype)):
+                raise DimensionError(
+                    f"{name}: a {M.shape[0]}-row {dtype} block after {rows}-row "
+                    f"{layout['dtype']} ones"
+                )
+            layout["cols"] = layout.get("cols", 0) + M.shape[1]
+            # the transpose of a column-major block is C-contiguous: its
+            # buffer is the payload, with no copy when M is column-major
+            yield np.asfortranarray(M, np_dtype).T
+        if not layout:
+            raise DimensionError(f"no blocks to write as {name}")
+
+    os.makedirs(directory, exist_ok=True)
+    atomic_write_bytes(os.path.join(directory, f"{name}.bin"), payloads())
+    sidecar = {key: layout[key] for key in ("rows", "cols", "dtype")}
     if grid is not None:
         sidecar["grid"] = [int(grid[0]), int(grid[1])]
     if dt is not None:
         sidecar["dt"] = float(dt)
-    os.makedirs(directory, exist_ok=True)
-    atomic_write_bytes(os.path.join(directory, f"{name}.bin"), payload)
-    atomic_write_text(
-        os.path.join(directory, f"{name}.json"), dumps_report(sidecar)
-    )
+    atomic_write_text(os.path.join(directory, f"{name}.json"), dumps_report(sidecar))
 
 
 def write_view(directory, name, block, first, cols):
@@ -228,7 +262,7 @@ def write_mode_image(path, field, grid, component="real"):
         scaled = np.zeros_like(img)
     data = scaled.astype(np.uint8).tobytes(order="C")
     header = f"P5\n{nx} {ny}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + data)
+    atomic_write_bytes(path, [header, data])
     atomic_write_text(
         f"{path}.json",
         dumps_report(

@@ -130,7 +130,13 @@ def generate_fourier_lti(sys: FourierLtiSystem):
     psi = SparseBasis(sys.grid)
     k = [ky * nx + kx for kx, ky in sys.wavenumbers]
     atoms = basis_atoms(psi, np.column_stack([k, psi.conjugate(k)]).reshape(-1))
-    snaps = 2.0 * (atoms[:, ::2] @ values).real
+    # 2 Re(A v) = [Re A, Im A] [2 Re v; -2 Im v] for A = atoms[:, ::2]: one
+    # real product, taken transposed so its result is the column-major series
+    # (A has a column stride of two, which BLAS cannot take, and A v would
+    # be an n x (m+1) complex temporary)
+    A = atoms[:, ::2]
+    M = np.concatenate([2.0 * values.real, -2.0 * values.imag])
+    snaps = (M.T @ np.concatenate([A.real.T, A.imag.T])).T
     lambdas = np.exp(np.column_stack([sys.mu, sys.mu.conj()]).reshape(-1) * sys.dt)
 
     pair = SnapshotPair.series(snaps, sys.dt, sys.grid)
@@ -199,17 +205,19 @@ class DoubleGyreParams:
             raise DimensionError(f"[t0, t1] must span finitely many, >= 1, steps dt={self.dt}")
 
 
-def generate_gyre_snapshots(params: DoubleGyreParams, observable="vorticity"):
-    """Stack flow snapshots over [t0, t1] into a shift pair.
+def gyre_factors(params: DoubleGyreParams, observable="vorticity"):
+    """The factors of the flow snapshots over [t0, t1], (P, Q, grid).
 
     Over [0, 2] x [0, 1] the flow u = -pi A sin(pi f) cos(pi y), v = pi A
     cos(pi f) df/dx sin(pi y), f = eps sin(omega t) x^2 + (1 - 2 eps
     sin(omega t)) x, is a sum of (y-profile) x (x-profile) products.  The
     default observable is the vorticity dv/dx - du/dy by second-order central
     differences (one-sided at the boundary), taken on the 1-d profiles;
-    "velocity" stacks u over v into 2n rows instead (grid metadata is dropped
-    in that case since rows no longer form a single field).  Snapshot row
-    iy * nx + ix samples (x[ix], y[iy]).
+    "velocity" stacks u over v into 2n rows instead (grid is None in that
+    case since rows no longer form a single field).  Snapshot k is the
+    rows x nx matrix P @ Q[k], P of shape rows x 2 and Q of shape
+    (steps + 1) x 2 x nx, flattened row by row: snapshot row iy * nx + ix
+    samples (x[ix], y[iy]).
     """
     if observable not in ("vorticity", "velocity"):
         raise DimensionError(f"unknown observable {observable!r}")
@@ -232,9 +240,16 @@ def generate_gyre_snapshots(params: DoubleGyreParams, observable="vorticity"):
         P = np.zeros((2 * ny, 2))
         P[:ny, 0], P[ny:, 1] = cos_y, sin_y
         Q = np.stack([u_row, v_row], axis=1)
+    return P, Q, params.grid if observable == "vorticity" else None
+
+
+def generate_gyre_snapshots(params: DoubleGyreParams, observable="vorticity"):
+    """Stack the flow snapshots of gyre_factors over [t0, t1] into a shift
+    pair over one column-major block."""
+    P, Q, grid = gyre_factors(params, observable)
     # column-major, so each snapshot is one contiguous column and the
-    # series is written out without a copy; snapshot k is P @ Q[k]
+    # series is written out without a copy
+    nx = Q.shape[2]
     S = np.empty((len(P) * nx, len(Q)), order="F")
     np.matmul(P, Q, out=S.T.reshape(len(Q), len(P), nx))
-    grid = params.grid if observable == "vorticity" else None
     return SnapshotPair.series(S, params.dt, grid)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from csdmd import io, pipelines
-from csdmd.cli import HANDLERS, _read_pair, build_parser, main
+from csdmd.cli import GEN_CHUNK_COLS, HANDLERS, _read_pair, build_parser, main
 from csdmd.dmd import SnapshotPair
 from csdmd.errors import (
     ConvergenceError,
@@ -939,6 +939,32 @@ def test_gen_gyre_defaults_are_the_library_defaults(tmp_path):
     pair = generate_gyre_snapshots(DoubleGyreParams(grid=(32, 16)))
     np.testing.assert_array_equal(read_matrix(str(out), "X")[0], pair.X)
     np.testing.assert_array_equal(read_matrix(str(out), "Xp")[0], pair.Xp)
+
+
+def test_gen_example1_writes_the_generated_block(tmp_path):
+    out = tmp_path / "waves"
+    assert main(["gen", "example1", "--nx", "32", "--ny", "16", "--k", "3", "--t1", "0.5",
+                 "--seed", "4", "--out", str(out)]) == 0
+    pair, _ = generate_fourier_lti(make_fourier_lti(nx=32, ny=16, K=3, m=50, seed=4))
+    assert pair.S.flags.f_contiguous
+    assert (out / "snapshots.bin").read_bytes() == pair.S.tobytes(order="F")
+
+
+@pytest.mark.parametrize("observable", ["vorticity", "velocity"])
+def test_gen_gyre_writes_the_library_block_in_chunks(tmp_path, observable):
+    params = DoubleGyreParams(grid=(24, 12))
+    pair = generate_gyre_snapshots(params, observable)
+    # the last chunk is a partial one
+    assert pair.S.shape[1] % GEN_CHUNK_COLS != 0
+    write_matrix(str(tmp_path / "lib"), "snapshots", pair.S, grid=pair.grid, dt=pair.dt)
+    out = tmp_path / "cli"
+    assert main(["gen", "gyre", "--nx", "24", "--ny", "12", "--observable", observable,
+                 "--out", str(out)]) == 0
+    for name in ("snapshots.bin", "snapshots.json"):
+        assert (out / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+    X, side = read_matrix(str(out), "X")
+    assert side["cols"] == pair.m
+    np.testing.assert_array_equal(X, pair.X)
 
 
 def _run_twice(workspace, name, args):

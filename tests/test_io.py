@@ -16,6 +16,7 @@ from csdmd.io import (
     dumps_report,
     locate,
     read_matrix,
+    write_blocks,
     write_matrix,
     write_mode_image,
     write_view,
@@ -157,6 +158,41 @@ def test_no_temp_files_left(tmp_path):
     assert leftovers == []
 
 
+def test_blocks_written_side_by_side_are_the_matrix_of_their_columns(tmp_path):
+    rng = np.random.default_rng(5)
+    S = np.asfortranarray(rng.standard_normal((6, 7)))
+    write_matrix(tmp_path / "whole", "S", S, grid=(3, 2), dt=0.5)
+    write_blocks(tmp_path / "blocks", "S", (S[:, :3], S[:, 3:6], S[:, 6:]), grid=(3, 2), dt=0.5)
+    for name in ("S.bin", "S.json"):
+        assert (tmp_path / "blocks" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+
+@pytest.mark.parametrize("second", [np.ones((5, 2)), np.ones((6, 2), complex)],
+                         ids=["other-rows", "other-dtype"])
+def test_blocks_of_another_shape_are_refused_and_nothing_is_written(tmp_path, second):
+    with pytest.raises(DimensionError):
+        write_blocks(tmp_path, "S", [np.ones((6, 3)), second])
+    with pytest.raises(DimensionError):
+        write_blocks(tmp_path, "S", [])
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_failed_write_leaves_no_temp_file_and_the_old_matrix(tmp_path):
+    old = np.arange(12.0).reshape(4, 3)
+    write_matrix(tmp_path, "S", old)
+    before = {name: (tmp_path / name).read_bytes() for name in ("S.bin", "S.json")}
+
+    def blocks():
+        yield np.ones((4, 2))
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError, match="No space"):
+        write_blocks(tmp_path, "S", blocks())
+    assert sorted(os.listdir(tmp_path)) == ["S.bin", "S.json"]
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+    np.testing.assert_array_equal(read_matrix(tmp_path, "S")[0], old)
+
+
 def test_mode_image_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     field = rng.standard_normal(32) + 1j * rng.standard_normal(32)
@@ -219,6 +255,17 @@ def test_report_nonfinite_becomes_null():
 def test_report_key_order_is_insertion_order():
     text = dumps_report({"z": 1, "a": 2, "m": 3})
     assert text.index('"z"') < text.index('"a"') < text.index('"m"')
+
+
+def test_report_lists_of_plain_ints_print_as_every_list_does():
+    # plain ints take a one-join path; each other element its own fragment
+    mixed = [1, True, np.int64(-3), [4, 5], [np.int32(6), False], [], (7,), [2**70, 0]]
+    text = dumps_report({"mixed": mixed, "bools": [True, False], "indices": np.arange(4)})
+    assert text == ('{"mixed": [1, true, -3, [4, 5], [6, false], [], [7], '
+                    '[1180591620717411303424, 0]], "bools": [true, false], '
+                    '"indices": [0, 1, 2, 3]}\n')
+    indices = list(range(0, 131072, 53))
+    assert dumps_report(indices) == json.dumps(indices) + "\n"
 
 
 def test_report_schema_tag():

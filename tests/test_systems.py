@@ -93,6 +93,20 @@ def test_truth_interleaving():
         assert abs(np.linalg.norm(truth.atoms[:, 2 * j]) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("grid, K, m, seed", [((16, 16), 3, 20, 2), ((64, 32), 5, 200, 7),
+                                             ((9, 7), 4, 1, 0)])
+def test_planted_series_is_one_column_major_real_product(grid, K, m, seed):
+    sys = make_fourier_lti(nx=grid[0], ny=grid[1], K=K, m=m, seed=seed)
+    data, truth = generate_fourier_lti(sys)
+    assert data.S.flags.f_contiguous
+    # the reference: the real part of the complex product of the atoms of
+    # k_j with the planted coefficients, summed in another order
+    t = np.arange(m + 1) * sys.dt
+    values = sys.init_amps[:, None] * np.exp(sys.mu[:, None] * t[None, :])
+    ref = 2.0 * (truth.atoms[:, ::2] @ values).real
+    assert np.abs(data.S - ref).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
+
+
 def test_random_system_respects_ranges():
     for seed in (0, 1, 2):
         sys = make_fourier_lti(nx=64, ny=64, K=5, seed=seed)
