@@ -9,6 +9,7 @@ failure (stage named on stderr).
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -30,7 +31,14 @@ from .errors import (
 from .linalg import DEFAULT_TRUNCATION_TOL
 from .pipelines import INVARIANCE_TOL_FLOOR, run_2a, run_2b, verify_invariance_suite
 from .recovery import RecoveryConfig
-from .sensing import MeasurementMatrix, SensingOperator, SparseBasis, check_grid, make_measurement
+from .sensing import (
+    KINDS,
+    MeasurementMatrix,
+    SensingOperator,
+    SparseBasis,
+    check_grid,
+    make_measurement,
+)
 from .systems import (
     DoubleGyreParams,
     add_fourier_noise,
@@ -52,6 +60,8 @@ CONFIG_ERRORS = (CsdmdError, FileNotFoundError, json.JSONDecodeError, KeyError)
 # (2 MiB L2 per core) a paper-grid gen gyre took 60-67 ms with 2-8 columns
 # and 94 ms with 16
 GEN_CHUNK_COLS = 4
+# the matrix file, next to measurements.bin, that holds a dense C as C^T
+MEASUREMENT_BLOCK = "measurement"
 
 
 def _read_pair(directory, x="X", xp="Xp", dt=1.0):
@@ -200,11 +210,40 @@ def _cmd_cdmd(args):
     if C.kind == "pixel":
         measure_meta["indices"] = C.indices.tolist()
     else:
+        # C^T is n x p column-major: its payload is C's row-major buffer,
+        # written with no copy, and csdmd reads it back instead of drawing
+        # C again from the seed
+        io_mod.write_matrix(args.out, MEASUREMENT_BLOCK, C.payload.T)
+        measure_meta["payload_block"] = MEASUREMENT_BLOCK
         measure_meta["payload_crc32"] = zlib.crc32(C.payload)
     io_mod.atomic_write_text(
         os.path.join(args.out, "measure.json"), io_mod.dumps_report(measure_meta)
     )
     return _write_fit(args, result, pair.grid, path="1B", measure=args.measure, p=args.p)
+
+
+def _stored_payload(path, meta, kind, p, n):
+    """The p x n payload of the dense measurement stored as the block that
+    meta names, in the directory of path, or None if there is no block (a
+    file of an older run, or a measure.json copied elsewhere).  The block's
+    sidecar must be n x p f64, checked before the payload is read."""
+    name = meta.get("payload_block")
+    if name is None:
+        return None
+    if kind not in KINDS:
+        raise DimensionError(f"unknown measurement kind {kind!r}")
+    if not isinstance(name, str):
+        raise DimensionError(f"payload_block in {path} is no matrix name: {name!r}")
+    try:
+        reader = io_mod.PanelReader(os.path.dirname(path), name)
+    except FileNotFoundError:
+        return None
+    if reader.shape != (n, p) or reader.dtype != np.float64:
+        raise DimensionError(
+            f"{name} is a {reader.shape[0]}x{reader.shape[1]} {reader.sidecar['dtype']} "
+            f"matrix, {path} needs C^T, {n}x{p} f64"
+        )
+    return reader.read().T
 
 
 def _load_measurement(path):
@@ -217,15 +256,20 @@ def _load_measurement(path):
     if kind == "pixel" and "indices" in meta:
         C = MeasurementMatrix(kind, p, n, seed, indices=np.asarray(meta["indices"]))
     else:
-        if seed is None:
+        payload = _stored_payload(path, meta, kind, p, n)
+        if payload is not None:
+            C = MeasurementMatrix(kind, p, n, seed, payload=payload)
+            source = f"stored in {meta['payload_block']}.bin"
+        elif seed is None:
             # make_measurement would draw a matrix that never measured the data
             raise DimensionError(f"{path} holds no seed to rebuild its {kind} matrix from")
-        C = make_measurement(kind, p, n, seed)
+        else:
+            C = make_measurement(kind, p, n, seed)
+            source = f"rebuilt from seed {seed}"
         crc = meta.get("payload_crc32")  # absent in files of older runs
         if crc is not None and crc != zlib.crc32(C.payload):
             raise DimensionError(
-                f"{kind} matrix rebuilt from seed {seed} does not "
-                f"match the payload checksum in {path}"
+                f"{kind} matrix {source} does not match the payload checksum in {path}"
             )
     grid = check_grid(meta["grid"]) if meta.get("grid") else None
     return C, grid, meta.get("dt", 1.0)
@@ -378,10 +422,17 @@ HANDLERS = {
 }
 
 
+@functools.cache
+def _parser():
+    """The parser main uses, built once per process: parsing does not
+    change it, and building its eight subcommands took 1.2-1.5 ms a call
+    on a 2-core x86_64 VM."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     stage = args.command

@@ -14,7 +14,15 @@ import numpy as np
 import pytest
 
 from csdmd import io, pipelines
-from csdmd.cli import GEN_CHUNK_COLS, HANDLERS, _read_pair, build_parser, main
+from csdmd.cli import (
+    GEN_CHUNK_COLS,
+    HANDLERS,
+    MEASUREMENT_BLOCK,
+    _parser,
+    _read_pair,
+    build_parser,
+    main,
+)
 from csdmd.dmd import SnapshotPair
 from csdmd.errors import (
     ConvergenceError,
@@ -472,6 +480,17 @@ def test_fit_commands_share_one_option_set():
                       "--imag") == (1e-3, "o", 3, True)
 
 
+def test_main_parses_each_call_afresh_with_one_parser(monkeypatch):
+    # main builds its parser once per process; a value given in one call
+    # does not become the default of the next
+    seen = []
+    monkeypatch.setitem(HANDLERS, "dmd", lambda args: seen.append(args.images) or 0)
+    assert main(["dmd", "--snapshots", "d", "--out", "o", "--images", "3"]) == 0
+    assert main(["dmd", "--snapshots", "d", "--out", "o"]) == 0
+    assert seen == [3, 0]
+    assert _parser() is _parser() and build_parser() is not build_parser()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 @pytest.mark.parametrize("command", ["dmd", "cdmd", "csdmd", "verify"])
 def test_a_non_finite_tolerance_is_a_configuration_error(workspace, tmp_path, capsys,
@@ -676,12 +695,121 @@ def _dense_cdmd(workspace, comp, kind="gaussian"):
     return json.loads((comp / "measure.json").read_text())
 
 
+def _move_block_aside(comp, aside):
+    aside.mkdir()
+    for suffix in (".bin", ".json"):
+        os.replace(comp / f"{MEASUREMENT_BLOCK}{suffix}", aside / f"{MEASUREMENT_BLOCK}{suffix}")
+
+
+def _csdmd_argv(comp, out, path):
+    extra = ["--sparsity", "4", "--reconstruct-snapshots"] if path == "2A" else ["--sparsity", "2"]
+    return ["csdmd", "--measured", str(comp), "--measure-file", str(comp / "measure.json"),
+            "--tol", "1e-6", "--out", str(out), *extra]
+
+
+@pytest.mark.parametrize("path", ["2B", "2A"])
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
+def test_csdmd_reads_the_stored_matrix_and_fits_as_with_the_redraw(workspace, tmp_path,
+                                                                   monkeypatch, kind, path):
+    # cdmd stores the dense C as C^T; csdmd reads it instead of drawing C
+    # again, and its outputs are those of the redraw, byte for byte
+    comp = tmp_path / "comp"
+    meta = _dense_cdmd(workspace, comp, kind)
+    assert meta["payload_block"] == MEASUREMENT_BLOCK
+    stored, side = read_matrix(str(comp), MEASUREMENT_BLOCK)
+    drawn = make_measurement(kind, 12, 256, 5).payload
+    assert (side["rows"], side["cols"], side["dtype"]) == (256, 12, "f64")
+    assert stored.T.tobytes() == drawn.tobytes()
+    draws = []
+    monkeypatch.setattr("csdmd.cli.make_measurement",
+                        lambda *a: draws.append(a) or make_measurement(*a))
+    assert main(_csdmd_argv(comp, tmp_path / "stored", path)) == 0
+    assert draws == []
+    _move_block_aside(comp, tmp_path / "aside")
+    assert main(_csdmd_argv(comp, tmp_path / "redrawn", path)) == 0
+    assert draws == [(kind, 12, 256, 5)]
+    for name in ("modes.bin", "lambdas.bin", "amplitudes.bin", "result.json"):
+        assert (tmp_path / "stored" / name).read_bytes() == (
+            tmp_path / "redrawn" / name).read_bytes()
+
+
+def test_csdmd_refuses_a_stored_matrix_that_fails_its_checksum(workspace, tmp_path, capsys):
+    comp = tmp_path / "comp"
+    _dense_cdmd(workspace, comp)
+    block = comp / f"{MEASUREMENT_BLOCK}.bin"
+    blob = bytearray(block.read_bytes())
+    blob[1000] ^= 0x01
+    block.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(_csdmd_argv(comp, tmp_path / "o", "2B")) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error in csdmd: gaussian matrix stored in {MEASUREMENT_BLOCK}.bin "
+        f"does not match the payload checksum in {comp / 'measure.json'}\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("changes", [
+    {"rows": 12, "cols": 256},  # C, not C^T: the same payload size
+    {"rows": 128, "cols": 24},
+    {"dtype": "c128", "cols": 6},
+])
+def test_csdmd_refuses_a_stored_matrix_of_another_shape_before_reading_it(
+    workspace, tmp_path, capsys, monkeypatch, changes
+):
+    comp = tmp_path / "comp"
+    _dense_cdmd(workspace, comp)
+    _set_sidecar(comp, MEASUREMENT_BLOCK, **changes)
+    reads = []
+    monkeypatch.setattr(io.PanelReader, "read", lambda self: reads.append(self.path))
+    capsys.readouterr()
+    assert main(_csdmd_argv(comp, tmp_path / "o", "2B")) == 2
+    assert capsys.readouterr().err.startswith(
+        f"configuration error in csdmd: {MEASUREMENT_BLOCK} is a ")
+    assert reads == [] and not (tmp_path / "o").exists()
+
+
+def test_csdmd_refuses_a_stored_matrix_of_an_unknown_kind(workspace, tmp_path, capsys):
+    comp = tmp_path / "comp"
+    meta = _dense_cdmd(workspace, comp)
+    (comp / "measure.json").write_text(json.dumps({**meta, "kind": "gauss"}))
+    capsys.readouterr()
+    assert main(_csdmd_argv(comp, tmp_path / "o", "2B")) == 2
+    assert capsys.readouterr().err == (
+        "configuration error in csdmd: unknown measurement kind 'gauss'\n"
+    )
+
+
+def test_cdmd_writes_the_stored_matrix_without_a_copy(gyre_128x64, tmp_path, monkeypatch):
+    # C^T of a 32 x 8192 Gaussian C is 2 MiB; its column-major payload is
+    # C's own buffer, so writing it allocates next to nothing
+    peaks = {}
+    write_matrix = io.write_matrix
+
+    def traced(directory, name, M, **kw):
+        tracemalloc.start()
+        try:
+            write_matrix(directory, name, M, **kw)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(io, "write_matrix", traced)
+    out = tmp_path / "o"
+    assert main(["cdmd", "--measure", "gaussian", "-p", "32", "--snapshots", str(gyre_128x64),
+                 "--out", str(out)]) == 0
+    assert (out / f"{MEASUREMENT_BLOCK}.bin").stat().st_size == 32 * 8192 * 8
+    assert peaks[MEASUREMENT_BLOCK] < 1 << 20
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
 def test_csdmd_rejects_a_measurement_that_rebuilds_differently(workspace, tmp_path,
                                                               monkeypatch, capsys, kind):
-    # the saved checksum catches a seed that no longer draws the same matrix
+    # the saved checksum catches a seed that no longer draws the same matrix;
+    # with the stored block moved away, csdmd draws the matrix again
     comp = tmp_path / "comp"
     assert "payload_crc32" in _dense_cdmd(workspace, comp, kind)
+    _move_block_aside(comp, tmp_path / "aside")
     drawn = make_measurement
     monkeypatch.setattr(
         "csdmd.cli.make_measurement",
@@ -705,6 +833,24 @@ def test_measure_file_without_checksum_loads(workspace, tmp_path):
         ["csdmd", "--measured", str(comp), "--measure-file", str(old),
          "--sparsity", "2", "--tol", "1e-6", "--out", str(tmp_path / "o")]
     ) == 0
+
+
+def test_measure_file_without_a_block_name_is_drawn_again(workspace, tmp_path, monkeypatch):
+    # files written before cdmd stored C name no block: csdmd draws C from
+    # the seed, checks it against the CRC and fits to the same bytes
+    comp = tmp_path / "comp"
+    meta = _dense_cdmd(workspace, comp)
+    assert main(_csdmd_argv(comp, tmp_path / "stored", "2B")) == 0
+    del meta["payload_block"]
+    (comp / "measure.json").write_text(json.dumps(meta))
+    draws = []
+    monkeypatch.setattr("csdmd.cli.make_measurement",
+                        lambda *a: draws.append(a) or make_measurement(*a))
+    assert main(_csdmd_argv(comp, tmp_path / "redrawn", "2B")) == 0
+    assert draws == [("gaussian", 12, 256, 5)]
+    for name in ("modes.bin", "result.json"):
+        assert (tmp_path / "stored" / name).read_bytes() == (
+            tmp_path / "redrawn" / name).read_bytes()
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "pixel"])
@@ -733,6 +879,10 @@ def test_csdmd_refuses_a_measure_file_it_cannot_rebuild(workspace, tmp_path, cap
         # the indices alone rebuild a pixel measurement
         bad.write_text(json.dumps({**meta, **kept}))
         assert main(argv) == 0
+    else:
+        # a dense one is read from the block next to its own measure.json
+        (comp / "measure.json").write_text(json.dumps({**meta, **kept}))
+        assert main([*argv[:3], "--measure-file", str(comp / "measure.json"), *argv[5:]]) == 0
 
 
 @pytest.mark.parametrize("sparsity", ["0", "-2"])
