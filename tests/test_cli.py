@@ -9,6 +9,7 @@ import json
 import os
 import shutil
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -800,6 +801,26 @@ def test_cdmd_writes_the_stored_matrix_without_a_copy(gyre_128x64, tmp_path, mon
                  "--out", str(out)]) == 0
     assert (out / f"{MEASUREMENT_BLOCK}.bin").stat().st_size == 32 * 8192 * 8
     assert peaks[MEASUREMENT_BLOCK] < 1 << 20
+
+
+def test_cdmd_rerun_replaces_or_drops_the_stored_matrix(workspace, tmp_path, monkeypatch):
+    # a rerun into the same directory removes the old block before it
+    # writes, so no rename replaces it; a pixel rerun leaves none behind
+    comp = tmp_path / "comp"
+    _dense_cdmd(workspace, comp)
+    renames = []
+    replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: (
+        renames.append((dst, os.path.exists(dst))), replace(src, dst)))
+    meta = _dense_cdmd(workspace, comp, "bernoulli")
+    block = str(comp / f"{MEASUREMENT_BLOCK}.bin")
+    assert (block, False) in renames
+    stored, _ = read_matrix(str(comp), MEASUREMENT_BLOCK)
+    assert zlib.crc32(stored.T.tobytes()) == meta["payload_crc32"]
+    assert main(_csdmd_argv(comp, tmp_path / "o", "2B")) == 0
+    meta = _dense_cdmd(workspace, comp, "pixel")
+    assert "payload_block" not in meta
+    assert not any(comp.glob(f"{MEASUREMENT_BLOCK}.*"))
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
