@@ -43,7 +43,7 @@ from .systems import (
     DoubleGyreParams,
     add_fourier_noise,
     generate_fourier_lti,
-    gyre_factors,
+    gyre_chunks,
     make_fourier_lti,
 )
 
@@ -55,11 +55,6 @@ NUMERICAL_ERRORS = (
 )
 # caught after NUMERICAL_ERRORS: every other package error is a configuration one
 CONFIG_ERRORS = (CsdmdError, FileNotFoundError, json.JSONDecodeError, KeyError)
-# snapshots that gen gyre forms and writes at a time, 4 MiB at the paper
-# grid: a chunk that stays in cache is written from there.  On a 2-core VM
-# (2 MiB L2 per core) a paper-grid gen gyre took 60-67 ms with 2-8 columns
-# and 94 ms with 16
-GEN_CHUNK_COLS = 4
 # the matrix file, next to measurements.bin, that holds a dense C as C^T
 MEASUREMENT_BLOCK = "measurement"
 
@@ -115,17 +110,6 @@ def _write_fit(args, result, grid, **extra):
     return 0
 
 
-def _gyre_columns(P, Q):
-    """The series of systems.gyre_factors, snapshot k the flattened P @ Q[k],
-    as column-major blocks of GEN_CHUNK_COLS snapshots (fewer in the last),
-    each formed in one buffer that the next block overwrites."""
-    buffer = np.empty((min(GEN_CHUNK_COLS, len(Q)), len(P), Q.shape[2]))
-    for start in range(0, len(Q), GEN_CHUNK_COLS):
-        factors = Q[start : start + GEN_CHUNK_COLS]
-        chunk = np.matmul(P, factors, out=buffer[: len(factors)])
-        yield chunk.reshape(len(factors), -1).T
-
-
 def _cmd_gen(args):
     if not (args.dt > 0 and np.isfinite(args.t1)):
         raise DimensionError(f"need dt > 0 and a finite t1, got dt={args.dt}, t1={args.t1}")
@@ -162,8 +146,8 @@ def _cmd_gen(args):
             t1=args.t1,
             dt=args.dt,
         )
-        P, Q, grid = gyre_factors(params, args.observable)
-        io_mod.write_blocks(args.out, "snapshots", _gyre_columns(P, Q), grid=grid, dt=params.dt)
+        chunks, _, grid = gyre_chunks(params, args.observable)
+        io_mod.write_blocks(args.out, "snapshots", chunks, grid=grid, dt=params.dt)
         # the series over the block as written, with the checks of any pair
         pair = SnapshotPair.series(io_mod.PanelReader(args.out, "snapshots"), params.dt, grid)
         meta = {

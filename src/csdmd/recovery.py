@@ -2,14 +2,15 @@
 
 The workhorse is a complex-valued CoSaMP: identify candidate support from
 the adjoint proxy, solve least squares on the merged support, prune to the
-K largest coefficients, repeat until the residual is small or stalls.  A
-block is recovered as one row-sparse target (Tropp, Gilbert & Strauss 2006).
-The solver reads the composite operator C Psi only through
-sensing.SensingOperator, which is imported here for recover_modes: one
-adjoint per iteration, the Gram on the merged support (for pixel C a
-gather from one FFT of the sampling mask), and the columns of the K kept
-atoms for the residual.  The first adjoint, (C Psi)^H y, is both the
-first proxy and every least-squares right-hand side.
+K largest coefficients, repeat until the residual is small or stalls, and
+return the kept support, its values and their synthesis.  A block is
+recovered as one row-sparse target (Tropp, Gilbert & Strauss 2006).  The
+solver reads the composite operator C Psi only through the
+sensing.SensingOperator imported here for recover_modes: one adjoint per
+iteration, the Gram on the merged support (for pixel C a gather from one
+FFT of the sampling mask), and the columns of the K kept atoms for the
+residual.  The first adjoint, (C Psi)^H y, is both the first proxy and
+every least-squares right-hand side.
 
 One loop runs two support models.  A complex target, or any target on an
 operator without the sparse basis, is recovered atom by atom through the
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, NoProgress, ZeroInput
+from .errors import NoProgress, ZeroInput, check_count
 from .sensing import SensingOperator
 
 MAX_ITERS = 50
@@ -42,16 +43,17 @@ class RecoveryConfig:
     sparsity_K: int
 
     def __post_init__(self):
-        if self.sparsity_K < 1:
-            raise DimensionError("sparsity_K must be >= 1")
+        check_count(self.sparsity_K, "sparsity_K", 1)
 
 
 @dataclass(frozen=True)
 class RecoveredMode:
-    """Sparse coefficients (n x r for a block), their synthesis (a real
-    array for a real target on C Psi), and solver diagnostics."""
+    """What CoSaMP kept, ``support`` (flat indices of atoms, or of rows) and
+    ``values`` (|S| or |S| x r), their synthesis ``spatial`` (a real array
+    for a real target on C Psi), and solver diagnostics."""
 
-    coeffs: np.ndarray
+    support: np.ndarray
+    values: np.ndarray
     spatial: np.ndarray
     residual: float
     iters: int
@@ -135,9 +137,9 @@ class _ConjugatePairs(_Atoms):
 
 
 def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
-    """Recover a K-sparse coefficient vector from y ~ A s, or a K-row-sparse
-    n x r block from a p x r block y: by row norms, one solve with r
-    right-hand sides, and the Frobenius residual.
+    """Recover a K-sparse s from y ~ A s, or a K-row-sparse n x r block from
+    a p x r block y (by row norms, one solve with r right-hand sides, and
+    the Frobenius residual), as its support, values there and synthesis.
 
     A is read through ``adjoint``, ``gram`` and ``columns``, once each per
     iteration: the adjoint of the residual is the proxy (the first one,
@@ -236,7 +238,8 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
     coeffs = np.zeros((n,) + y.shape[1:], dtype=complex)
     coeffs[best_support] = best_coef
     return RecoveredMode(
-        coeffs=coeffs,
+        support=best_support,
+        values=best_coef,
         spatial=model.synthesize(coeffs),
         residual=float(best_res),
         iters=iters,
@@ -255,16 +258,15 @@ def recover_modes(Y, op: SensingOperator, cfg):
     diagnostic per column: its RecoveredMode, or the ZeroInput or
     NoProgress exception it raised.
 
-    The fields and the coefficients are two complex column-major n x k
-    blocks made before the first solve, and a RecoveredMode's coeffs and
-    spatial are views of its column (complex, a real field too).  So no
-    n-vector outlives the column that made it, every column's CoSaMP
+    The fields are one complex column-major n x k block made before the
+    first solve, and a RecoveredMode's spatial is a view of its column
+    (complex, a real field too), beside the at most K atoms it kept.  So
+    no n-vector outlives the column that made it, every column's CoSaMP
     reuses the memory the previous one freed, and io.write_matrix writes
-    the fields without a copy: in a long-running process the heap returns
-    to the same size after every call.
+    the fields without a copy: in a long-running process the heap
+    returns to the same size after every call.
     """
     fields = np.zeros((op.C.n, Y.shape[1]), dtype=complex, order="F")
-    coeffs = np.zeros_like(fields)
     diagnostics = []
     for j, y in enumerate(Y.T):
         twin = None
@@ -274,16 +276,16 @@ def recover_modes(Y, op: SensingOperator, cfg):
             diag = diagnostics[twin]
             if isinstance(diag, RecoveredMode):
                 # C is real, so the conjugate field fits conj(y) as well: its
-                # coefficient at k is conj s(-k), its residual and iterations the same
-                mirror = op.psi.conjugate(np.arange(op.psi.n))
-                diag = replace(diag, coeffs=diag.coeffs[mirror].conj(), spatial=diag.spatial.conj())
+                # coefficient at -k is conj s(k), its residual and iterations the same
+                diag = replace(diag, support=op.psi.conjugate(diag.support),
+                               values=diag.values.conj(), spatial=diag.spatial.conj())
         else:
             try:
                 diag = cosamp(op, y, cfg)
             except (ZeroInput, NoProgress) as exc:
                 diag = exc
         if isinstance(diag, RecoveredMode):
-            coeffs[:, j], fields[:, j] = diag.coeffs, diag.spatial
-            diag = replace(diag, coeffs=coeffs[:, j], spatial=fields[:, j])
+            fields[:, j] = diag.spatial
+            diag = replace(diag, spatial=fields[:, j])
         diagnostics.append(diag)
     return fields, diagnostics

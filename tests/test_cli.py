@@ -16,7 +16,6 @@ import pytest
 
 from csdmd import io, pipelines
 from csdmd.cli import (
-    GEN_CHUNK_COLS,
     HANDLERS,
     MEASUREMENT_BLOCK,
     _parser,
@@ -45,6 +44,7 @@ from csdmd.pipelines import (
 from csdmd.recovery import RecoveryConfig
 from csdmd.sensing import SensingOperator, SparseBasis, apply_basis, make_measurement
 from csdmd.systems import (
+    GEN_CHUNK_COLS,
     DoubleGyreParams,
     add_fourier_noise,
     generate_fourier_lti,
@@ -920,7 +920,7 @@ def test_csdmd_refuses_a_sparsity_below_one_before_reading_the_pair(workspace, t
          "--sparsity", sparsity, "--out", str(tmp_path / "o")]
     ) == 2
     assert capsys.readouterr().err == (
-        "configuration error in csdmd: sparsity_K must be >= 1\n"
+        f"configuration error in csdmd: sparsity_K must be an integer >= 1, got {sparsity}\n"
     )
     assert reads == [] and not (tmp_path / "o").exists()
 

@@ -229,11 +229,14 @@ def test_sparse_pathway_without_planted_truth_needs_a_sparsity(path):
 @pytest.mark.parametrize("path, system, K", [
     ("3C", "waves", None), ("2A", "gyre", None), ("2B", "pair", None),
     ("2A", "waves", 0), ("2B", "waves", 0), ("2A", "waves", -2), ("2B", "waves", -2),
+    ("2B", "waves", 2.5),
 ], ids=["unknown-path", "2A-gyre-without-sparsity", "2B-pair-without-sparsity",
-        "2A-sparsity-0", "2B-sparsity-0", "2A-sparsity--2", "2B-sparsity--2"])
+        "2A-sparsity-0", "2B-sparsity-0", "2A-sparsity--2", "2B-sparsity--2",
+        "2B-sparsity-2.5"])
 def test_run_path_refuses_a_bad_config_before_any_work(monkeypatch, path, system, K):
     # neither the data nor the reference fit is made for a config that
-    # cannot run: the refusal needs only the config, a sparsity below 1 too
+    # cannot run: the refusal needs only the config, a sparsity below 1 or
+    # not an integer too
     system = {
         "waves": make_fourier_lti(nx=16, ny=16, K=2, m=20, seed=0),
         "gyre": DoubleGyreParams(grid=(16, 8)),

@@ -5,13 +5,14 @@ coefficient vector, push it through the measurement operator, and demand
 the solver return exactly that support and those values.
 """
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from csdmd import recovery, sensing
-from csdmd.errors import NoProgress, ZeroInput
+from csdmd.errors import DimensionError, NoProgress, ZeroInput
 from csdmd.recovery import (
     RecoveredMode,
     RecoveryConfig,
@@ -50,6 +51,14 @@ class DenseOperator:
         return coeffs
 
 
+def dense(mode, n):
+    """A RecoveredMode's coefficients as the n-vector (n x r block) they
+    came from: its values on its support, zero elsewhere."""
+    coeffs = np.zeros((n,) + mode.values.shape[1:], dtype=complex)
+    coeffs[mode.support] = mode.values
+    return coeffs
+
+
 def planted_instance(n, p, K, seed, kind="gaussian"):
     rng = np.random.default_rng(seed)
     side = int(round(np.sqrt(n)))
@@ -68,8 +77,8 @@ def test_identity_single_spike():
     y[2] = 3.0
     mode = cosamp(op, y, RecoveryConfig(sparsity_K=1))
     # the tiny ridge term in the inner solve leaves ~1e-12 behind
-    np.testing.assert_allclose(mode.coeffs[2], 3.0, atol=1e-9)
-    assert np.count_nonzero(mode.coeffs) == 1
+    np.testing.assert_allclose(dense(mode, 8)[2], 3.0, atol=1e-9)
+    assert np.count_nonzero(dense(mode, 8)) == 1
     assert mode.iters == 1
     assert mode.residual <= 1e-10
 
@@ -77,7 +86,7 @@ def test_identity_single_spike():
 def test_planted_two_sparse():
     op, y, truth = planted_instance(256, 32, 2, seed=9)
     mode = cosamp(op, y, RecoveryConfig(sparsity_K=2))
-    np.testing.assert_allclose(mode.coeffs, truth, atol=1e-8)
+    np.testing.assert_allclose(dense(mode, 256), truth, atol=1e-8)
     assert mode.residual <= 1e-8
 
 
@@ -85,7 +94,7 @@ def test_support_never_exceeds_K():
     op, y, _ = planted_instance(256, 40, 5, seed=3)
     for K in (1, 3, 5, 7):
         mode = cosamp(op, y, RecoveryConfig(sparsity_K=K))
-        assert np.count_nonzero(mode.coeffs) <= K
+        assert np.count_nonzero(dense(mode, 256)) <= K
 
 
 def test_recovery_rate_grid():
@@ -156,7 +165,7 @@ def test_cosamp_reads_only_adjoint_and_support_columns():
     truth[[5, 60, 99]] = [1.5, -2.0 + 1j, 0.7j]
     op = CountingOperator(A)
     mode = cosamp(op, A @ truth, RecoveryConfig(sparsity_K=3))
-    np.testing.assert_allclose(mode.coeffs, truth, atol=1e-8)
+    np.testing.assert_allclose(dense(mode, 128), truth, atol=1e-8)
     assert mode.iters > 1
     assert op.calls == {"adjoint": mode.iters, "gram": mode.iters}
     assert op.atoms == [3] * mode.iters
@@ -173,7 +182,7 @@ def test_an_operator_without_gram_is_read_through_its_columns():
                            synthesize=op.synthesize)
     cfg = RecoveryConfig(sparsity_K=3)
     mode, reference = cosamp(bare, A @ truth, cfg), cosamp(op, A @ truth, cfg)
-    np.testing.assert_array_equal(mode.coeffs, reference.coeffs)
+    np.testing.assert_array_equal(dense(mode, 128), dense(reference, 128))
     assert (mode.residual, mode.iters) == (reference.residual, reference.iters)
 
 
@@ -227,7 +236,7 @@ def test_pixel_recovery_asks_basis_atoms_for_the_kept_atoms_only(monkeypatch):
 
     monkeypatch.setattr(sensing, "basis_atoms", spied)
     mode = cosamp(op, y, RecoveryConfig(sparsity_K=4))
-    np.testing.assert_allclose(mode.coeffs, truth, atol=1e-8)
+    np.testing.assert_allclose(dense(mode, 256), truth, atol=1e-8)
     assert asked == [4] * mode.iters
 
 
@@ -236,7 +245,7 @@ def test_candidates_cover_a_basis_smaller_than_2k():
     with pytest.warns(RuntimeWarning):
         mode = cosamp(op, np.array([0, 0, 3.0, 0, 0]), RecoveryConfig(sparsity_K=3))
     assert op.merged[0] == set(range(5))
-    np.testing.assert_allclose(mode.coeffs, [0, 0, 3.0, 0, 0], atol=1e-10)
+    np.testing.assert_allclose(dense(mode, 5), [0, 0, 3.0, 0, 0], atol=1e-10)
 
 
 def test_zero_input_rejected():
@@ -297,12 +306,53 @@ def test_recover_modes_matches_columnwise_calls():
     assert modes.shape == (256, 3) and modes.flags.f_contiguous
     for j in range(3):
         single = cosamp(op, Y[:, j], cfg)
-        np.testing.assert_array_equal(diags[j].coeffs, single.coeffs)
-        np.testing.assert_allclose(diags[j].coeffs, truths[j], atol=1e-8)
+        np.testing.assert_array_equal(dense(diags[j], 256), dense(single, 256))
+        np.testing.assert_allclose(dense(diags[j], 256), truths[j], atol=1e-8)
         np.testing.assert_array_equal(modes[:, j], diags[j].spatial)
-        # each recovery lives only in its column of the two blocks
+        # each field lives only in its column of the block, and each
+        # diagnostic holds no more than the K atoms kept
         assert np.shares_memory(diags[j].spatial, modes[:, j])
-        assert diags[j].coeffs.base is diags[0].coeffs.base
+        assert len(diags[j].support) == len(diags[j].values) <= cfg.sparsity_K
+
+
+def test_recover_modes_holds_one_block_and_mirrors_each_twin():
+    # six complex 5-sparse columns, each followed by its conjugate, on a
+    # 128 x 64 pixel operator: the traced peak is the fields block and one
+    # column's CoSaMP, whose adjoint and synthesis each hold ~2 n-vectors
+    # (5.2 n-vectors measured); a second n x k block would hold 12 more
+    psi = SparseBasis((128, 64))
+    C = make_measurement("pixel", 600, psi.n, seed=3)
+    op = SensingOperator(C, psi)
+    rng = np.random.default_rng(3)
+    cols = []
+    for _ in range(6):
+        truth = np.zeros(psi.n, dtype=complex)
+        support = rng.choice(psi.n, 5, replace=False)
+        truth[support] = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        y = apply_measurement(C, apply_basis(psi, truth, "forward"))
+        cols += [y, y.conj()]
+    tracemalloc.start()
+    try:
+        fields, diags = recover_modes(np.column_stack(cols), op, RecoveryConfig(sparsity_K=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    vector = psi.n * np.dtype(complex).itemsize
+    assert fields.shape == (psi.n, 12)
+    assert peak <= fields.nbytes + 8 * vector < 2 * fields.nbytes
+    for partner, twin in zip(diags[::2], diags[1::2]):
+        assert partner.residual <= 1e-8 and len(partner.support) == 5
+        np.testing.assert_array_equal(twin.support, psi.conjugate(partner.support))
+        np.testing.assert_array_equal(twin.values, partner.values.conj())
+        np.testing.assert_array_equal(twin.spatial, partner.spatial.conj())
+
+
+@pytest.mark.parametrize("K", [True, 2.5, "3", 0])
+def test_recovery_config_refuses_a_sparsity_that_is_not_a_positive_integer(K):
+    # True recovered with K = 1, 2.5 failed inside argpartition and "3" with
+    # a bare TypeError
+    with pytest.raises(DimensionError, match="sparsity_K"):
+        RecoveryConfig(sparsity_K=K)
 
 
 def test_recover_modes_records_failures_without_aborting():
@@ -314,8 +364,8 @@ def test_recover_modes_records_failures_without_aborting():
     modes, diags = recover_modes(Y, op, cfg)
     assert isinstance(diags[1], NoProgress)
     assert isinstance(diags[0], RecoveredMode) and isinstance(diags[2], RecoveredMode)
-    np.testing.assert_allclose(diags[0].coeffs, truth, atol=1e-8)
-    np.testing.assert_allclose(diags[2].coeffs, truth, atol=1e-8)
+    np.testing.assert_allclose(dense(diags[0], 256), truth, atol=1e-8)
+    np.testing.assert_allclose(dense(diags[2], 256), truth, atol=1e-8)
     assert np.all(modes[:, 1] == 0)
     assert np.any(modes[:, 0] != 0)
 
@@ -350,7 +400,7 @@ def test_conjugate_twins_are_solved_once(monkeypatch):
     partner, twin = diags[0], diags[1]
     np.testing.assert_array_equal(twin.spatial, partner.spatial.conj())
     np.testing.assert_array_equal(modes[:, 1], modes[:, 0].conj())
-    np.testing.assert_allclose(apply_basis(psi, twin.coeffs, "forward"), twin.spatial,
+    np.testing.assert_allclose(apply_basis(psi, dense(twin, 256), "forward"), twin.spatial,
                                rtol=0, atol=1e-14)
     assert (twin.residual, twin.iters) == (partner.residual, partner.iters)
     assert isinstance(diags[2], RecoveredMode)
@@ -375,10 +425,10 @@ def test_vector_recovery_is_pinned():
     # and iteration count as they were
     op, y, _ = planted_instance(256, 40, 5, seed=3)
     mode = cosamp(op, y, RecoveryConfig(sparsity_K=4))
-    support = np.flatnonzero(mode.coeffs)
+    support = np.flatnonzero(dense(mode, 256))
     assert support.tolist() == [21, 46, 60, 204] and mode.iters == 6
     np.testing.assert_allclose(
-        mode.coeffs[support],
+        dense(mode, 256)[support],
         [-0.2319323776429327 - 0.281287418151559j,
          3.322999516642001 - 1.0551505512044574j,
          -0.8652130762727606 - 0.668046346107954j,
@@ -399,9 +449,9 @@ def test_row_sparse_block_on_a_shared_support_is_recovered_exactly():
     truth[support] = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     Y = apply_measurement(C, apply_basis(psi, truth, "forward"))
     mode = cosamp(SensingOperator(C, psi), Y, RecoveryConfig(sparsity_K=3))
-    assert mode.coeffs.shape == mode.spatial.shape == (256, 4)
-    np.testing.assert_array_equal(np.flatnonzero(mode.coeffs.any(axis=1)), support)
-    np.testing.assert_allclose(mode.coeffs, truth, atol=1e-8)
+    assert dense(mode, 256).shape == mode.spatial.shape == (256, 4)
+    np.testing.assert_array_equal(np.flatnonzero(dense(mode, 256).any(axis=1)), support)
+    np.testing.assert_allclose(dense(mode, 256), truth, atol=1e-8)
     np.testing.assert_allclose(mode.spatial, apply_basis(psi, truth, "forward"), atol=1e-8)
     assert mode.residual <= 1e-8
 
@@ -440,9 +490,9 @@ def closed_support(op, coeffs):
 def test_real_target_recovers_conjugate_pairs_and_a_real_field(kind, p, r):
     op, y, truth, field = real_instance(kind, p, r, seed=4)
     mode = cosamp(op, y, RecoveryConfig(sparsity_K=7))
-    support = closed_support(op, mode.coeffs)
+    support = closed_support(op, dense(mode, op.psi.n))
     assert len(support) == 7 and mode.residual <= 1e-8
-    np.testing.assert_allclose(mode.coeffs, truth, atol=1e-8)
+    np.testing.assert_allclose(dense(mode, op.psi.n), truth, atol=1e-8)
     assert not np.any(mode.spatial.imag)
     np.testing.assert_allclose(mode.spatial, field, atol=1e-8)
 
@@ -454,7 +504,7 @@ def test_real_target_keeps_whole_pairs_within_every_budget():
     op, y, _, _ = real_instance("gaussian", 60, seed=6, mean=10.0, wave=0.1)
     for K in range(1, 8):
         mode = cosamp(op, y, RecoveryConfig(sparsity_K=K))
-        support = closed_support(op, mode.coeffs)
+        support = closed_support(op, dense(mode, op.psi.n))
         assert len(support) <= K
         if K == 1:
             assert support.tolist() == [0]
@@ -471,7 +521,7 @@ def test_snapshots_of_a_32_by_32_bernoulli_system_keep_both_members_of_every_pai
     residuals = []
     for y in apply_measurement(C, data.S).T:
         mode = cosamp(op, y, RecoveryConfig(sparsity_K=6))
-        assert len(closed_support(op, mode.coeffs)) == 6
+        assert len(closed_support(op, dense(mode, op.psi.n))) == 6
         residuals.append(mode.residual)
     assert residuals[17] <= 1e-8
     assert sum(res <= 1e-8 for res in residuals) == 18
