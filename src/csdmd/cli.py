@@ -32,7 +32,6 @@ from .linalg import DEFAULT_TRUNCATION_TOL
 from .pipelines import INVARIANCE_TOL_FLOOR, run_2a, run_2b, verify_invariance_suite
 from .recovery import RecoveryConfig
 from .sensing import (
-    KINDS,
     MeasurementMatrix,
     SensingOperator,
     SparseBasis,
@@ -179,6 +178,15 @@ def _cmd_cdmd(args):
     C = make_measurement(args.measure, args.p, pair.n, args.seed)
     measured = measure_pair(C, pair)
     result = lifted_dmd(measured, pair, args.tol)
+    # the previous run's measure.json and block go before the first write,
+    # so a rerun cut short leaves no measure.json of another C.  A rename
+    # over the old block makes ext4 (auto_da_alloc) start writing the new
+    # block to disk before the rename returns: 9-12 ms for a 14.7 MB block
+    # on a 2-core x86_64 VM, and as long as the disk takes; with nothing to
+    # replace it takes 0.7 ms.  A pixel run leaves no stale block behind
+    for name in ("measure.json", f"{MEASUREMENT_BLOCK}.bin", f"{MEASUREMENT_BLOCK}.json"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(args.out, name))
     # persist the measured pair and the measurement description for the
     # sampling-only pipeline, before _write_fit can refuse --images
     io_mod.write_matrix(args.out, "measurements", measured.S, grid=measured.grid, dt=measured.dt)
@@ -191,14 +199,6 @@ def _cmd_cdmd(args):
         "grid": list(pair.grid) if pair.grid else None,
         "dt": pair.dt,
     }
-    # a rename over the previous run's block makes ext4 (auto_da_alloc)
-    # start writing the new block to disk before the rename returns: 9-12
-    # ms for a 14.7 MB block on a 2-core x86_64 VM, and as long as the disk
-    # takes.  With the old block removed first the rename replaces nothing
-    # (0.7 ms); a pixel run leaves no stale block behind
-    for suffix in (".bin", ".json"):
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(args.out, f"{MEASUREMENT_BLOCK}{suffix}"))
     if C.kind == "pixel":
         measure_meta["indices"] = C.indices.tolist()
     else:
@@ -214,7 +214,7 @@ def _cmd_cdmd(args):
     return _write_fit(args, result, pair.grid, path="1B", measure=args.measure, p=args.p)
 
 
-def _stored_payload(path, meta, kind, p, n):
+def _stored_payload(path, meta, p, n):
     """The p x n payload of the dense measurement stored as the block that
     meta names, in the directory of path, or None if there is no block (a
     file of an older run, or a measure.json copied elsewhere).  The block's
@@ -222,8 +222,6 @@ def _stored_payload(path, meta, kind, p, n):
     name = meta.get("payload_block")
     if name is None:
         return None
-    if kind not in KINDS:
-        raise DimensionError(f"unknown measurement kind {kind!r}")
     if not isinstance(name, str):
         raise DimensionError(f"payload_block in {path} is no matrix name: {name!r}")
     try:
@@ -248,7 +246,7 @@ def _load_measurement(path):
     if kind == "pixel" and "indices" in meta:
         C = MeasurementMatrix(kind, p, n, seed, indices=np.asarray(meta["indices"]))
     else:
-        payload = _stored_payload(path, meta, kind, p, n)
+        payload = _stored_payload(path, meta, p, n)
         if payload is not None:
             C = MeasurementMatrix(kind, p, n, seed, payload=payload)
             source = f"stored in {meta['payload_block']}.bin"

@@ -296,7 +296,7 @@ def verify_invariance_suite(
       right_permutation   shuffle snapshot columns; spectrum and modes fixed
       right_unitary       any unitary mixing of columns; spectrum and modes fixed
       left_dft            unitary DFT of each snapshot; spectrum fixed, modes map
-      left_pod            project onto the data's own orthonormal basis; same
+      left_pod            project onto the reference fit's POD basis; same
       projection_commutes measuring then fitting equals fitting then measuring,
                           as an explicit operator identity on a small projected
                           copy of the data
@@ -313,7 +313,7 @@ def verify_invariance_suite(
     truncation_tol = max(truncation_tol, INVARIANCE_TOL_FLOOR)
     # the transforms take the block whole: a block on disk is refused here,
     # before any fit
-    S, n, m, lag = data.block, data.n, data.m, data.lag
+    S, m, lag = data.block, data.m, data.lag
     rng = np.random.default_rng(seed)
     ref = exact_dmd(data, truncation_tol)
     checks = []
@@ -333,17 +333,15 @@ def verify_invariance_suite(
 
     perm = rng.permutation(m)
     P, _ = np.linalg.qr(rng.standard_normal((m, m)))
-
+    # [X P, X' P] as one product S B: B maps the columns of X and of X'
+    B = np.zeros((m + lag, 2 * m), P.dtype)
+    B[:m, :m] = B[lag:, m:] = P
+    # the data's own orthonormal (POD) basis, from the reference fit's
+    # method of snapshots: X V sigma^-1, orthonormalised
+    U = np.linalg.qr(thin_product(data.X, ref.svd_used.V / ref.svd_used.sigma))[0]
     to_pod = lambda M: U.conj().T @ M
+    pod = data.map_snapshots(to_pod)
     at_lag_m = lambda T: SnapshotPair.from_block(T, m, data.dt, data.grid)
-
-    def unitary():
-        # X P and X' P written straight into one lag-m block, not built
-        # apart and then stacked
-        T = np.empty((n, 2 * m), np.result_type(S, P))
-        np.matmul(data.X, P, out=T[:, :m])
-        np.matmul(data.Xp, P, out=T[:, m:])
-        return at_lag_m(T)
 
     def fwd(M):
         # the unitary DFT of each column, 16 columns per call: np.fft.fft
@@ -357,14 +355,10 @@ def verify_invariance_suite(
     # its fit, so one transformed copy of the data is resident at a time
     for name, build, mode_map in (
         ("right_permutation", lambda: at_lag_m(S[:, np.r_[perm, lag + perm]]), None),
-        ("right_unitary", unitary, None),
+        ("right_unitary", lambda: at_lag_m(thin_product(S, B)), None),
         ("left_dft", lambda: data.map_snapshots(fwd), fwd),
-        ("left_pod", lambda: data.map_snapshots(to_pod), to_pod),
+        ("left_pod", lambda: pod, to_pod),
     ):
-        if name == "left_pod":
-            # the data's own orthonormal (POD) basis, from LAPACK so the checks do not
-            # lean on the Gram route they check; a copy frees LAPACK's whole n x m U
-            U = np.linalg.svd(data.X, full_matrices=False)[0][:, : ref.rank].copy()
         other = exact_dmd(build(), truncation_tol)
         pairs, un_ref, un_other = pair_eigenvalues(ref.lambdas, other.lambdas, ref.amplitudes)
         ref_modes = ref.Phi if mode_map is None else mode_map(ref.Phi)
@@ -375,9 +369,10 @@ def verify_invariance_suite(
         )
         record(name, eig_dev, mode_dev, matched=not un_ref and not un_other)
 
-    # operator identity C A_full = A_measured C on a small projected copy
+    # operator identity C A_full = A_measured C on a small projected copy:
+    # the leading d rows of the POD projection
     d = min(32, ref.rank)
-    small = data.map_snapshots(lambda S: U[:, :d].conj().T @ S)
+    small = SnapshotPair.from_block(pod.S[:d], lag, data.dt)
     A_full = small.Xp @ np.linalg.pinv(small.X, rcond=truncation_tol)
     worst = 0.0
     for _ in range(3):

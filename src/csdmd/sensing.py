@@ -37,6 +37,8 @@ class MeasurementMatrix:
 
     def __post_init__(self):
         p, n = self.p, self.n
+        if self.kind not in KINDS:
+            raise DimensionError(f"unknown measurement kind {self.kind!r}")
         if not 1 <= p <= n:
             raise DimensionError(f"need 1 <= p <= n, got p={p}, n={n}")
         if self.kind == "pixel":
@@ -56,6 +58,7 @@ def make_measurement(kind, p, n, seed=None) -> MeasurementMatrix:
     kind is one of gaussian, bernoulli, pixel, unitary.  The unitary kind
     is a real random co-isometry: its p rows are orthonormal.
     """
+    # before the draw: the Bernoulli branch below takes any other kind
     if kind not in KINDS:
         raise DimensionError(f"unknown measurement kind {kind!r}")
     if not (1 <= p <= n):

@@ -823,6 +823,40 @@ def test_cdmd_rerun_replaces_or_drops_the_stored_matrix(workspace, tmp_path, mon
     assert not any(comp.glob(f"{MEASUREMENT_BLOCK}.*"))
 
 
+def test_cdmd_rerun_cut_short_leaves_no_measure_file_of_the_old_matrix(
+    workspace, tmp_path, monkeypatch, capsys
+):
+    # a rerun with another seed stops while it writes its block: the new
+    # measurements must not sit beside the old run's measure.json, from
+    # whose seed csdmd would draw the old C, pass its checksum and fit
+    comp = tmp_path / "comp"
+
+    def cdmd(seed):
+        return main(["cdmd", "--snapshots", str(workspace / "data"), "--measure", "gaussian",
+                     "-p", "12", "--seed", str(seed), "--tol", "1e-6", "--out", str(comp)])
+
+    assert cdmd(2) == 0
+    write_matrix = io.write_matrix
+
+    class Killed(Exception):
+        pass
+
+    def cut(directory, name, M, **kw):
+        if name == MEASUREMENT_BLOCK:
+            raise Killed
+        write_matrix(directory, name, M, **kw)
+
+    monkeypatch.setattr(io, "write_matrix", cut)
+    with pytest.raises(Killed):
+        cdmd(3)
+    monkeypatch.undo()
+    assert not (comp / "measure.json").exists()
+    capsys.readouterr()
+    assert main(_csdmd_argv(comp, tmp_path / "o", "2B")) == 2
+    assert "configuration error in csdmd" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
 def test_csdmd_rejects_a_measurement_that_rebuilds_differently(workspace, tmp_path,
                                                               monkeypatch, capsys, kind):

@@ -563,11 +563,12 @@ def test_invariance_suite_passes_on_a_128_by_64_double_gyre():
 def test_invariance_suite_holds_one_transformed_copy_at_a_time():
     # each transformed pair is built when its check runs and released after
     # its fit, and each is written once into its own block: the permuted
-    # pair by one gather, the unitary one by two products into one block,
-    # and the DFT'd series 16 columns per np.fft.fft call.  The traced peak
-    # reads ~2.6 times the series bytes; one np.fft.fft call over the whole
-    # series (a complex copy of it beside its complex result) read 4.2, and
-    # holding every copy to the end 8.2
+    # pair by one gather, the unitary one by one product S B, and the DFT'd
+    # series 16 columns per np.fft.fft call.  The traced peak reads ~2.7
+    # times the series bytes (~2.6 with X P and X' P written apart, when
+    # neither B nor the POD basis lived through the loop); one np.fft.fft
+    # call over the whole series (a complex copy of it beside its complex
+    # result) read 4.2, and holding every copy to the end 8.2
     data = generate_gyre_snapshots(DoubleGyreParams(grid=(128, 64)))
     tracemalloc.start()
     try:
@@ -579,10 +580,11 @@ def test_invariance_suite_holds_one_transformed_copy_at_a_time():
     assert peak / data.S.nbytes <= 3
 
 
-def test_invariance_suite_frees_the_full_svd_before_the_pod_check(monkeypatch):
-    # the POD basis is a copy of the r columns it uses: a view of LAPACK's
-    # n x m U kept all of it resident, 1.27 times the series at the
-    # left_pod fit against 0.30 times for the copy
+def test_invariance_suite_holds_no_n_row_copy_at_the_pod_fit(monkeypatch):
+    # at the left_pod fit only the n x r POD basis and the r x (m+1)
+    # projected pair are resident beside the reference fit, 0.34 times the
+    # series; LAPACK's SVD of X, which this check once took its basis from,
+    # kept an n x m U resident through a view: 1.27 times the series
     data = generate_gyre_snapshots(DoubleGyreParams(grid=(128, 64)))
     resident = []
     fit = pipelines.exact_dmd
@@ -600,3 +602,32 @@ def test_invariance_suite_frees_the_full_svd_before_the_pod_check(monkeypatch):
         tracemalloc.stop()
     assert [c["passed"] for c in checks] == [True] * 5
     assert len(resident) == 1 and resident[0] / data.S.nbytes <= 0.5
+
+
+def test_pod_basis_of_the_reference_fit_spans_lapacks(monkeypatch):
+    # left_pod projects onto X V sigma^-1 of the reference fit,
+    # orthonormalised: on the 128 x 64 gyre it spans the rank-r left
+    # singular basis of LAPACK's SVD, and the pair left_pod fits is its
+    # projection of the series
+    data = generate_gyre_snapshots(DoubleGyreParams(grid=(128, 64)))
+    ref = exact_dmd(data, pipelines.INVARIANCE_TOL_FLOOR)
+    V, sigma = ref.svd_used.V, ref.svd_used.sigma
+    U = np.linalg.qr(data.X @ (V / sigma))[0]
+    reference = np.linalg.svd(data.X, full_matrices=False)[0][:, : ref.rank]
+    assert U.shape == reference.shape
+    assert np.linalg.norm(U.T @ U - np.eye(ref.rank), 2) <= 1e-14
+    # the sine of the largest principal angle between the two spans
+    assert np.linalg.norm(U - reference @ (reference.T @ U), 2) <= 1e-10
+
+    fits = []
+    fit = pipelines.exact_dmd
+
+    def spied(pair, tol):
+        fits.append(pair)
+        return fit(pair, tol)
+
+    monkeypatch.setattr(pipelines, "exact_dmd", spied)
+    checks = verify_invariance_suite(data)
+    assert [c["passed"] for c in checks] == [True] * 5
+    (pod,) = [pair for pair in fits if pair.n != data.n]
+    np.testing.assert_allclose(pod.S, U.T @ data.S, rtol=0, atol=1e-10 * np.abs(pod.S).max())

@@ -251,6 +251,8 @@ PIXEL_DAMAGES = [
     + [
         (dict(kind="gaussian", payload=np.ones((4, 8)) * 1j), "real 4 x 8"),
         (dict(kind="unitary", payload=np.ones((8, 4))), "real 4 x 8"),
+        (dict(kind="gausian", payload=np.ones((4, 8))), "unknown measurement kind 'gausian'"),
+        (dict(kind="Pixel", indices=np.array([0, 2, 5, 7])), "unknown measurement kind"),
     ],
 )
 def test_construction_rejects_a_malformed_matrix(fields, message):
