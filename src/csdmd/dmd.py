@@ -10,10 +10,11 @@ where the measured pair is the full pair.  The core reads a pair's block
 only in fixed-height row panels, in memory or on disk (io.PanelReader), in
 two sweeps: the first sums the Gram matrix on the measured block's short
 side (m x m for a tall block; a wide one, p x p, is small and read whole)
-or measures the full pair; the second, after the r x r eigensolve, lifts
-the modes X' V sigma^-1 W, updates the R factor of [Phi, x_0] for the
-amplitudes and, for a measured pair, sums the rank check's two energies,
-so the check follows the eigensolve (exact DMD after Tu et al., 2014).
+or measures the full pair, where a pixel measurement gathers its rows
+instead; the second, after the r x r eigensolve, lifts the modes
+X' V sigma^-1 W, updates the R factor of [Phi, x_0] for the amplitudes
+and, for a measured pair, sums the rank check's two energies, so the
+check follows the eigensolve (exact DMD after Tu et al., 2014).
 """
 
 from dataclasses import dataclass, replace
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import DimensionError, RankCollapse
 from .io import PANEL_ROWS, PanelReader
 from .linalg import DEFAULT_TRUNCATION_TOL, EconSvd, eig_dense, gram_svd, thin_product
-from .sensing import MeasurementMatrix, check_grid, measure_panels
+from .sensing import MeasurementMatrix, check_grid, check_rows, measure_panels
 
 ZERO_EIG_REL = 1e-12
 # a complex panel is conjugated this many columns at a time, so the Gram's
@@ -140,9 +141,15 @@ class DmdResult:
 def measure_pair(C: MeasurementMatrix, pair: SnapshotPair) -> SnapshotPair:
     """The measured pair Y = C X, Y' = C X', as C S at the pair's lag, so a
     time series is measured once per distinct snapshot and stays a series.
-    S is measured in its row panels.  Rows are measurements, so the result
-    carries no grid."""
-    Y = measure_panels(C, pair.n, pair.panels())
+    A dense C sums over S's row panels; a pixel C gathers its rows, from
+    mapped column blocks (PanelReader.rows) for a block on disk.  Rows are
+    measurements, so the result carries no grid."""
+    if C.kind != "pixel":
+        Y = measure_panels(C, pair.n, pair.panels())
+    else:
+        check_rows(C, pair.n)
+        S = pair.S
+        Y = S.rows(C.indices) if isinstance(S, PanelReader) else np.asfortranarray(S[C.indices])
     return SnapshotPair.from_block(Y, pair.lag, pair.dt)
 
 
@@ -166,23 +173,38 @@ def _lift(full: SnapshotPair, V_sigma, W, dead, V=None):
     """The fit's one pass over the full pair's row panels, after the
     eigensolve: Phi = X' V_sigma W, with X V_sigma W in the dead columns,
     the R factor of [Phi, x_0] and, given V, the rank check's
-    (X V)^H (X V) and |X|_F^2."""
+    (X V)^H (X V) and |X|_F^2.  For a series, given V, X' V_sigma and X V
+    are one product per panel, T = P B, with B[1:, :r] = V_sigma and
+    B[:m, r:] = V; else T = X' V_sigma.  At a larger lag B would hold
+    more zeros, half of it for a pair held apart, so X V is its own
+    product there."""
+    r, m, lag = V_sigma.shape[1], full.m, full.lag
+    joint = V is not None and lag == 1
+    first, B = lag, V_sigma
+    if joint:
+        first, B = 0, np.zeros((m + 1, 2 * r), V_sigma.dtype)
+        B[1:, :r], B[:m, r:] = V_sigma, V
     Phi = np.empty((full.n, W.shape[1]), complex, order="F")
     R = np.empty((0, W.shape[1] + 1), complex)
     G, energy = 0, 0.0
     for start, P in full.panels():
         rows = slice(start, start + len(P))
-        Phi[rows] = thin_product(thin_product(P[:, full.lag :], V_sigma), W)
-        X = P[:, : full.m]
+        T = thin_product(P[:, first:], B)
+        Phi[rows] = thin_product(T[:, :r], W)
+        X = P[:, :m]
         if dead.any():
             Phi[rows, dead] = thin_product(thin_product(X, V_sigma), W[:, dead])
-        R = np.linalg.qr(np.vstack([R, np.column_stack([Phi[rows], P[:, 0]])]), mode="r")
         if V is not None:
-            XV = thin_product(X, V)
+            XV = T[:, r:] if joint else thin_product(X, V)
             G += XV.conj().T @ XV
+            del XV
             # einsum over real views: norm() would copy a strided X whole
             parts = (X.real, X.imag) if np.iscomplexobj(X) else (X,)
             energy += sum(np.einsum("ij,ij->", part, part) for part in parts)
+        # T goes first: the QR's copies of the panel's rows of [Phi, x_0]
+        # are the sweep's largest arrays
+        del T
+        R = np.linalg.qr(np.vstack([R, np.column_stack([Phi[rows], P[:, 0]])]), mode="r")
     return Phi, R, G, energy
 
 

@@ -4,15 +4,17 @@ images, and the report serializer.
 Matrix payloads are little-endian 64-bit floats in column-major order;
 complex matrices interleave real and imaginary parts per entry.  A view
 sidecar names a run of columns of another matrix file, its block, so X and
-X' of a series share one payload.  PanelReader reads a payload whole or in
+X' of a series share one payload.  PanelReader reads a payload whole, in
 fixed-height row panels (PANEL_ROWS rows of every column, one reused
-buffer), so a fit can sum over a block it never holds; write_blocks writes
+buffer), so a fit can sum over a block it never holds, or as a few of its
+rows, gathered from mapped blocks of whole columns; write_blocks writes
 one from column blocks as they are formed, so a generator never holds it
 either.  Writes go through an atomic rename.
 """
 
 import contextlib
 import json
+import mmap
 import os
 
 import numpy as np
@@ -170,10 +172,11 @@ def locate(directory, name):
 
 class PanelReader:
     """The matrix name written by write_matrix, or a view written by
-    write_view, read on demand: whole (read) or in row panels (panels).
-    The payload is opened once, and its size checked, when the reader is
-    made; every read goes through that one descriptor, so a file renamed
-    over the path later is never read.  It closes with the reader."""
+    write_view, read on demand: whole (read), in row panels (panels) or as
+    a few of its rows (rows).  The payload is opened once, and its size
+    checked, when the reader is made; every read goes through that one
+    descriptor, so a file renamed over the path later is never read.  It
+    closes with the reader."""
 
     def __init__(self, directory, name):
         self.sidecar, block, first, width = locate(directory, name)
@@ -234,6 +237,36 @@ class PanelReader:
                     done += got
                 offset += rows * itemsize
             yield start, panel.T
+
+    def rows(self, indices):
+        """Rows indices of the matrix, column-major, gathered from one
+        read-only map of whole columns at a time, each unmapped before the
+        next.  A column is contiguous in the payload, and a block of
+        max(1, PANEL_ROWS * cols // rows) of them holds about a panel's
+        entries; a block maps only its own pages, where one map of the
+        whole file held all of it resident.  The file's size is checked
+        before each map: one truncated in place during a gather ends the
+        process with SIGBUS."""
+        rows, cols = self.shape
+        width = max(1, PANEL_ROWS * cols // rows)
+        column = rows * self.dtype.itemsize
+        out = np.empty((len(indices), cols), self.dtype, order="F")
+        for first in range(0, cols, width):
+            count = min(width, cols - first)
+            offset = self._offset + first * column
+            # a map starts at a page boundary, the block offset - start into it
+            start = offset - offset % mmap.ALLOCATIONGRANULARITY
+            end = offset + count * column
+            size = os.fstat(self._fd).st_size
+            if size < end:
+                raise self._ended(size)
+            with mmap.mmap(self._fd, end - start, access=mmap.ACCESS_READ, offset=start) as mm:
+                # the views of the map are temporaries, released before it
+                # closes, also when the gather raises
+                out[:, first : first + count] = np.frombuffer(
+                    mm, self.dtype, count * rows, offset - start
+                ).reshape(count, rows).T[indices]
+        return out
 
 
 def read_matrix(directory, name):

@@ -78,26 +78,30 @@ def make_measurement(kind, p, n, seed=None) -> MeasurementMatrix:
     return MeasurementMatrix(kind, p, n, seed, payload=C)
 
 
+def check_rows(C: MeasurementMatrix, rows):
+    """A DimensionError unless C measures a state of rows rows."""
+    if rows != C.n:
+        raise DimensionError(f"operand has {rows} rows, measurement expects {C.n}")
+
+
 def apply_measurement(C: MeasurementMatrix, X):
-    """Compute Y = C X for a matrix or single vector X."""
+    """Compute Y = C X for a matrix or single vector X: a pixel C gathers
+    its rows, column-major as io.PanelReader.rows gathers them, so a fit
+    of Y sums the same Gram from either."""
     X = np.asarray(X)
+    if C.kind == "pixel":
+        check_rows(C, X.shape[0])
+        return np.asfortranarray(X[C.indices])
     return measure_panels(C, X.shape[0], [(0, X)])
 
 
 def measure_panels(C: MeasurementMatrix, rows, panels):
-    """Compute Y = C X for the rows-row X given as (start, P) row panels, P
-    holding rows start ... start+len(P)-1 of X: a pixel C gathers its rows
-    from each panel, a dense C sums C[:, start:start+len(P)] P."""
-    if rows != C.n:
-        raise DimensionError(f"operand has {rows} rows, measurement expects {C.n}")
+    """Compute Y = C X for a dense C and the rows-row X given as
+    (start, P) row panels, P holding rows start ... start+len(P)-1 of X,
+    as the sum of C[:, start:start+len(P)] P."""
+    check_rows(C, rows)
     Y = None
     for start, P in panels:
-        if C.kind == "pixel":
-            if Y is None:
-                Y = np.empty((C.p,) + P.shape[1:], P.dtype, order="F")
-            lo, hi = np.searchsorted(C.indices, (start, start + len(P)))
-            Y[lo:hi] = P[C.indices[lo:hi] - start]
-            continue
         block = C.payload[:, start : start + len(P)]
         if np.iscomplexobj(P):
             # one real GEMM on the interleaved (re, im) pairs, column 2j Re x_j

@@ -23,7 +23,7 @@ from csdmd.cli import (
     build_parser,
     main,
 )
-from csdmd.dmd import SnapshotPair
+from csdmd.dmd import SnapshotPair, compressed_dmd, measure_pair
 from csdmd.errors import (
     ConvergenceError,
     CsdmdError,
@@ -1352,6 +1352,23 @@ def test_full_state_fits_hold_less_than_one_snapshot_block(gyre_128x64, tmp_path
     finally:
         tracemalloc.stop()
     assert peak < block
+
+
+def test_a_pixel_cdmd_writes_the_bytes_of_the_fit_in_memory(gyre_128x64, tmp_path):
+    # cdmd gathers the pixel rows from mapped column blocks of the file;
+    # the fit of the block read whole, gathered in memory, is the same to
+    # the last byte
+    out, ref = str(tmp_path / "cli"), str(tmp_path / "ref")
+    assert main(["cdmd", "--snapshots", str(gyre_128x64), "--measure", "pixel",
+                 "-p", "400", "--seed", "3", "--out", out]) == 0
+    pair = _read_pair(str(gyre_128x64)).load()
+    C = make_measurement("pixel", 400, pair.n, 3)
+    result = compressed_dmd(pair, C)
+    for name, array in (("measurements", measure_pair(C, pair).S), ("modes", result.Phi),
+                        ("lambdas", result.lambdas), ("amplitudes", result.amplitudes)):
+        write_matrix(ref, name, array)
+        with open(f"{out}/{name}.bin", "rb") as got, open(f"{ref}/{name}.bin", "rb") as want:
+            assert got.read() == want.read(), name
 
 
 def test_run_path_and_the_cli_write_identical_eigenvalues(tmp_path, monkeypatch):

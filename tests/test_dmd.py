@@ -121,24 +121,28 @@ def test_map_snapshots_sees_both_matrices_of_an_unshifted_pair():
     np.testing.assert_array_equal(got.Xp, -data.Xp)
 
 
-def test_pixel_measurement_gathers_each_distinct_snapshot_once(monkeypatch):
+def test_pixel_measurement_gathers_each_distinct_snapshot_once(tmp_path, monkeypatch):
     data, _ = generate_fourier_lti(make_fourier_lti(nx=16, ny=16, K=2, m=20, seed=1))
     C = make_measurement("pixel", 40, data.n, seed=2)
-    shapes = []
-    panels = data.panels
+    write_matrix(tmp_path, "S", data.S)
+    on_disk = SnapshotPair.from_block(PanelReader(tmp_path, "S"), data.lag, data.dt)
+    calls = []
+    rows = PanelReader.rows
 
-    def recording():
-        for start, P in panels():
-            shapes.append(P.shape)
-            yield start, P
+    def recording(reader, indices):
+        calls.append(len(indices))
+        return rows(reader, indices)
 
-    # the measurement reads the pair's block in row panels, each row once
-    monkeypatch.setattr(data, "panels", recording)
-    measured = measure_pair(C, data)
-    assert shapes == [(data.n, data.m + 1)]
-    np.testing.assert_array_equal(measured.X, data.X[C.indices])
-    np.testing.assert_array_equal(measured.Xp, data.Xp[C.indices])
-    assert measured.lag == 1
+    # the measurement gathers the pair's block, in memory or on disk, once:
+    # one row per pixel of each of the m+1 snapshots, and no panel is read
+    monkeypatch.setattr(PanelReader, "rows", recording)
+    monkeypatch.setattr(SnapshotPair, "panels", None)
+    for pair in (data, on_disk):
+        measured = measure_pair(C, pair)
+        assert measured.S.shape == (40, data.m + 1) and measured.lag == 1
+        np.testing.assert_array_equal(measured.X, data.X[C.indices])
+        np.testing.assert_array_equal(measured.Xp, data.Xp[C.indices])
+    assert calls == [40]
 
 
 def test_rotation_eigenvalues():

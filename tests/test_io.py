@@ -1,6 +1,7 @@
 """Binary matrix files, PGM mode images, and the report serializer."""
 
 import json
+import mmap
 import os
 import struct
 import tracemalloc
@@ -127,6 +128,59 @@ def test_a_payload_that_ends_early_is_refused_mid_read(tmp_path):
     with pytest.raises(DimensionError, match="ended at byte"):
         for _ in reader.panels():
             pass
+
+
+def _block_with_a_view(directory, dtype):
+    """A (PANEL_ROWS + 37) x 9 block S, written with the view V of its
+    columns 2 ... 6, whose offsets are no multiple of a page: S."""
+    rng = np.random.default_rng(6)
+    S = rng.standard_normal((PANEL_ROWS + 37, 9)).astype(dtype)
+    if dtype is complex:
+        S += 1j * rng.standard_normal(S.shape)
+    write_matrix(directory, "S", S)
+    write_view(directory, "V", "S", 2, 5)
+    assert 2 * len(S) * S.itemsize % mmap.ALLOCATIONGRANULARITY
+    return S
+
+
+@pytest.fixture
+def maps(monkeypatch):
+    """Every map the test makes, to check that each is closed."""
+    made, real = [], mmap.mmap
+
+    def tracked(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(mmap, "mmap", tracked)
+    return made
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_rows_of_a_view_are_gathered_from_column_blocks(tmp_path, maps, dtype):
+    # the 5 columns are a block of 4 (PANEL_ROWS * 5 // rows) and one of 1
+    S = _block_with_a_view(tmp_path, dtype)
+    reader = PanelReader(tmp_path, "V")
+    for idx in ([0], [len(S) - 1], np.arange(len(S))):
+        got = reader.rows(np.asarray(idx))
+        assert got.flags.f_contiguous and got.dtype == S.dtype
+        assert got.tobytes("F") == S[idx, 2:7].tobytes("F")
+    assert len(maps) == 3 * 2 and all(m.closed for m in maps)
+
+
+def test_a_gather_closes_its_maps_when_it_fails(tmp_path, maps):
+    # the size is checked before each map: a file that shrank after the
+    # reader was made ends the gather at the block it no longer holds,
+    # with every map made so far closed, as after an index out of range
+    S = _block_with_a_view(tmp_path, float)
+    reader = PanelReader(tmp_path, "V")
+    with pytest.raises(IndexError):
+        reader.rows(np.array([0, len(S)]))
+    assert len(maps) == 1 and maps[0].closed
+    os.truncate(os.path.join(tmp_path, "S.bin"), 8 * len(S) * 7 - 8)
+    with pytest.raises(DimensionError, match=f"ended at byte {8 * len(S) * 7 - 8}"):
+        reader.rows(np.array([3]))
+    assert len(maps) == 2 and all(m.closed for m in maps)
 
 
 def test_a_reader_reads_the_file_it_checked_and_closes_it(tmp_path):
