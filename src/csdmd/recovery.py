@@ -149,7 +149,12 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
     its columns on the merged support.  Keeps the best iterate seen so far,
     so the reported residual is non-increasing over accepted iterations.
     Halts at ``RESIDUAL_TOL``, on stall (relative residual decrease below
-    1e-4 across 3 iterations), or after ``MAX_ITERS``.
+    1e-4 across 3 iterations), or after ``MAX_ITERS``.  The least-squares
+    step reads only the merged support and the fixed right-hand side, so
+    once a merged support repeats the previous one, that iterate and every
+    later one repeat it bit for bit: from there A is not read again, and
+    the remaining iterations only advance the stall count, so the result
+    and the iteration count are those of the loop run out in full.
 
     Two support models share the one loop.  A target with any nonzero
     imaginary part, or an operator without a sparse basis ``psi``, takes
@@ -204,24 +209,30 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
         return cols.conj().T @ cols
 
     gram = getattr(A_apply, "gram", column_gram)
-    support = best_support = np.array([], dtype=int)
+    support = best_support = merged = np.array([], dtype=int)
     best_coef = np.array([], dtype=complex)
     best_res = np.inf
     history = []
     # the first proxy, and on every support the least-squares right-hand side
     rhs = model.adjoint(y)
+    fixed = False
     iters = 0
     for iters in range(1, MAX_ITERS + 1):
-        proxy = rhs if iters == 1 else model.adjoint(residual)
-        merged = np.union1d(support, model.candidates(proxy))
-        G = gram(merged) + TIKHONOV_FLOOR * np.eye(len(merged))
-        coef = np.linalg.solve(G, model.gather(rhs, merged))
-        keep = model.prune(merged, coef)
-        support = merged[keep]
-        residual = y - model.measure(support, coef[keep])
-        rel = np.linalg.norm(residual) / ynorm
-        if rel < best_res:
-            best_res, best_support, best_coef = rel, support, coef[keep]
+        if not fixed:
+            proxy = rhs if iters == 1 else model.adjoint(residual)
+            previous, merged = merged, np.union1d(support, model.candidates(proxy))
+            # the solve reads only the merged support and rhs: a repeated one
+            # repeats this iterate, and so every later one, bit for bit
+            fixed = np.array_equal(merged, previous)
+        if not fixed:
+            G = gram(merged) + TIKHONOV_FLOOR * np.eye(len(merged))
+            coef = np.linalg.solve(G, model.gather(rhs, merged))
+            keep = model.prune(merged, coef)
+            support = merged[keep]
+            residual = y - model.measure(support, coef[keep])
+            rel = np.linalg.norm(residual) / ynorm
+            if rel < best_res:
+                best_res, best_support, best_coef = rel, support, coef[keep]
         history.append(best_res)
         if best_res <= RESIDUAL_TOL:
             break

@@ -525,3 +525,94 @@ def test_snapshots_of_a_32_by_32_bernoulli_system_keep_both_members_of_every_pai
         residuals.append(mode.residual)
     assert residuals[17] <= 1e-8
     assert sum(res <= 1e-8 for res in residuals) == 18
+
+
+def cosamp_without_halt(op, y, K):
+    """cosamp's loop without the fixed-point halt, for a vector target: every
+    iteration reads the operator, also after the merged support repeats.
+    Returns its RecoveredMode and each iteration's merged support."""
+    y = np.asarray(y, dtype=complex)
+    if hasattr(op, "psi") and not np.any(y.imag):
+        y, model = y.real, recovery._ConjugatePairs(op, K)
+    else:
+        model = recovery._Atoms(op, K, np.abs)
+    support = best_support = np.array([], dtype=int)
+    best_coef, best_res, history, merges = None, np.inf, [], []
+    rhs = model.adjoint(y)
+    for iters in range(1, recovery.MAX_ITERS + 1):
+        proxy = rhs if iters == 1 else model.adjoint(residual)
+        merged = np.union1d(support, model.candidates(proxy))
+        merges.append(merged)
+        G = op.gram(merged) + recovery.TIKHONOV_FLOOR * np.eye(len(merged))
+        coef = np.linalg.solve(G, model.gather(rhs, merged))
+        keep = model.prune(merged, coef)
+        support = merged[keep]
+        residual = y - model.measure(support, coef[keep])
+        rel = np.linalg.norm(residual) / np.linalg.norm(y)
+        if rel < best_res:
+            best_res, best_support, best_coef = rel, support, coef[keep]
+        history.append(best_res)
+        if best_res <= recovery.RESIDUAL_TOL:
+            break
+        if len(history) > recovery.STALL_WINDOW:
+            prev = history[-1 - recovery.STALL_WINDOW]
+            if prev - history[-1] < recovery.STALL_REL_DECREASE * prev:
+                break
+    coeffs = np.zeros(op.psi.n, dtype=complex)
+    coeffs[best_support] = best_coef
+    mode = RecoveredMode(support=best_support, values=best_coef,
+                         spatial=model.synthesize(coeffs), residual=float(best_res), iters=iters)
+    return mode, merges
+
+
+class CountingSensing(SensingOperator):
+    """A SensingOperator that records the name of each operator read cosamp makes."""
+
+    def __init__(self, op):
+        super().__init__(op.C, op.psi)
+        self.reads = []
+
+    def adjoint(self, y):
+        self.reads.append("adjoint")
+        return super().adjoint(y)
+
+    def real_adjoint(self, y):
+        self.reads.append("adjoint")
+        return super().real_adjoint(y)
+
+    def gram(self, idx):
+        self.reads.append("gram")
+        reads = len(self.reads)
+        G = super().gram(idx)
+        del self.reads[reads:]  # a dense C's Gram is the product of its columns
+        return G
+
+    def columns(self, idx):
+        self.reads.append("columns")
+        return super().columns(idx)
+
+
+@pytest.mark.parametrize(
+    "instance, K",
+    [(lambda: planted_instance(256, 40, 5, seed=3)[:2], 4),
+     (lambda: real_instance("pixel", 80, seed=4)[:2], 6)],
+    ids=["gaussian-complex", "pixel-real"],
+)
+def test_cosamp_reads_nothing_after_the_merged_support_repeats(instance, K):
+    # from the first repeated merged support on, every iterate repeats the
+    # previous one bit for bit, so only the stall count advances
+    op, y = instance()
+    reference, merges = cosamp_without_halt(op, y, K)
+    first = next(t for t in range(1, len(merges)) if np.array_equal(merges[t], merges[t - 1]))
+    assert first + 1 < reference.iters
+    counting = CountingSensing(op)
+    mode = cosamp(counting, y, RecoveryConfig(sparsity_K=K))
+    # one adjoint per iteration up to the repeat (the first is the right-hand
+    # side), and a Gram and a residual for each iteration before it
+    assert counting.reads.count("adjoint") == first + 1
+    assert counting.reads.count("gram") == counting.reads.count("columns") == first
+    assert counting.reads[-1] == "adjoint"
+    for field in ("support", "values", "spatial"):
+        got, want = getattr(mode, field), getattr(reference, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert (mode.residual, mode.iters) == (reference.residual, reference.iters)
