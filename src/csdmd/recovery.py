@@ -19,9 +19,12 @@ eigenvalue, 2A's measured range of real data) is a real field: C is real,
 so its DFT coefficients at k and -k are conjugates.  It is recovered by
 conjugate pairs, the block-of-two model of Baraniuk, Cevher, Duarte &
 Hegde (Model-based compressive sensing, 2010), with a real adjoint and a
-real synthesis on the rfft2 half plane kx <= nx//2.
+real synthesis on the rfft2 half plane kx <= nx//2, and a real
+least-squares step: each pair is two real unknowns, the cos and the sin
+of its field, and a self-conjugate atom one.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -67,6 +70,11 @@ def _energy(v):
     return np.einsum("ij,ij->i", parts, parts)
 
 
+def _rows(v, ndim):
+    """A vector of one value per row, shaped to broadcast over an ndim-d block."""
+    return v.reshape((-1,) + (1,) * (ndim - 1))
+
+
 class _Atoms:
     """CoSaMP's support model for a generic target: any K atoms, picked and
     pruned one by one through the operator's full-plane adjoint, ranked by
@@ -76,6 +84,13 @@ class _Atoms:
         self.op, self.K, self.weight = op, K, weight
         self.top = min(2 * K, op.shape[1])
         self.adjoint, self.synthesize = op.adjoint, op.synthesize
+        self.gram = getattr(op, "gram", self.column_gram)
+
+    def column_gram(self, idx):
+        # for an operator that offers adjoint and columns only, such as the
+        # timing proxy in bench/tracing.py
+        cols = self.op.columns(idx)
+        return cols.conj().T @ cols
 
     def candidates(self, proxy):
         # union1d sorts, so the 2K largest need no order among themselves
@@ -85,10 +100,14 @@ class _Atoms:
         return rhs[idx]
 
     def prune(self, merged, coef):
-        return np.argsort(self.weight(coef))[-self.K:]
+        keep = np.argsort(self.weight(coef))[-self.K:]
+        return merged[keep], coef[keep]
 
     def measure(self, support, coef):
         return self.op.columns(support) @ coef
+
+    def result(self, support, coef):
+        return support, coef
 
 
 class _ConjugatePairs(_Atoms):
@@ -96,13 +115,18 @@ class _ConjugatePairs(_Atoms):
     coefficients at k and -k are conjugates, so the pair {k, -k} is picked
     and pruned whole, and the adjoint and synthesis run on the rfft2 half
     plane kx <= nx//2, which holds one member of every pair (both, on the
-    kx = 0 and kx = nx/2 columns).  Entries and rows are ranked by their
-    energy, |s|^2."""
+    kx = 0 and kx = nx/2 columns).  A pair is held by its representative,
+    the smaller of k and -k, and solved for in real unknowns, the
+    coefficients of the real atoms of SensingOperator.real_gram: the cos
+    of every representative, then the sin of every pair.  Pairs are ranked
+    by their energy, |s_k|^2 + |s_-k|^2 = cos^2 + sin^2 (summed along the
+    row of a block)."""
 
     def __init__(self, op, K):
         super().__init__(op, K, _energy)
         self.psi = op.psi
         self.adjoint, self.synthesize = op.real_adjoint, op.real_synthesize
+        self.gram = op.real_gram
 
     def candidates(self, proxy):
         nx, ny = self.psi.grid
@@ -113,27 +137,59 @@ class _ConjugatePairs(_Atoms):
         top = min(self.K, weight.size)
         ky, kx = np.divmod(np.argpartition(weight.ravel(), -top)[-top:], weight.shape[1])
         atoms = ky * nx + kx
-        return np.concatenate([atoms, self.psi.conjugate(atoms)])
+        return np.minimum(atoms, self.psi.conjugate(atoms))
 
-    def gather(self, rhs, idx):
-        half, mirror = self.psi.fold(idx)
+    def pairs(self, reps):
+        return reps != self.psi.conjugate(reps)
+
+    def gather(self, rhs, merged):
+        # the real atoms' right-hand side: sqrt(2) Re b (Re b alone at a
+        # self-conjugate atom), then -sqrt(2) Im b at the pairs, from the
+        # half-plane b = (C Psi)^H y, conjugated where mirrored
+        half, mirror = self.psi.fold(merged)
         b = rhs[half]
-        return np.where(mirror.reshape((-1,) + (1,) * (b.ndim - 1)), b.conj(), b)
+        b = np.where(_rows(mirror, b.ndim), b.conj(), b)
+        pair = self.pairs(merged)
+        scale = _rows(np.where(pair, math.sqrt(2), 1.0), b.ndim)
+        return np.concatenate([scale * b.real, -math.sqrt(2) * b.imag[pair]])
 
     def prune(self, merged, coef):
-        ids, pair, size = np.unique(
-            np.minimum(merged, self.psi.conjugate(merged)), return_inverse=True, return_counts=True
-        )
-        energy = np.bincount(pair, weights=self.weight(coef))
-        kept, room = np.zeros(len(ids), dtype=bool), self.K
-        for j in np.lexsort((ids, -energy / size)):
+        # whole pairs, by root-mean-square magnitude, ties to the smaller
+        # index, while they fit in K atoms
+        pair, R = self.pairs(merged), len(merged)
+        energy = self.weight(coef[:R])
+        energy[pair] += self.weight(coef[R:])
+        size = np.where(pair, 2, 1)
+        kept, room = np.zeros(R, dtype=bool), self.K
+        for j in np.lexsort((merged, -energy / size)):
             if size[j] <= room:
                 kept[j], room = True, room - size[j]
-        return kept[pair]
+        return merged[kept], coef[np.concatenate([kept, kept[pair]])]
 
-    def measure(self, support, coef):
-        # on a conjugate-closed support the imaginary part is rounding alone
-        return super().measure(support, coef).real
+    def twice(self, reps, coef):
+        """2 s_k at a pair's representative k, s_k at a self-conjugate one:
+        the coefficients whose atoms at the representatives measure, by
+        their real part, to the field of the real unknowns coef."""
+        pair, R = self.pairs(reps), len(reps)
+        h = _rows(np.where(pair, math.sqrt(2), 1.0), coef.ndim) * coef[:R] + 0j
+        h.imag[pair] = -math.sqrt(2) * coef[R:]
+        return h
+
+    def measure(self, reps, coef):
+        # C is real, so the atoms of k and -k measure to conjugate columns
+        # and a pair to twice the real part of one: only the
+        # representatives' atoms are read
+        return (self.op.columns(reps) @ self.twice(reps, coef)).real
+
+    def result(self, reps, coef):
+        """The support closed under conjugation, sorted, and its Hermitian
+        coefficients, s_-k = conj s_k bit for bit."""
+        pair = self.pairs(reps)
+        s = self.twice(reps, coef)
+        s[pair] /= 2
+        support = np.concatenate([reps, self.psi.conjugate(reps[pair])])
+        order = np.argsort(support)
+        return support[order], np.concatenate([s, s[pair].conj()])[order]
 
 
 def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
@@ -144,9 +200,11 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
     A is read through ``adjoint``, ``gram`` and ``columns``, once each per
     iteration: the adjoint of the residual is the proxy (the first one,
     A^H y, is also the right-hand side), ``gram`` gives A^H A on the merged
-    support for the least-squares step, and ``columns`` gives the K kept
-    atoms for the residual.  An operator without ``gram`` is read through
-    its columns on the merged support.  Keeps the best iterate seen so far,
+    support for the least-squares step, and ``columns`` gives the kept
+    atoms for the residual: K of them (for pixel C, K closed-form atoms
+    from sensing.basis_atoms), about K/2 on the pair model below.  An
+    operator without ``gram`` is read through its columns on the merged
+    support.  Keeps the best iterate seen so far,
     so the reported residual is non-increasing over accepted iterations.
     Halts at ``RESIDUAL_TOL``, on stall (relative residual decrease below
     1e-4 across 3 iterations), or after ``MAX_ITERS``.  The least-squares
@@ -163,18 +221,25 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
     with ``psi`` (a SensingOperator) is a real field, whose coefficients at
     k and -k = psi.conjugate(k) are conjugates, and takes the pair model
     (the block-of-two model of Baraniuk et al., Model-based compressive
-    sensing, 2010).  Its adjoint is ``real_adjoint``, one real scatter or
-    product and one rfft2 onto the half plane; the candidates are the K
-    largest half-plane proxy entries, each pair counted once, with their
-    conjugates; the right-hand side is the first adjoint folded onto the
-    merged support; the prune keeps whole pairs, ranked by the
-    root-mean-square magnitude of their coefficients (ties to the smaller
-    flat index), while they fit in K atoms, a self-conjugate atom (kx and
-    ky each 0 or half the grid) counting as one.  So an odd K leaves one
+    sensing, 2010).  A pair is held by its representative, the smaller
+    of k and -k.  Its adjoint is ``real_adjoint``, one real scatter or
+    product and one rfft2 onto the half plane; the candidates are the
+    representatives of the K largest half-plane proxy entries, each pair
+    counted once.  The least squares is real: a pair's unknowns are the
+    cos and the sin of its field, a self-conjugate atom's (kx and ky each
+    0 or half the grid) its one real coefficient, their Gram is
+    ``real_gram`` on the merged representatives, and their right-hand
+    side the first adjoint read at the representatives.  The prune keeps
+    whole pairs, ranked by the root-mean-square magnitude of their
+    coefficients (ties to the smaller flat index), while they fit in K
+    atoms, a self-conjugate atom counting as one.  So an odd K leaves one
     slot that only a self-conjugate atom fills, and K = 1 keeps the largest
-    self-conjugate atom alone.  Every kept support is closed under
-    psi.conjugate, the residual is the real part of y - A s, and the field
-    is ``real_synthesize``, one irfft2: a real array.
+    self-conjugate atom alone.  The residual reads ``columns`` of the kept
+    representatives only, one atom per pair: C is real, so a pair measures
+    to twice the real part of one member.  The returned support is closed
+    under psi.conjugate and sorted, its values exactly Hermitian (the
+    value at -k is the conjugate of the value at k, bit for bit), and the
+    field is ``real_synthesize``, one irfft2: a real array.
 
     Raises
     ------
@@ -202,13 +267,6 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
         norms = np.abs if y.ndim == 1 else (lambda v: np.linalg.norm(v, axis=1))
         model = _Atoms(A_apply, K, norms)
 
-    def column_gram(idx):
-        # for an operator that offers adjoint and columns only, such as the
-        # timing proxy in bench/tracing.py
-        cols = A_apply.columns(idx)
-        return cols.conj().T @ cols
-
-    gram = getattr(A_apply, "gram", column_gram)
     support = best_support = merged = np.array([], dtype=int)
     best_coef = np.array([], dtype=complex)
     best_res = np.inf
@@ -225,14 +283,13 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
             # repeats this iterate, and so every later one, bit for bit
             fixed = np.array_equal(merged, previous)
         if not fixed:
-            G = gram(merged) + TIKHONOV_FLOOR * np.eye(len(merged))
-            coef = np.linalg.solve(G, model.gather(rhs, merged))
-            keep = model.prune(merged, coef)
-            support = merged[keep]
-            residual = y - model.measure(support, coef[keep])
+            G = model.gram(merged)
+            coef = np.linalg.solve(G + TIKHONOV_FLOOR * np.eye(len(G)), model.gather(rhs, merged))
+            support, coef = model.prune(merged, coef)
+            residual = y - model.measure(support, coef)
             rel = np.linalg.norm(residual) / ynorm
             if rel < best_res:
-                best_res, best_support, best_coef = rel, support, coef[keep]
+                best_res, best_support, best_coef = rel, support, coef
         history.append(best_res)
         if best_res <= RESIDUAL_TOL:
             break
@@ -246,11 +303,12 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
             f"residual {best_res:.3f} after {iters} iterations; "
             "too few measurements or target not sparse"
         )
+    support, values = model.result(best_support, best_coef)
     coeffs = np.zeros((n,) + y.shape[1:], dtype=complex)
-    coeffs[best_support] = best_coef
+    coeffs[support] = values
     return RecoveredMode(
-        support=best_support,
-        values=best_coef,
+        support=support,
+        values=values,
         spatial=model.synthesize(coeffs),
         residual=float(best_res),
         iters=iters,

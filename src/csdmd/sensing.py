@@ -247,7 +247,9 @@ class SensingOperator:
 
     A real target is read through the same half plane: ``real_adjoint``
     is C^H y, real, by one rfft2, and ``real_synthesize`` the real field
-    of Hermitian coefficients by one irfft2.
+    of Hermitian coefficients by one irfft2.  Its least squares runs in
+    real unknowns, the cos and sin of each conjugate pair, whose Gram is
+    ``real_gram``.
 
     The pixel kind has no table (None): every entry of C Psi has magnitude
     1/sqrt(n), and its columns are closed-form atoms at the sampled rows,
@@ -294,6 +296,48 @@ class SensingOperator:
         nx, ny = self.psi.grid
         ky, kx = np.divmod(np.asarray(idx), nx)
         return self.circulant[(ky - ky[:, None]) % ny, (kx - kx[:, None]) % nx]
+
+    def real_gram(self, reps):
+        """The Gram of the real atoms of representatives reps, each k with
+        k <= -k = psi.conjugate(k): the unknowns of a real target.  A pair
+        {k, -k} holds two real atoms, sqrt(2) Re and sqrt(2) Im of column k
+        of C Psi (the cos and the sin of its field), a self-conjugate k
+        (kx and ky each 0 or half the grid) one, column k itself, which is
+        real; the order is the cos of every representative, then the sin
+        of every pair.  They are orthonormal where C Psi is, and
+        coefficients c on a cos and d on a sin measure as the Hermitian s
+        with s_k = (c - i d) / sqrt(2) at a pair (s_-k = conj s_k) and
+        s_k = c at a self-conjugate k.
+
+        For pixel C the entries are read from H at l - k and l + k: with
+        v = 1 at a pair and 1/sqrt(2) at a self-conjugate k, the products
+        are v_k v_l (Re H[l-k] + Re H[l+k]) of two cos,
+        v_k (Im H[l-k] + Im H[l+k]) of the cos of k and the sin of l, and
+        Re H[l-k] - Re H[l+k] of two sin, from half the entries of the
+        complex Gram on the pairs' 2 |reps| atoms."""
+        reps = np.asarray(reps)
+        pair = reps != self.psi.conjugate(reps)
+        if self.table is not None:
+            cols = self.columns(reps)
+            atoms = np.hstack([np.where(pair, math.sqrt(2), 1.0) * cols.real,
+                               math.sqrt(2) * cols.imag[:, pair]])
+            return atoms.T @ atoms
+        nx = self.psi.grid[0]
+        R, P = len(reps), np.count_nonzero(pair)
+        ky, kx = np.divmod(reps, nx)
+        ry, rx = np.divmod(np.concatenate([reps, self.psi.conjugate(reps)]), nx)
+        # rows k then -k, columns l: H[l - k] over H[l + k]; each difference
+        # lies within one side of the grid, and a negative index wraps
+        both = self.circulant[ky - ry[:, None], kx - rx[:, None]]
+        diff, total = both[:R], both[R:]
+        v = np.where(pair, 1.0, math.sqrt(0.5))
+        scale = np.outer(v, v)
+        mixed = (scale * (diff.imag + total.imag))[:, pair]
+        G = np.empty((R + P, R + P))
+        G[:R, :R] = scale * (diff.real + total.real)
+        G[:R, R:], G[R:, :R] = mixed, mixed.T
+        G[R:, R:] = (diff.real - total.real)[np.ix_(pair, pair)]
+        return G
 
     def columns(self, idx):
         if self.table is None:

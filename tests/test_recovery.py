@@ -225,8 +225,9 @@ def test_candidates_are_the_2k_largest_proxy_entries():
 
 def test_pixel_recovery_asks_basis_atoms_for_the_kept_atoms_only(monkeypatch):
     # the pixel Gram is a gather from the mask's circulant table, so closed-
-    # form atoms are built for the K-atom residual alone
-    op, y, truth = planted_instance(256, 80, 4, seed=2, kind="pixel")
+    # form atoms are built for the residual alone: the K kept atoms of a
+    # complex target; of a real one, as C is real, the kept pairs'
+    # representatives (real_instance's three pairs and mean, 4 of 7 atoms)
     asked = []
     atoms = sensing.basis_atoms
 
@@ -235,9 +236,13 @@ def test_pixel_recovery_asks_basis_atoms_for_the_kept_atoms_only(monkeypatch):
         return atoms(psi, idx, rows)
 
     monkeypatch.setattr(sensing, "basis_atoms", spied)
-    mode = cosamp(op, y, RecoveryConfig(sparsity_K=4))
-    np.testing.assert_allclose(dense(mode, 256), truth, atol=1e-8)
-    assert asked == [4] * mode.iters
+    complex_target = planted_instance(256, 80, 4, seed=2, kind="pixel")
+    real_target = real_instance("pixel", 80, seed=4)[:3]
+    for (op, y, truth), K, reps in ((complex_target, 4, 4), (real_target, 7, 4)):
+        asked.clear()
+        mode = cosamp(op, y, RecoveryConfig(sparsity_K=K))
+        np.testing.assert_allclose(dense(mode, op.psi.n), truth, atol=1e-8)
+        assert asked == [reps] * mode.iters
 
 
 def test_candidates_cover_a_basis_smaller_than_2k():
@@ -493,7 +498,12 @@ def test_real_target_recovers_conjugate_pairs_and_a_real_field(kind, p, r):
     support = closed_support(op, dense(mode, op.psi.n))
     assert len(support) == 7 and mode.residual <= 1e-8
     np.testing.assert_allclose(dense(mode, op.psi.n), truth, atol=1e-8)
-    assert not np.any(mode.spatial.imag)
+    # solved in real unknowns: the value at -k is the conjugate of the value
+    # at k bit for bit, and the field is a real array
+    assert mode.support.tolist() == support.tolist()
+    mirror = np.searchsorted(mode.support, op.psi.conjugate(mode.support))
+    np.testing.assert_array_equal(mode.values[mirror], mode.values.conj())
+    assert np.isrealobj(mode.spatial)
     np.testing.assert_allclose(mode.spatial, field, atol=1e-8)
 
 
@@ -543,14 +553,14 @@ def cosamp_without_halt(op, y, K):
         proxy = rhs if iters == 1 else model.adjoint(residual)
         merged = np.union1d(support, model.candidates(proxy))
         merges.append(merged)
-        G = op.gram(merged) + recovery.TIKHONOV_FLOOR * np.eye(len(merged))
-        coef = np.linalg.solve(G, model.gather(rhs, merged))
-        keep = model.prune(merged, coef)
-        support = merged[keep]
-        residual = y - model.measure(support, coef[keep])
+        G = model.gram(merged)
+        coef = np.linalg.solve(G + recovery.TIKHONOV_FLOOR * np.eye(len(G)),
+                               model.gather(rhs, merged))
+        support, coef = model.prune(merged, coef)
+        residual = y - model.measure(support, coef)
         rel = np.linalg.norm(residual) / np.linalg.norm(y)
         if rel < best_res:
-            best_res, best_support, best_coef = rel, support, coef[keep]
+            best_res, best_support, best_coef = rel, support, coef
         history.append(best_res)
         if best_res <= recovery.RESIDUAL_TOL:
             break
@@ -558,9 +568,10 @@ def cosamp_without_halt(op, y, K):
             prev = history[-1 - recovery.STALL_WINDOW]
             if prev - history[-1] < recovery.STALL_REL_DECREASE * prev:
                 break
+    support, values = model.result(best_support, best_coef)
     coeffs = np.zeros(op.psi.n, dtype=complex)
-    coeffs[best_support] = best_coef
-    mode = RecoveredMode(support=best_support, values=best_coef,
+    coeffs[support] = values
+    mode = RecoveredMode(support=support, values=values,
                          spatial=model.synthesize(coeffs), residual=float(best_res), iters=iters)
     return mode, merges
 
@@ -585,6 +596,13 @@ class CountingSensing(SensingOperator):
         reads = len(self.reads)
         G = super().gram(idx)
         del self.reads[reads:]  # a dense C's Gram is the product of its columns
+        return G
+
+    def real_gram(self, idx):
+        self.reads.append("gram")
+        reads = len(self.reads)
+        G = super().real_gram(idx)
+        del self.reads[reads:]
         return G
 
     def columns(self, idx):

@@ -342,6 +342,33 @@ def test_pixel_gram_is_the_product_of_its_columns(grid, p):
     assert np.max(np.abs(G - cols.conj().T @ cols)) <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "grid, p, kind, tol",
+    [((7, 5), 12, "pixel", 1e-15), ((12, 9), 40, "pixel", 1e-15),
+     ((512, 256), 2500, "pixel", 1e-15), ((12, 9), 40, "gaussian", 1e-13)],
+)
+def test_real_gram_is_the_product_of_its_real_atoms(grid, p, kind, tol):
+    # the pixel Gram is read from H at l - k and l + k; odd and even sides,
+    # with every self-conjugate atom of the grid among random representatives
+    n = grid[0] * grid[1]
+    psi = SparseBasis(grid)
+    op = SensingOperator(make_measurement(kind, p, n, seed=p), psi)
+    atoms = np.random.default_rng(n).choice(n, size=min(n, 90), replace=False)
+    halves = lambda side: [0] if side % 2 else [0, side // 2]
+    self_conjugate = [ky * grid[0] + kx for ky in halves(grid[1]) for kx in halves(grid[0])]
+    reps = np.union1d(np.minimum(atoms, psi.conjugate(atoms)), self_conjugate)
+    pair = reps != psi.conjugate(reps)
+    assert np.count_nonzero(~pair) == len(self_conjugate) and pair.any()
+    if kind == "pixel":
+        cols = basis_atoms(psi, reps, op.C.indices)
+    else:
+        cols = apply_measurement(op.C, basis_atoms(psi, reps))
+    design = np.hstack([np.where(pair, np.sqrt(2), 1.0) * cols.real, np.sqrt(2) * cols.imag[:, pair]])
+    G = op.real_gram(reps)
+    assert np.isrealobj(G) and G.shape == (len(reps) + pair.sum(),) * 2
+    assert np.max(np.abs(G - design.T @ design)) <= tol
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
 def test_dense_gram_is_the_product_of_its_columns(kind):
     grid = (12, 9)
