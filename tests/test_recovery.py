@@ -591,19 +591,18 @@ class CountingSensing(SensingOperator):
         self.reads.append("adjoint")
         return super().real_adjoint(y)
 
-    def gram(self, idx):
+    def counted_gram(self, gram, idx):
         self.reads.append("gram")
         reads = len(self.reads)
-        G = super().gram(idx)
+        G = gram(idx)
         del self.reads[reads:]  # a dense C's Gram is the product of its columns
         return G
 
+    def gram(self, idx):
+        return self.counted_gram(super().gram, idx)
+
     def real_gram(self, idx):
-        self.reads.append("gram")
-        reads = len(self.reads)
-        G = super().real_gram(idx)
-        del self.reads[reads:]
-        return G
+        return self.counted_gram(super().real_gram, idx)
 
     def columns(self, idx):
         self.reads.append("columns")
