@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DimensionError, RankCollapse
 from .io import PANEL_ROWS, PanelReader
 from .linalg import DEFAULT_TRUNCATION_TOL, EconSvd, eig_dense, gram_svd, thin_product
-from .sensing import MeasurementMatrix, check_grid, check_rows, measure_panels
+from .sensing import MeasurementMatrix, apply_measurement, check_grid, check_rows, measure_panels
 
 ZERO_EIG_REL = 1e-12
 # a complex panel is conjugated this many columns at a time, so the Gram's
@@ -141,15 +141,16 @@ class DmdResult:
 def measure_pair(C: MeasurementMatrix, pair: SnapshotPair) -> SnapshotPair:
     """The measured pair Y = C X, Y' = C X', as C S at the pair's lag, so a
     time series is measured once per distinct snapshot and stays a series.
-    A dense C sums over S's row panels; a pixel C gathers its rows, from
-    mapped column blocks (PanelReader.rows) for a block on disk.  Rows are
-    measurements, so the result carries no grid."""
+    A dense C sums over S's row panels; a pixel C gathers its rows by
+    sensing.apply_measurement, or by PanelReader.rows for a block on disk.
+    Rows are measurements, so the result carries no grid."""
     if C.kind != "pixel":
         Y = measure_panels(C, pair.n, pair.panels())
-    else:
+    elif isinstance(pair.S, PanelReader):
         check_rows(C, pair.n)
-        S = pair.S
-        Y = S.rows(C.indices) if isinstance(S, PanelReader) else np.asfortranarray(S[C.indices])
+        Y = pair.S.rows(C.indices)
+    else:
+        Y = apply_measurement(C, pair.S)
     return SnapshotPair.from_block(Y, pair.lag, pair.dt)
 
 

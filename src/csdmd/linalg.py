@@ -45,7 +45,8 @@ class EconSvd:
 def thin_product(A, M):
     """A @ M for a tall block A and a small M, as (M^T A^T)^T, which OpenBLAS
     runs ~4x faster on a column-major A; a real A times a complex M is one
-    real product on M's interleaved parts, with no complex copy of A."""
+    real product on M's interleaved parts, with no complex copy of A, the
+    one place that product is written (sensing.measure_panels uses it)."""
     if np.iscomplexobj(M) and not np.iscomplexobj(A):
         return (A @ np.ascontiguousarray(M).view(float)).view(complex)
     return (M.T @ A.T).T

@@ -115,12 +115,12 @@ class _ConjugatePairs(_Atoms):
     coefficients at k and -k are conjugates, so the pair {k, -k} is picked
     and pruned whole, and the adjoint and synthesis run on the rfft2 half
     plane kx <= nx//2, which holds one member of every pair (both, on the
-    kx = 0 and kx = nx/2 columns).  A pair is held by its representative,
-    the smaller of k and -k, and solved for in real unknowns, the
-    coefficients of the real atoms of SensingOperator.real_gram: the cos
-    of every representative, then the sin of every pair.  Pairs are ranked
-    by their energy, |s_k|^2 + |s_-k|^2 = cos^2 + sin^2 (summed along the
-    row of a block)."""
+    kx = 0 and kx = nx/2 columns), and SparseBasis.read_half reads it at
+    any k.  A pair is held by its representative, the smaller of k and -k,
+    and solved for in real unknowns, the coefficients of the real atoms of
+    SensingOperator.real_gram: the cos of every representative, then the
+    sin of every pair.  Pairs are ranked by their energy, |s_k|^2 +
+    |s_-k|^2 = cos^2 + sin^2 (summed along the row of a block)."""
 
     def __init__(self, op, K):
         super().__init__(op, K, _energy)
@@ -143,12 +143,10 @@ class _ConjugatePairs(_Atoms):
         return reps != self.psi.conjugate(reps)
 
     def gather(self, rhs, merged):
-        # the real atoms' right-hand side: sqrt(2) Re b (Re b alone at a
-        # self-conjugate atom), then -sqrt(2) Im b at the pairs, from the
-        # half-plane b = (C Psi)^H y, conjugated where mirrored
-        half, mirror = self.psi.fold(merged)
-        b = rhs[half]
-        b = np.where(_rows(mirror, b.ndim), b.conj(), b)
+        # the real atoms' right-hand side from the rows b of (C Psi)^H y, the
+        # last axis of rhs.T: sqrt(2) Re b (Re b alone at a self-conjugate
+        # atom), then -sqrt(2) Im b at the pairs
+        b = self.psi.read_half(rhs.T, merged).T
         pair = self.pairs(merged)
         scale = _rows(np.where(pair, math.sqrt(2), 1.0), b.ndim)
         return np.concatenate([scale * b.real, -math.sqrt(2) * b.imag[pair]])

@@ -6,7 +6,10 @@ composite operator (measurement after basis synthesis) acts close to an
 isometry on sparse vectors; single-pixel measurement is plain row
 selection.  The sparse basis is the unitary 2-d discrete Fourier
 transform on the state grid.  SensingOperator, the composite C Psi that
-sparse recovery reads, also reports its mutual coherence.
+sparse recovery reads, also reports its mutual coherence.  Each rule is
+written once: a pixel C's gather (apply_measurement) and scatter
+(adjoint_measurement), a dense C times a complex operand
+(linalg.thin_product), and a half-plane read (SparseBasis.read_half).
 """
 
 import math
@@ -16,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, check_count
+from .linalg import thin_product
 
 KINDS = ("gaussian", "bernoulli", "pixel", "unitary")
 
@@ -104,18 +108,10 @@ def measure_panels(C: MeasurementMatrix, rows, panels):
     for start, P in panels:
         block = C.payload[:, start : start + len(P)]
         if np.iscomplexobj(P):
-            # one real GEMM on the interleaved (re, im) pairs, column 2j Re x_j
-            # and column 2j+1 Im x_j, so the real payload is never cast to
-            # complex (a 2x larger copy per call)
-            flat = np.ascontiguousarray(P).reshape(len(P), -1)
-            part = (block @ flat.view(flat.real.dtype)).view(flat.dtype)
-            part = part.reshape((C.p,) + P.shape[1:])
+            part = thin_product(block, P.reshape(len(P), -1)).reshape((C.p,) + P.shape[1:])
         else:
             part = block @ P
-        if Y is None:
-            Y = part
-        else:
-            Y += part
+        Y = part if Y is None else np.add(Y, part, out=Y)
     return Y
 
 
@@ -125,13 +121,12 @@ def adjoint_measurement(C: MeasurementMatrix, Y):
     if Y.shape[0] != C.p:
         raise DimensionError(f"operand has {Y.shape[0]} rows, expected {C.p}")
     if C.kind == "pixel":
-        out_shape = (C.n,) + Y.shape[1:]
-        out = np.zeros(out_shape, dtype=Y.dtype)
+        out = np.zeros((C.n,) + Y.shape[1:], dtype=Y.dtype)
         out[C.indices] = Y
         return out
     if np.iscomplexobj(Y):
-        # (Y^T C)^T: a (2k, p) by (p, n) product reads C row by row, ~2x
-        # faster than C^T Y for the few columns CoSaMP passes
+        # (Y^T C)^T, a (2k, p) by (p, n) product, reads C row by row, ~2x faster
+        # than linalg.thin_product's C^T Y for the few columns CoSaMP passes
         flat = np.ascontiguousarray(Y).reshape(C.p, -1)
         X = np.ascontiguousarray((flat.view(flat.real.dtype).T @ C.payload).T)
         return X.view(flat.dtype).reshape((C.n,) + Y.shape[1:])
@@ -188,6 +183,13 @@ class SparseBasis:
         ky, kx = np.divmod(np.where(mirror, self.conjugate(idx), idx), nx)
         return ky * (nx // 2 + 1) + kx, mirror
 
+    def read_half(self, half, idx):
+        """Entries idx of real fields' spectra, read along the last axis of
+        their flat rfft2 half planes half at fold(idx), conjugated where mirrored."""
+        pos, mirror = self.fold(idx)
+        entries = half[..., pos]
+        return np.where(mirror, entries.conj(), entries)
+
 
 def apply_basis(psi: SparseBasis, s, direction="forward"):
     """Apply the basis (or its inverse) to one vector or to matrix columns.
@@ -241,9 +243,8 @@ class SensingOperator:
     half holds every entry: for a dense C, the table is the
     p x ny x (nx//2 + 1) complex rfft2 of the rows, about the size of the
     real payload, in one FFT call.  The coherence is read from it, column
-    k = (ky, kx) is the conjugate of table entry k, or for kx > nx//2 entry
-    psi.conjugate(k) itself (the places psi.fold gives), and the Gram is
-    the product of the columns.
+    k is the conjugate of spectrum entry k as psi.read_half reads it from
+    the table, and the Gram is the product of the columns.
 
     A real target is read through the same half plane: ``real_adjoint``
     is C^H y, real, by one rfft2, and ``real_synthesize`` the real field
@@ -253,10 +254,10 @@ class SensingOperator:
 
     The pixel kind has no table (None): every entry of C Psi has magnitude
     1/sqrt(n), and its columns are closed-form atoms at the sampled rows,
-    so no pixels-by-grid array is formed.  Its Gram Psi^H diag(mask) Psi
-    is 2-d circulant: entry (k, l) is H[(ly - ky) mod ny, (lx - kx) mod nx]
-    for the ny x nx table H = ifft2(mask), built once, so a Gram on a
-    support is a gather and needs no columns.
+    so no pixels-by-grid array is formed.  Its Gram Psi^H diag(C^H 1) Psi
+    is 2-d circulant: entry (k, l) is H[ly - ky, lx - kx] (a negative
+    difference wraps) for the ny x nx table H = ifft2(C^H 1), built once,
+    so a Gram on a support is a gather and needs no columns.
     """
 
     def __init__(self, C: MeasurementMatrix, psi: SparseBasis):
@@ -265,8 +266,7 @@ class SensingOperator:
         self.C, self.psi, self.shape = C, psi, (C.p, C.n)
         nx, ny = psi.grid
         if C.kind == "pixel":
-            mask = np.zeros(C.n)
-            mask[C.indices] = 1.0
+            mask = adjoint_measurement(C, np.ones(C.p))
             self.coherence, self.table = 1.0 / math.sqrt(C.n), None
             self.circulant = np.fft.ifft2(mask.reshape(ny, nx))
             return
@@ -293,9 +293,8 @@ class SensingOperator:
         if self.table is not None:
             cols = self.columns(idx)
             return cols.conj().T @ cols
-        nx, ny = self.psi.grid
-        ky, kx = np.divmod(np.asarray(idx), nx)
-        return self.circulant[(ky - ky[:, None]) % ny, (kx - kx[:, None]) % nx]
+        ky, kx = np.divmod(np.asarray(idx), self.psi.grid[0])
+        return self.circulant[ky - ky[:, None], kx - kx[:, None]]
 
     def real_gram(self, reps):
         """The Gram of the real atoms of representatives reps, each k with
@@ -342,9 +341,7 @@ class SensingOperator:
     def columns(self, idx):
         if self.table is None:
             return basis_atoms(self.psi, idx, self.C.indices)
-        half, mirror = self.psi.fold(idx)
-        cols = self.table.reshape(self.C.p, -1)[:, half]
-        return np.where(mirror, cols, cols.conj())
+        return self.psi.read_half(self.table.reshape(self.C.p, -1), idx).conj()
 
     def synthesize(self, coeffs):
         return apply_basis(self.psi, coeffs, "forward")

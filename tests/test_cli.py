@@ -23,7 +23,7 @@ from csdmd.cli import (
     build_parser,
     main,
 )
-from csdmd.dmd import SnapshotPair, compressed_dmd, measure_pair
+from csdmd.dmd import SnapshotPair, compressed_dmd, exact_dmd, measure_pair
 from csdmd.errors import (
     ConvergenceError,
     CsdmdError,
@@ -41,7 +41,7 @@ from csdmd.pipelines import (
     run_path,
     verify_invariance_suite,
 )
-from csdmd.recovery import RecoveryConfig
+from csdmd.recovery import RecoveryConfig, recover_modes
 from csdmd.sensing import SensingOperator, SparseBasis, apply_basis, make_measurement
 from csdmd.systems import (
     GEN_CHUNK_COLS,
@@ -1325,6 +1325,68 @@ def test_sparse_recovery_run_transforms_the_measurement_once(workspace, tmp_path
         k = int(np.argmin(np.abs(lambdas[:, 0] - lam.conj())))
         assert {**rows[k], "mode": j} == rows[j]
     assert any(lam.imag != 0 for lam in lambdas[:, 0])
+
+
+@pytest.mark.parametrize("p", ["0", "257"])
+def test_cdmd_refuses_a_count_outside_1_to_n_before_any_write(workspace, tmp_path, capsys, p):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["cdmd", "--snapshots", str(workspace / "data"), "--measure", "gaussian",
+                 "-p", p, "--out", str(out)]) == 2
+    assert f"need 1 <= p <= n, got p={p}, n=256" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_exits_3_when_a_check_fails(workspace, capsys, monkeypatch):
+    # no mode deviation is below a negative bound: every check fails
+    monkeypatch.setattr(pipelines, "INVARIANCE_MODE_TOL", -1.0)
+    capsys.readouterr()
+    assert main(["verify", "--snapshots", str(workspace / "data")]) == 3
+    captured = capsys.readouterr()
+    lines = [ln for ln in captured.out.splitlines() if ln.strip()]
+    assert len(lines) == 5 and all(ln.startswith("FAIL") for ln in lines)
+    assert captured.err == "numerical failure in verify: one or more invariance checks failed\n"
+
+
+def test_2b_reports_a_failed_mode_as_a_zero_column_and_an_error_row(tmp_path):
+    # a one-pair cosine decaying at 0.95 and a dense random field decaying at
+    # 0.7: at sparsity 2 the first mode recovers and the second raises NoProgress
+    nx = ny = 16
+    iy, ix = np.divmod(np.arange(nx * ny), nx)
+    wave = np.cos(2 * np.pi * (3 * ix / nx + 2 * iy / ny))
+    dense = np.random.default_rng(7).standard_normal(nx * ny)
+    t = np.arange(21)
+    data, comp, sparse = tmp_path / "data", tmp_path / "comp", tmp_path / "sparse"
+    write_matrix(str(data), "S", np.outer(wave, 0.95**t) + np.outer(dense, 0.7**t),
+                 grid=(nx, ny), dt=0.1)
+    write_view(str(data), "X", "S", 0, 20)
+    write_view(str(data), "Xp", "S", 1, 20)
+    assert main(["dmd", "--snapshots", str(data), "--tol", "1e-6",
+                 "--out", str(tmp_path / "full")]) == 0
+    assert main(["cdmd", "--snapshots", str(data), "--measure", "gaussian", "-p", "40",
+                 "--seed", "2", "--tol", "1e-6", "--out", str(comp)]) == 0
+    assert main(["csdmd", "--measured", str(comp), "--measure-file",
+                 str(comp / "measure.json"), "--sparsity", "2", "--tol", "1e-6",
+                 "--out", str(sparse)]) == 0
+
+    # the rows each mode's own recovery gives
+    op = SensingOperator(make_measurement("gaussian", 40, nx * ny, seed=2), SparseBasis((nx, ny)))
+    projected = exact_dmd(_read_pair(str(comp), "Y", "Yp"), 1e-6)
+    _, diags = recover_modes(projected.Phi, op, RecoveryConfig(sparsity_K=2))
+    assert isinstance(diags[1], NoProgress)
+    rows = json.loads((sparse / "result.json").read_text())["recovery"]
+    assert rows == [
+        {"mode": 0, "residual": diags[0].residual, "iters": diags[0].iters},
+        {"mode": 1, "error": f"mode 1: NoProgress: {diags[1]}"},
+    ]
+    modes, _ = read_matrix(str(sparse), "modes")
+    assert np.any(modes[:, 0] != 0) and np.all(modes[:, 1] == 0)
+
+    report = tmp_path / "report.json"
+    assert main(["compare", "--a", str(tmp_path / "full"), "--b", str(sparse),
+                 "--out", str(report)]) == 0
+    aligns = json.loads(report.read_text())["mode_alignments"]
+    assert aligns[0] > 0.999 and aligns[1] == 0.0
 
 
 @pytest.fixture(scope="module")

@@ -81,6 +81,15 @@ def test_keyword_pair_stores_each_distinct_snapshot_once():
         SnapshotPair(X=np.ones((4, 0)), Xp=np.ones((4, 0)), dt=1.0)
 
 
+@pytest.mark.parametrize("grid", [(3, 2), (4, 4), (12, 1)])
+def test_a_pair_refuses_a_grid_of_another_size(grid):
+    S = np.arange(40.0).reshape(8, 5)
+    for make in (lambda: SnapshotPair.series(S, 1.0, grid),
+                 lambda: SnapshotPair(X=S[:, :4], Xp=S[:, 1:], dt=1.0, grid=grid)):
+        with pytest.raises(DimensionError, match="does not match row count 8"):
+            make()
+
+
 @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, None, 0.0, -0.1])
 def test_a_pair_needs_a_finite_positive_step(dt):
     # a NaN step would give NaN omegas; a null dt in a sidecar reads as None

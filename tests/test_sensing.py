@@ -266,6 +266,19 @@ def test_construction_rejects_a_malformed_matrix(fields, message):
         MeasurementMatrix(p=4, n=8, **fields)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: MeasurementMatrix("gaussian", 0, 8, payload=np.ones((0, 8))), "need 1 <= p <= n"),
+    (lambda: MeasurementMatrix("pixel", 9, 8, indices=np.arange(9)), "need 1 <= p <= n"),
+    (lambda: make_measurement("gaussian", 0, 8, seed=0), "need 1 <= p <= n"),
+    (lambda: make_measurement("pixel", 9, 8, seed=0), "need 1 <= p <= n"),
+    (lambda: SensingOperator(make_measurement("pixel", 4, 8, seed=0), SparseBasis((3, 3))),
+     "measurement n=8 does not match basis n=9"),
+])
+def test_a_measurement_or_operator_of_mismatched_sizes_is_refused(build, message):
+    with pytest.raises(DimensionError, match=message):
+        build()
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(BadDimensions):
         make_measurement("laplace", 4, 16, seed=0)
