@@ -26,7 +26,7 @@ from .errors import (
     RankCollapse,
     ZeroInput,
 )
-from .linalg import EconSvd, eig_dense, svd_econ
+from .linalg import EconSvd, eig_dense
 from .pipelines import (
     ExperimentConfig,
     ExperimentReport,
@@ -46,7 +46,6 @@ from .sensing import (
     apply_basis,
     apply_measurement,
     make_measurement,
-    mutual_coherence,
     recommended_measurements,
 )
 from .systems import (

@@ -45,7 +45,7 @@ from .systems import (
     generate_gyre_snapshots,
 )
 
-# used only by the benchmark's 2A replica; they go with ROADMAP step 1b
+# used only by the benchmark's 2A replica; they go with ROADMAP item 2
 PATH_2A_MAX_N = 4096
 PATH_2A_MAX_M = 64
 # An invariance check's mode deviation tracks eps (sigma_0 / sigma_r)^2, so

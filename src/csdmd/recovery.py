@@ -84,7 +84,9 @@ class _Atoms:
         self.op, self.K, self.weight = op, K, weight
         self.top = min(2 * K, op.shape[1])
         self.adjoint, self.synthesize = op.adjoint, op.synthesize
-        self.gram = getattr(op, "gram", self.column_gram)
+
+    def gram(self, idx):
+        return getattr(self.op, "gram", self.column_gram)(idx)
 
     def column_gram(self, idx):
         # for an operator that offers adjoint and columns only, such as the
@@ -117,16 +119,15 @@ class _ConjugatePairs(_Atoms):
     plane kx <= nx//2, which holds one member of every pair (both, on the
     kx = 0 and kx = nx/2 columns), and SparseBasis.read_half reads it at
     any k.  A pair is held by its representative, the smaller of k and -k,
-    and solved for in real unknowns, the coefficients of the real atoms of
-    SensingOperator.real_gram: the cos of every representative, then the
-    sin of every pair.  Pairs are ranked by their energy, |s_k|^2 +
-    |s_-k|^2 = cos^2 + sin^2 (summed along the row of a block)."""
+    and solved for in real unknowns, the coefficients of the real atoms
+    ``gram`` defines: the cos of every representative, then the sin of
+    every pair.  Pairs are ranked by their energy, |s_k|^2 + |s_-k|^2 =
+    cos^2 + sin^2 (summed along the row of a block)."""
 
     def __init__(self, op, K):
         super().__init__(op, K, _energy)
         self.psi = op.psi
         self.adjoint, self.synthesize = op.real_adjoint, op.real_synthesize
-        self.gram = op.real_gram
 
     def candidates(self, proxy):
         nx, ny = self.psi.grid
@@ -141,6 +142,29 @@ class _ConjugatePairs(_Atoms):
 
     def pairs(self, reps):
         return reps != self.psi.conjugate(reps)
+
+    def gram(self, reps):
+        """The Gram of the real atoms of representatives reps: at a pair,
+        sqrt(2) Re and sqrt(2) Im of column k of C Psi (the cos and the sin
+        of its field), at a self-conjugate k (kx and ky each 0 or half the
+        grid) column k itself, which is real.  C is real, so column -k is
+        the conjugate of column k: with v = 1 at a pair and 1/sqrt(2) at a
+        self-conjugate k, the products are v_k v_l Re(G[k, l] + G[-k, l]) of
+        two cos, v_k Im(G[k, l] + G[-k, l]) of the cos of k and the sin of l,
+        and Re(G[k, l] - G[-k, l]) of two sin, for the complex Gram G (for
+        pixel C, H[l - k] and H[l + k])."""
+        pair, R = self.pairs(reps), len(reps)
+        P = np.count_nonzero(pair)
+        both = self.op.gram(np.concatenate([reps, self.psi.conjugate(reps)]), reps)
+        diff, total = both[:R], both[R:]
+        v = np.where(pair, 1.0, math.sqrt(0.5))
+        scale = np.outer(v, v)
+        mixed = (scale * (diff.imag + total.imag))[:, pair]
+        G = np.empty((R + P, R + P))
+        G[:R, :R] = scale * (diff.real + total.real)
+        G[:R, R:], G[R:, :R] = mixed, mixed.T
+        G[R:, R:] = (diff.real - total.real)[np.ix_(pair, pair)]
+        return G
 
     def gather(self, rhs, merged):
         # the real atoms' right-hand side from the rows b of (C Psi)^H y, the
@@ -225,12 +249,12 @@ def cosamp(A_apply, y, cfg: RecoveryConfig) -> RecoveredMode:
     representatives of the K largest half-plane proxy entries, each pair
     counted once.  The least squares is real: a pair's unknowns are the
     cos and the sin of its field, a self-conjugate atom's (kx and ky each
-    0 or half the grid) its one real coefficient, their Gram is
-    ``real_gram`` on the merged representatives, and their right-hand
-    side the first adjoint read at the representatives.  The prune keeps
-    whole pairs, ranked by the root-mean-square magnitude of their
-    coefficients (ties to the smaller flat index), while they fit in K
-    atoms, a self-conjugate atom counting as one.  So an odd K leaves one
+    0 or half the grid) its one real coefficient, their Gram is combined
+    from ``gram`` of the merged representatives and their conjugates, and
+    their right-hand side the first adjoint read at the representatives.
+    The prune keeps whole pairs, ranked by the root-mean-square magnitude
+    of their coefficients (ties to the smaller flat index), while they fit
+    in K atoms, a self-conjugate atom counting as one.  So an odd K leaves one
     slot that only a self-conjugate atom fills, and K = 1 keeps the largest
     self-conjugate atom alone.  The residual reads ``columns`` of the kept
     representatives only, one atom per pair: C is real, so a pair measures

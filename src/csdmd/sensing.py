@@ -236,28 +236,29 @@ class SensingOperator:
     measurement rows and basis columns; low values favor sparse recovery.
 
     Recovery reads it through ``adjoint`` (C Psi)^H y, which goes through
-    the FFT, ``gram(idx)``, the Gram (C Psi)^H (C Psi) on a support, and
-    ``columns(idx)``.  As the DFT matrix is symmetric, row i of C Psi is
-    the basis synthesis of measurement row i.  The row is real, so that
-    synthesis is the conjugate of its forward transform, whose Hermitian
-    half holds every entry: for a dense C, the table is the
-    p x ny x (nx//2 + 1) complex rfft2 of the rows, about the size of the
-    real payload, in one FFT call.  The coherence is read from it, column
-    k is the conjugate of spectrum entry k as psi.read_half reads it from
-    the table, and the Gram is the product of the columns.
+    the FFT, ``gram(idx, cols)``, the Gram (C Psi)^H (C Psi) between two
+    atom sets (a support, when cols is omitted), and ``columns(idx)``.  As
+    the DFT matrix is symmetric, row i of C Psi is the basis synthesis of
+    measurement row i.  The row is real, so that synthesis is the
+    conjugate of its forward transform, whose Hermitian half holds every
+    entry: for a dense C, the table is the p x ny x (nx//2 + 1) complex
+    rfft2 of the rows, about the size of the real payload, in one FFT
+    call.  The coherence is read from it, column k is the conjugate of
+    spectrum entry k as psi.read_half reads it from the table, and the
+    Gram is the product of the columns.
 
     A real target is read through the same half plane: ``real_adjoint``
     is C^H y, real, by one rfft2, and ``real_synthesize`` the real field
     of Hermitian coefficients by one irfft2.  Its least squares runs in
-    real unknowns, the cos and sin of each conjugate pair, whose Gram is
-    ``real_gram``.
+    real unknowns, the cos and sin of each conjugate pair, whose Gram the
+    pair model in recovery combines from ``gram``.
 
     The pixel kind has no table (None): every entry of C Psi has magnitude
     1/sqrt(n), and its columns are closed-form atoms at the sampled rows,
     so no pixels-by-grid array is formed.  Its Gram Psi^H diag(C^H 1) Psi
     is 2-d circulant: entry (k, l) is H[ly - ky, lx - kx] (a negative
     difference wraps) for the ny x nx table H = ifft2(C^H 1), built once,
-    so a Gram on a support is a gather and needs no columns.
+    so a Gram between two atom sets is a gather and needs no columns.
     """
 
     def __init__(self, C: MeasurementMatrix, psi: SparseBasis):
@@ -289,54 +290,17 @@ class SensingOperator:
         half = np.fft.rfft2(x.reshape((ny, nx) + x.shape[1:]), axes=(0, 1), norm="ortho")
         return half.reshape((-1,) + x.shape[1:])
 
-    def gram(self, idx):
+    def gram(self, idx, cols=None):
+        """The Gram (C Psi)^H (C Psi) between the atoms idx (rows) and cols
+        (columns; idx when omitted)."""
         if self.table is not None:
-            cols = self.columns(idx)
-            return cols.conj().T @ cols
-        ky, kx = np.divmod(np.asarray(idx), self.psi.grid[0])
-        return self.circulant[ky - ky[:, None], kx - kx[:, None]]
-
-    def real_gram(self, reps):
-        """The Gram of the real atoms of representatives reps, each k with
-        k <= -k = psi.conjugate(k): the unknowns of a real target.  A pair
-        {k, -k} holds two real atoms, sqrt(2) Re and sqrt(2) Im of column k
-        of C Psi (the cos and the sin of its field), a self-conjugate k
-        (kx and ky each 0 or half the grid) one, column k itself, which is
-        real; the order is the cos of every representative, then the sin
-        of every pair.  They are orthonormal where C Psi is, and
-        coefficients c on a cos and d on a sin measure as the Hermitian s
-        with s_k = (c - i d) / sqrt(2) at a pair (s_-k = conj s_k) and
-        s_k = c at a self-conjugate k.
-
-        For pixel C the entries are read from H at l - k and l + k: with
-        v = 1 at a pair and 1/sqrt(2) at a self-conjugate k, the products
-        are v_k v_l (Re H[l-k] + Re H[l+k]) of two cos,
-        v_k (Im H[l-k] + Im H[l+k]) of the cos of k and the sin of l, and
-        Re H[l-k] - Re H[l+k] of two sin, from half the entries of the
-        complex Gram on the pairs' 2 |reps| atoms."""
-        reps = np.asarray(reps)
-        pair = reps != self.psi.conjugate(reps)
-        if self.table is not None:
-            cols = self.columns(reps)
-            atoms = np.hstack([np.where(pair, math.sqrt(2), 1.0) * cols.real,
-                               math.sqrt(2) * cols.imag[:, pair]])
-            return atoms.T @ atoms
+            left = self.columns(idx)
+            right = left if cols is None else self.columns(cols)
+            return left.conj().T @ right
         nx = self.psi.grid[0]
-        R, P = len(reps), np.count_nonzero(pair)
-        ky, kx = np.divmod(reps, nx)
-        ry, rx = np.divmod(np.concatenate([reps, self.psi.conjugate(reps)]), nx)
-        # rows k then -k, columns l: H[l - k] over H[l + k]; each difference
-        # lies within one side of the grid, and a negative index wraps
-        both = self.circulant[ky - ry[:, None], kx - rx[:, None]]
-        diff, total = both[:R], both[R:]
-        v = np.where(pair, 1.0, math.sqrt(0.5))
-        scale = np.outer(v, v)
-        mixed = (scale * (diff.imag + total.imag))[:, pair]
-        G = np.empty((R + P, R + P))
-        G[:R, :R] = scale * (diff.real + total.real)
-        G[:R, R:], G[R:, :R] = mixed, mixed.T
-        G[R:, R:] = (diff.real - total.real)[np.ix_(pair, pair)]
-        return G
+        ky, kx = np.divmod(np.asarray(idx), nx)
+        ly, lx = (ky, kx) if cols is None else np.divmod(np.asarray(cols), nx)
+        return self.circulant[ly - ky[:, None], lx - kx[:, None]]
 
     def columns(self, idx):
         if self.table is None:

@@ -770,6 +770,20 @@ def test_csdmd_refuses_a_stored_matrix_of_another_shape_before_reading_it(
     assert reads == [] and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("name", [7, [MEASUREMENT_BLOCK]])
+def test_csdmd_refuses_a_payload_block_that_is_no_matrix_name(workspace, tmp_path, capsys, name):
+    comp = tmp_path / "comp"
+    meta = _dense_cdmd(workspace, comp)
+    (comp / "measure.json").write_text(json.dumps({**meta, "payload_block": name}))
+    capsys.readouterr()
+    assert main(_csdmd_argv(comp, tmp_path / "o", "2B")) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error in csdmd: payload_block in {comp / 'measure.json'} "
+        f"is no matrix name: {name!r}\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_csdmd_refuses_a_stored_matrix_of_an_unknown_kind(workspace, tmp_path, capsys):
     comp = tmp_path / "comp"
     meta = _dense_cdmd(workspace, comp)

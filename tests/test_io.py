@@ -206,6 +206,15 @@ def test_size_mismatch_detected(tmp_path):
         read_matrix(tmp_path, "X")
 
 
+@pytest.mark.parametrize("dtype", ["f32", "c64", None])
+def test_a_sidecar_of_an_unknown_dtype_is_refused(tmp_path, dtype):
+    write_matrix(tmp_path, "X", np.ones((3, 3)))
+    path = tmp_path / "X.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "dtype": dtype}))
+    with pytest.raises(DimensionError, match=f"unknown dtype {dtype!r} in X.json"):
+        PanelReader(tmp_path, "X")
+
+
 def test_no_temp_files_left(tmp_path):
     write_matrix(tmp_path, "X", np.ones((2, 2)))
     leftovers = [f for f in os.listdir(tmp_path) if ".tmp" in f]

@@ -177,6 +177,24 @@ def test_nonfinite_rejected():
         svd_econ(np.ones(5))
 
 
+@pytest.mark.parametrize("entry, shift, error, message", [
+    (np.nan, 0.0, DimensionError, "NaN or Inf"),
+    (np.inf, 0.0, DimensionError, "NaN or Inf"),
+    (0.0, 1e-3, ConvergenceError, "eigenpair residual"),
+], ids=["nan", "inf", "inexact-eigenpair"])
+def test_eig_dense_refuses_a_non_finite_matrix_or_an_inexact_eigenpair(
+    monkeypatch, entry, shift, error, message
+):
+    # the eigensolver's eigenvalues are moved by shift: at 1e-3 every
+    # eigenpair residual is 1e-3, above 1e-8 |A|_F
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda M: (eig(M)[0] + shift, eig(M)[1]))
+    A = np.diag([2.0, 1.0, 0.5])
+    A[1, 2] = entry
+    with pytest.raises(error, match=message):
+        eig_dense(A)
+
+
 @pytest.mark.parametrize("shape", [(6, 3), (3, 6)])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_entries_whose_squares_overflow_or_underflow(shape, dtype):

@@ -96,6 +96,12 @@ def test_unknown_path_rejected():
         run_path(ExperimentConfig(system=data, path="9Z"))
 
 
+@pytest.mark.parametrize("system", [np.ones((8, 12)), None])
+def test_unsupported_system_type_rejected(system):
+    with pytest.raises(DimensionError, match="unsupported system type"):
+        run_path(ExperimentConfig(system=system, path="1A"))
+
+
 def test_planted_truth_tables():
     cfg = ExperimentConfig(
         system=make_fourier_lti(nx=32, ny=32, K=3, dt=0.05, m=40, seed=6),

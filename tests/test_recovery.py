@@ -591,18 +591,12 @@ class CountingSensing(SensingOperator):
         self.reads.append("adjoint")
         return super().real_adjoint(y)
 
-    def counted_gram(self, gram, idx):
+    def gram(self, idx, cols=None):
         self.reads.append("gram")
         reads = len(self.reads)
-        G = gram(idx)
+        G = super().gram(idx, cols)
         del self.reads[reads:]  # a dense C's Gram is the product of its columns
         return G
-
-    def gram(self, idx):
-        return self.counted_gram(super().gram, idx)
-
-    def real_gram(self, idx):
-        return self.counted_gram(super().real_gram, idx)
 
     def columns(self, idx):
         self.reads.append("columns")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from csdmd.errors import BadDimensions, DimensionError
+from csdmd.recovery import _ConjugatePairs
 from csdmd.sensing import (
     MeasurementMatrix,
     SensingOperator,
@@ -273,6 +274,8 @@ def test_construction_rejects_a_malformed_matrix(fields, message):
     (lambda: make_measurement("pixel", 9, 8, seed=0), "need 1 <= p <= n"),
     (lambda: SensingOperator(make_measurement("pixel", 4, 8, seed=0), SparseBasis((3, 3))),
      "measurement n=8 does not match basis n=9"),
+    (lambda: adjoint_measurement(make_measurement("pixel", 4, 8, seed=0), np.ones(5)),
+     "operand has 5 rows, expected 4"),
 ])
 def test_a_measurement_or_operator_of_mismatched_sizes_is_refused(build, message):
     with pytest.raises(DimensionError, match=message):
@@ -361,8 +364,9 @@ def test_pixel_gram_is_the_product_of_its_columns(grid, p):
      ((512, 256), 2500, "pixel", 1e-15), ((12, 9), 40, "gaussian", 1e-13)],
 )
 def test_real_gram_is_the_product_of_its_real_atoms(grid, p, kind, tol):
-    # the pixel Gram is read from H at l - k and l + k; odd and even sides,
-    # with every self-conjugate atom of the grid among random representatives
+    # the pair model's real Gram, for pixel C read from H at l - k and
+    # l + k; odd and even sides, with every self-conjugate atom of the grid
+    # among random representatives
     n = grid[0] * grid[1]
     psi = SparseBasis(grid)
     op = SensingOperator(make_measurement(kind, p, n, seed=p), psi)
@@ -377,7 +381,7 @@ def test_real_gram_is_the_product_of_its_real_atoms(grid, p, kind, tol):
     else:
         cols = apply_measurement(op.C, basis_atoms(psi, reps))
     design = np.hstack([np.where(pair, np.sqrt(2), 1.0) * cols.real, np.sqrt(2) * cols.imag[:, pair]])
-    G = op.real_gram(reps)
+    G = _ConjugatePairs(op, 1).gram(reps)
     assert np.isrealobj(G) and G.shape == (len(reps) + pair.sum(),) * 2
     assert np.max(np.abs(G - design.T @ design)) <= tol
 
@@ -390,6 +394,16 @@ def test_dense_gram_is_the_product_of_its_columns(kind):
     idx = np.random.default_rng(4).permutation(108)[:50]
     cols = op.columns(idx)
     np.testing.assert_array_equal(op.gram(idx), cols.conj().T @ cols)
+
+
+@pytest.mark.parametrize("kind", ["pixel", "gaussian"])
+def test_gram_between_two_atom_sets_is_the_product_of_their_columns(kind):
+    op = SensingOperator(make_measurement(kind, 40, 108, seed=5), SparseBasis((12, 9)))
+    rng = np.random.default_rng(5)
+    idx, cols = rng.permutation(108)[:30], rng.permutation(108)[:20]
+    G = op.gram(idx, cols)
+    assert G.shape == (30, 20)
+    assert np.max(np.abs(G - op.columns(idx).conj().T @ op.columns(cols))) <= 1e-15
 
 
 def test_pixel_gram_of_every_pixel_is_the_identity():

@@ -20,6 +20,7 @@ from csdmd.systems import (
     add_fourier_noise,
     generate_fourier_lti,
     generate_gyre_snapshots,
+    gyre_chunks,
     make_fourier_lti,
 )
 
@@ -145,6 +146,19 @@ def test_wave_count_is_checked_against_the_grid_before_drawing():
     for K in (7, 0):
         with pytest.raises(DimensionError, match="wave pairs of a 4x4 grid"):
             make_fourier_lti(nx=4, ny=4, K=K, m=3, seed=0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FourierLtiSystem(grid=(16, 16), K=2, wavenumbers=((1, 2),), mu=np.array([1j]),
+                              init_amps=np.ones(1, complex), dt=0.01, m=30),
+     "wavenumber count must equal K"),
+    (lambda: DoubleGyreParams(grid=(1, 8)), "grid must be at least 2x2"),
+    (lambda: gyre_chunks(DoubleGyreParams(grid=(8, 4)), "pressure"),
+     "unknown observable 'pressure'"),
+], ids=["fewer-wavenumbers-than-K", "gyre-grid-below-2", "unknown-observable"])
+def test_a_system_of_inconsistent_parameters_is_refused(build, message):
+    with pytest.raises(DimensionError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("dt, m", [(0.0, 10), (-0.01, 10), (0.01, 0), (0.01, -5)])
