@@ -199,14 +199,9 @@ def _lift(full: SnapshotPair, V_sigma, W, dead, V=None):
             XV = T[:, r:] if joint else thin_product(X, V)
             G += XV.conj().T @ XV
             del XV
-            # |X|_F^2 with no copy of X: one conjugating BLAS dot where X is
-            # F-contiguous (a panel read from disk), else einsum over real views
-            # of the strided rows of a block in memory, which vdot would copy
-            if X.flags.f_contiguous:
-                energy += np.vdot(X.T, X.T).real
-            else:
-                parts = (X.real, X.imag) if np.iscomplexobj(X) else (X,)
-                energy += sum(np.einsum("ij,ij->", part, part) for part in parts)
+            # einsum over real views: norm() would copy a strided X whole
+            parts = (X.real, X.imag) if np.iscomplexobj(X) else (X,)
+            energy += sum(np.einsum("ij,ij->", part, part) for part in parts)
         # T goes first: the QR's copies of the panel's rows of [Phi, x_0]
         # are the sweep's largest arrays
         del T

@@ -147,16 +147,18 @@ class _ConjugatePairs(_Atoms):
         """The Gram of the real atoms of representatives reps: at a pair,
         sqrt(2) Re and sqrt(2) Im of column k of C Psi (the cos and the sin
         of its field), at a self-conjugate k (kx and ky each 0 or half the
-        grid) column k itself, which is real.  C is real, so column -k is
+        grid) column k itself, which is real.  Coefficients c on a cos and d
+        on a sin measure as the Hermitian s with s_k = (c - i d) / sqrt(2)
+        at a pair and s_k = c at a self-conjugate k.  C is real, so column -k is
         the conjugate of column k: with v = 1 at a pair and 1/sqrt(2) at a
         self-conjugate k, the products are v_k v_l Re(G[k, l] + G[-k, l]) of
         two cos, v_k Im(G[k, l] + G[-k, l]) of the cos of k and the sin of l,
-        and Re(G[k, l] - G[-k, l]) of two sin, for the complex Gram G (for
-        pixel C, H[l - k] and H[l + k])."""
+        and Re(G[k, l] - G[-k, l]) of two sin, read from the complex Gram G
+        of reps and their conjugates (for pixel C, H[l - k] and H[l + k])."""
         pair, R = self.pairs(reps), len(reps)
         P = np.count_nonzero(pair)
-        both = self.op.gram(np.concatenate([reps, self.psi.conjugate(reps)]), reps)
-        diff, total = both[:R], both[R:]
+        both = super().gram(np.concatenate([reps, self.psi.conjugate(reps)]))
+        diff, total = both[:R, :R], both[R:, :R]
         v = np.where(pair, 1.0, math.sqrt(0.5))
         scale = np.outer(v, v)
         mixed = (scale * (diff.imag + total.imag))[:, pair]

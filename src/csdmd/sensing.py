@@ -236,16 +236,15 @@ class SensingOperator:
     measurement rows and basis columns; low values favor sparse recovery.
 
     Recovery reads it through ``adjoint`` (C Psi)^H y, which goes through
-    the FFT, ``gram(idx, cols)``, the Gram (C Psi)^H (C Psi) between two
-    atom sets (a support, when cols is omitted), and ``columns(idx)``.  As
-    the DFT matrix is symmetric, row i of C Psi is the basis synthesis of
-    measurement row i.  The row is real, so that synthesis is the
-    conjugate of its forward transform, whose Hermitian half holds every
-    entry: for a dense C, the table is the p x ny x (nx//2 + 1) complex
-    rfft2 of the rows, about the size of the real payload, in one FFT
-    call.  The coherence is read from it, column k is the conjugate of
-    spectrum entry k as psi.read_half reads it from the table, and the
-    Gram is the product of the columns.
+    the FFT, ``gram(idx)``, the Gram (C Psi)^H (C Psi) on a support, and
+    ``columns(idx)``.  As the DFT matrix is symmetric, row i of C Psi is
+    the basis synthesis of measurement row i.  The row is real, so that
+    synthesis is the conjugate of its forward transform, whose Hermitian
+    half holds every entry: for a dense C, the table is the
+    p x ny x (nx//2 + 1) complex rfft2 of the rows, about the size of the
+    real payload, in one FFT call.  The coherence is read from it, column
+    k is the conjugate of spectrum entry k as psi.read_half reads it from
+    the table, and the Gram is the product of the columns.
 
     A real target is read through the same half plane: ``real_adjoint``
     is C^H y, real, by one rfft2, and ``real_synthesize`` the real field
@@ -258,7 +257,7 @@ class SensingOperator:
     so no pixels-by-grid array is formed.  Its Gram Psi^H diag(C^H 1) Psi
     is 2-d circulant: entry (k, l) is H[ly - ky, lx - kx] (a negative
     difference wraps) for the ny x nx table H = ifft2(C^H 1), built once,
-    so a Gram between two atom sets is a gather and needs no columns.
+    so a Gram on a support is a gather and needs no columns.
     """
 
     def __init__(self, C: MeasurementMatrix, psi: SparseBasis):
@@ -290,17 +289,12 @@ class SensingOperator:
         half = np.fft.rfft2(x.reshape((ny, nx) + x.shape[1:]), axes=(0, 1), norm="ortho")
         return half.reshape((-1,) + x.shape[1:])
 
-    def gram(self, idx, cols=None):
-        """The Gram (C Psi)^H (C Psi) between the atoms idx (rows) and cols
-        (columns; idx when omitted)."""
+    def gram(self, idx):
         if self.table is not None:
-            left = self.columns(idx)
-            right = left if cols is None else self.columns(cols)
-            return left.conj().T @ right
-        nx = self.psi.grid[0]
-        ky, kx = np.divmod(np.asarray(idx), nx)
-        ly, lx = (ky, kx) if cols is None else np.divmod(np.asarray(cols), nx)
-        return self.circulant[ly - ky[:, None], lx - kx[:, None]]
+            cols = self.columns(idx)
+            return cols.conj().T @ cols
+        ky, kx = np.divmod(np.asarray(idx), self.psi.grid[0])
+        return self.circulant[ky - ky[:, None], kx - kx[:, None]]
 
     def columns(self, idx):
         if self.table is None:

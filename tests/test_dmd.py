@@ -656,36 +656,6 @@ def test_rank_collapse_raised_wherever_the_sigma_rule_raises(seed, kind):
     assert raised >= 20
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_the_rank_check_decides_alike_on_a_contiguous_or_strided_panel(dtype):
-    # |X|_F^2 is one BLAS dot over an F-contiguous panel (an F-ordered
-    # block here, as a panel read from disk is) and an einsum over a strided
-    # one (a C-ordered block): the sums may differ in the last bits, the
-    # check's decisions may not
-    rng = np.random.default_rng(21)
-    collapsed = []
-    for trial in range(60):
-        n, m = int(rng.integers(8, 49)), int(rng.integers(6, 31))
-        k = int(rng.integers(1, min(n, m) + 1))
-        s = 10.0 ** (-rng.uniform(0, 8) * np.arange(k) / k)
-        L = np.linalg.qr(rng.standard_normal((n, k)))[0]
-        if dtype is complex:
-            L = L * np.exp(1j * rng.uniform(0, 6, n))[:, None]
-        X = (L * s) @ np.linalg.qr(rng.standard_normal((m, k)))[0].T
-        S = np.column_stack([X, rng.standard_normal((n, n)) / np.sqrt(n) @ X])
-        C = make_measurement("gaussian", int(np.clip(k + rng.integers(-3, 4), 1, n)), n, seed=trial)
-        tol = 10.0 ** rng.uniform(-10, -2)
-        outcomes = []
-        for block in (S, np.asfortranarray(S)):
-            try:
-                outcomes.append(compressed_dmd(SnapshotPair.from_block(block, m, 0.1), C, tol).rank)
-            except RankCollapse:
-                outcomes.append(None)
-        assert outcomes[0] == outcomes[1]
-        collapsed.append(outcomes[0] is None)
-    assert 10 <= sum(collapsed) <= 50
-
-
 def test_projection_commutes_with_propagator():
     # for trajectory data whose columns span the state space, measuring
     # commutes with the fitted propagator: C A_X = A_Y C.  The identity

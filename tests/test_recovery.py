@@ -591,10 +591,10 @@ class CountingSensing(SensingOperator):
         self.reads.append("adjoint")
         return super().real_adjoint(y)
 
-    def gram(self, idx, cols=None):
+    def gram(self, idx):
         self.reads.append("gram")
         reads = len(self.reads)
-        G = super().gram(idx, cols)
+        G = super().gram(idx)
         del self.reads[reads:]  # a dense C's Gram is the product of its columns
         return G
 

@@ -396,16 +396,6 @@ def test_dense_gram_is_the_product_of_its_columns(kind):
     np.testing.assert_array_equal(op.gram(idx), cols.conj().T @ cols)
 
 
-@pytest.mark.parametrize("kind", ["pixel", "gaussian"])
-def test_gram_between_two_atom_sets_is_the_product_of_their_columns(kind):
-    op = SensingOperator(make_measurement(kind, 40, 108, seed=5), SparseBasis((12, 9)))
-    rng = np.random.default_rng(5)
-    idx, cols = rng.permutation(108)[:30], rng.permutation(108)[:20]
-    G = op.gram(idx, cols)
-    assert G.shape == (30, 20)
-    assert np.max(np.abs(G - op.columns(idx).conj().T @ op.columns(cols))) <= 1e-15
-
-
 def test_pixel_gram_of_every_pixel_is_the_identity():
     op = SensingOperator(make_measurement("pixel", 35, 35, seed=1), SparseBasis((7, 5)))
     idx = np.random.default_rng(1).permutation(35)
